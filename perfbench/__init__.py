@@ -1,0 +1,5 @@
+"""Seeded benchmark of cavity-loader with independent numpy/scipy references.
+
+Run it with ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>`` from the repository root; see README.md.
+"""
