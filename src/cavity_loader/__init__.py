@@ -10,13 +10,10 @@ it for a given input bandwidth.
 from .numerics import OdeFailure, OdeSystem, QuadratureFailure, QuadratureSpec
 from .pulses import (
     PulseShape,
-    effective_width,
     frequency_shifted,
     make_named,
     make_sech,
-    make_tabulated,
     make_zero,
-    read_pulse_csv,
 )
 from .two_level import (
     DerivedRates,
@@ -68,9 +65,6 @@ __all__ = [
     "make_sech",
     "make_named",
     "make_zero",
-    "make_tabulated",
-    "read_pulse_csv",
-    "effective_width",
     "frequency_shifted",
     "OdeSystem",
     "QuadratureSpec",

@@ -4,6 +4,10 @@ All rates are entered in units of kappa (kappa = 1 internally) and times
 in units of the pulse width T.  Results are written as plain CSV with
 shortest round-trip float formatting, atomically (temp file + rename).
 
+The ``simulate`` and ``optimize`` flags are generated from the scenario
+records in ``optimize.SCENARIOS``; a flag or config key the chosen
+scenario does not read is a configuration error.
+
 Exit codes: 0 success, 2 usage/configuration error, 3 numeric failure.
 The worker count for sweep presets is capped by the environment variable
 CAVITY_LOADER_THREADS.
@@ -19,45 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import entangled_loading, lambda_memory, numerics, optimize, pulses, two_level
+from . import entangled_loading, lambda_memory, numerics, optimize, two_level
 
 __all__ = ["main", "cmd_simulate", "cmd_optimize", "cmd_figure"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-SIMULATE_FIELDS = {
-    "two_level": {
-        "required": ("kT", "g_over_k"),
-        "optional": ("gamma_over_k", "delta_over_k", "pulse", "points", "out"),
-    },
-    "lambda_nonadiabatic": {
-        "required": ("kT", "gc_over_k", "omega_over_k", "delta1_over_k"),
-        "optional": (
-            "delta2_over_k",
-            "gamma_r_over_k",
-            "t_load_over_T",
-            "pulse",
-            "points",
-            "out",
-        ),
-    },
-    "lambda_adiabatic_tpr": {
-        "required": ("kT", "g_prime_over_k"),
-        "optional": ("points", "out"),
-    },
-    "lambda_adiabatic_zed": {
-        "required": ("kT", "g_prime_over_k"),
-        "optional": ("points", "out"),
-    },
-    "mitnu": {
-        "required": ("kT", "kT0", "g_over_k"),
-        "optional": ("points", "out"),
-    },
-}
-
-FIGURE_PRESETS = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")
 
 
 class ConfigError(ValueError):
@@ -103,204 +75,100 @@ def _read_config_file(path) -> dict:
     return values
 
 
-def _gather(args, parser_fields: dict) -> dict:
-    """Merge config-file values under explicit flags; reject unknown keys."""
-    known = set(parser_fields["required"]) | set(parser_fields["optional"])
-    merged = {}
-    if args.config:
-        file_values = _read_config_file(args.config)
-        unknown = sorted(set(file_values) - known - {"scenario"})
-        if unknown:
-            raise ConfigError(f"unknown config key {unknown[0]!r}")
-        merged.update(file_values)
-    for key in known:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            merged[key] = flag_val
-    missing = [k for k in parser_fields["required"] if k not in merged]
-    if missing:
-        raise ConfigError(f"missing required field {missing[0]} for this scenario")
-    return merged
+def _points(raw: str) -> int:
+    """A grid size: an integer of at least 2."""
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 2:
+        raise ValueError(f"must be an integer >= 2, got {raw!r}")
+    return n
 
 
-def _floats(cfg: dict, keys, default=None) -> dict:
-    out = {}
-    for k in keys:
-        if k in cfg:
-            try:
-                out[k] = float(cfg[k])
-            except (TypeError, ValueError):
-                raise ConfigError(f"field {k} must be a number, got {cfg[k]!r}")
-        elif default is not None:
-            out[k] = default
-    return out
-
-
-def cmd_simulate(args) -> int:
-    scenario = args.scenario
-    if scenario not in SIMULATE_FIELDS:
-        raise ConfigError(f"unknown scenario {scenario!r}")
-    cfg = _gather(args, SIMULATE_FIELDS[scenario])
-    points = int(float(cfg.get("points", 600)))
-    out_path = cfg.get("out", f"{scenario}_trajectory.csv")
-    kappa = 1.0
-    kT = float(cfg["kT"])
-    T = kT / kappa
-
-    if scenario == "two_level":
-        kind = cfg.get("pulse", "sech")
-        if kind not in pulses.PULSE_KINDS:
-            raise ConfigError(f"field pulse must be one of {pulses.PULSE_KINDS}")
-        g = float(cfg["g_over_k"]) * kappa
-        gamma = float(cfg.get("gamma_over_k", 0.0)) * kappa
-        delta = float(cfg.get("delta_over_k", 0.0)) * kappa
-        pulse = pulses.make_named(kind, T, T)
-        params = two_level.TwoLevelParams(g=g, kappa=kappa, gamma=gamma, delta=delta)
-        grid = np.linspace(min(0.0, pulse.support[0]), 5.0 * T, points)
-        traj = two_level.amplitude_ode(params, pulse, grid)
-        header = ["t_over_T", "pop_beta", "pop_ce"]
-        rows = zip(grid / T, traj.population("beta"), traj.population("c_e"))
-        write_csv(out_path, header, rows)
-        return EXIT_OK
-
-    if scenario == "lambda_nonadiabatic":
-        kind = cfg.get("pulse", "sech")
-        if kind not in pulses.PULSE_KINDS:
-            raise ConfigError(f"field pulse must be one of {pulses.PULSE_KINDS}")
-        g_c = float(cfg["gc_over_k"]) * kappa
-        om = float(cfg["omega_over_k"]) * kappa
-        d1 = float(cfg["delta1_over_k"]) * kappa
-        gamma_r = float(cfg.get("gamma_r_over_k", 0.0)) * kappa
-        base = lambda_memory.LambdaParams(
-            g_c=g_c, kappa=kappa, delta1=d1, delta2=d1, omega=om, gamma_r=gamma_r
-        )
-        if "delta2_over_k" in cfg:
-            d2 = float(cfg["delta2_over_k"]) * kappa
-        else:
-            d2 = lambda_memory.stark_compensation(base)
-        pulse = pulses.make_named(kind, T, T)
-        if "t_load_over_T" in cfg:
-            t_load = float(cfg["t_load_over_T"]) * T
-        else:
-            g_eff = g_c * om / d1
-            t_load, _ = two_level.peak_loading(
-                two_level.TwoLevelParams(g=g_eff, kappa=kappa), pulse, 5.0 * T
-            )
-
-        def omega_step(t):
-            return np.where(np.asarray(t) <= t_load, om, 0.0)
-
-        params = lambda_memory.LambdaParams(
-            g_c=g_c,
-            kappa=kappa,
-            delta1=d1,
-            delta2=d2,
-            omega=omega_step,
-            gamma_r=gamma_r,
-        )
-        drive = lambda_memory.compensated_pulse(pulse, params)
-        grid = np.linspace(min(0.0, pulse.support[0]), 5.0 * T, points)
-        traj = lambda_memory.full_ode(params, drive, grid, breakpoints=(t_load,))
-        header = ["t_over_T", "pop_beta", "pop_cr", "pop_ce"]
-        rows = zip(
-            grid / T,
-            traj.population("beta"),
-            traj.population("c_r"),
-            traj.population("c_e"),
-        )
-        write_csv(out_path, header, rows)
-        return EXIT_OK
-
-    if scenario in ("lambda_adiabatic_tpr", "lambda_adiabatic_zed"):
-        g_prime = float(cfg["g_prime_over_k"]) * kappa
-        # only g' = g_c^2/Delta1 matters; a deep-elimination split is used
-        delta1 = 400.0 * kappa
-        g_c = float(np.sqrt(g_prime * delta1))
-        loader = (
-            lambda_memory.adiabatic_load_tpr
-            if scenario.endswith("tpr")
-            else lambda_memory.adiabatic_load_zed
-        )
-        pulse = pulses.make_sech(T, T)
-        grid = np.linspace(pulse.support[0], 5.0 * T, points)
-        traj, _ = loader(g_c, delta1, kappa, T, grid=grid)
-        header = ["t_over_T", "pop_beta", "pop_cr", "pop_ce"]
-        rows = zip(
-            grid / T,
-            traj.population("beta"),
-            traj.population("c_r"),
-            traj.population("c_e"),
-        )
-        write_csv(out_path, header, rows)
-        return EXIT_OK
-
-    # mitnu
-    kT0 = float(cfg["kT0"])
-    g = float(cfg["g_over_k"]) * kappa
-    sp = entangled_loading.SpdcParams(T=T, T0=kT0 / kappa)
-    b = entangled_loading.spdc_biphoton(sp)
-    params = two_level.TwoLevelParams(g=g, kappa=kappa)
-    grid = np.linspace(0.0, b.support[1] + 2.0 / kappa, points)
-    traj = entangled_loading.joint_trajectory(params, b, grid)
-    write_csv(out_path, ["t_over_T", "pop_ce"], zip(grid / T, traj.population("c_ee")))
-    return EXIT_OK
-
-
-OPTIMIZE_FIELDS = {
-    "required": ("scenario", "kT"),
-    "optional": (
-        "kT0",
-        "gamma_over_g",
-        "delta_over_k",
-        "pulse",
-        "g_min",
-        "g_max",
-        "tol",
-        "out",
-    ),
+# fields every scenario accepts, besides its own (and --scenario, --config)
+COMMON_FIELDS = {
+    "simulate": {"points": _points, "out": str},
+    "optimize": {"g_min": float, "g_max": float, "tol": float, "out": str},
 }
 
 
+def _gather(args, command: str) -> dict:
+    """Typed ``command`` fields of the chosen scenario, from the config
+    file and the flags; flags override config-file values.
+
+    A field the scenario does not read is rejected by name, and so is a
+    missing required one.
+    """
+    fields = getattr(optimize.get_scenario(args.scenario), command)
+    parsers = {**fields.parsers(), **COMMON_FIELDS[command]}
+    raw = _read_config_file(args.config) if args.config else {}
+    raw.pop("scenario", None)
+    for key in _flag_names(command):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
+    cfg = {}
+    for key, value in raw.items():
+        if key not in parsers:
+            raise ConfigError(f"scenario {args.scenario} does not use field {key}")
+        try:
+            cfg[key] = parsers[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"field {key}: {exc}")
+    missing = [k for k in fields.required if k not in cfg]
+    if missing:
+        raise ConfigError(f"missing required field {missing[0]} for this scenario")
+    return cfg
+
+
+def _flag_names(command: str) -> list[str]:
+    """One flag per field that any scenario's ``command`` reads."""
+    names = [n for s in optimize.SCENARIOS.values() for n in getattr(s, command).parsers()]
+    return list(dict.fromkeys(names + list(COMMON_FIELDS[command])))
+
+
+def cmd_simulate(args) -> int:
+    cfg = _gather(args, "simulate")
+    trajectory = optimize.get_scenario(args.scenario).trajectory
+    header, columns = trajectory(cfg, cfg.get("points", 600))
+    write_csv(cfg.get("out", f"{args.scenario}_trajectory.csv"), header, zip(*columns))
+    return EXIT_OK
+
+
 def cmd_optimize(args) -> int:
-    fields = dict(OPTIMIZE_FIELDS)
-    cfg = _gather(args, fields)
-    scenario = cfg.get("scenario", args.scenario)
-    if scenario not in optimize.SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}")
-    g_min = float(cfg.get("g_min", optimize.DEFAULT_G_RANGE[0]))
-    g_max = float(cfg.get("g_max", optimize.DEFAULT_G_RANGE[1]))
+    fixed = _gather(args, "optimize")
+    g_min = fixed.pop("g_min", optimize.DEFAULT_G_RANGE[0])
+    g_max = fixed.pop("g_max", optimize.DEFAULT_G_RANGE[1])
     if not g_min < g_max:
         raise ConfigError("field g_min must be below g_max (empty search range)")
-    tol = float(cfg.get("tol", optimize.DEFAULT_G_TOL))
-    fixed = {"kT": float(cfg["kT"])}
-    if scenario == "mitnu":
-        if "kT0" not in cfg:
-            raise ConfigError("missing required field kT0 for scenario mitnu")
-        fixed["kT0"] = float(cfg["kT0"])
-    for key in ("gamma_over_g", "delta_over_k"):
-        if key in cfg:
-            fixed[key] = float(cfg[key])
-    if "pulse" in cfg:
-        fixed["pulse"] = cfg["pulse"]
-    opt = optimize.optimize_coupling(scenario, fixed, (g_min, g_max), tol)
-    out_path = cfg.get("out", f"{scenario}_optimum.csv")
+    tol = fixed.pop("tol", optimize.DEFAULT_G_TOL)
+    out_path = fixed.pop("out", f"{args.scenario}_optimum.csv")
+    opt = optimize.optimize_coupling(args.scenario, fixed, (g_min, g_max), tol)
     write_csv(out_path, ["g_opt", "P_max", "T_load"], [(opt.g_opt, opt.P_max, opt.T_load)])
     return EXIT_OK
 
 
-def _figure_fig3(outdir: Path) -> dict:
+def _trajectory(scenario: str, cfg: dict, points: int):
+    return optimize.get_scenario(scenario).trajectory(cfg, points)
+
+
+def _family_csv(path, scenario: str, cfg: dict, field: str, values, prefix: str) -> None:
+    """t/T, then the last trajectory column for each value of ``field``."""
+    cols = []
+    for value in values:
+        _, columns = _trajectory(scenario, {**cfg, field: value}, 501)
+        cols.append(columns[-1])
+    write_csv(path, ["t_over_T"] + [f"{prefix}{v}" for v in values], zip(columns[0], *cols))
+
+
+def _rows_csv(path, rows: list[dict], keys) -> None:
+    write_csv(path, list(keys), [tuple(r[k] for k in keys) for r in rows])
+
+
+def _figure_fig3(outdir: Path, workers=None) -> dict:
     kT, g_values = 2.0, (0.3, 0.6, 1.0, 1.5, 2.5)
-    T = kT
-    pulse = pulses.make_sech(T, T)
-    grid = np.linspace(min(0.0, pulse.support[0]), 5.0 * T, 501)
-    cols = [grid / T]
-    for g in g_values:
-        traj = two_level.amplitude_ode(
-            two_level.TwoLevelParams(g=g, kappa=1.0), pulse, grid
-        )
-        cols.append(traj.population("c_e"))
-    header = ["t_over_T"] + [f"pop_ce_g{g}" for g in g_values]
-    write_csv(outdir / "fig3_loading_vs_time.csv", header, zip(*cols))
+    path = outdir / "fig3_loading_vs_time.csv"
+    _family_csv(path, "two_level", {"kT": kT}, "g_over_k", g_values, "pop_ce_g")
     return {"kT": kT, "g_over_k": list(g_values), "pulse": "sech", "gamma": 0.0, "delta": 0.0}
 
 
@@ -315,33 +183,21 @@ def _figure_fig4(outdir: Path, workers=None) -> dict:
             optimize_g=True,
         )
         rows = optimize.sweep(spec, workers=workers)
-        write_csv(
-            outdir / f"fig4_design_gamma{gamma_over_g}.csv",
-            ["kT", "g_opt", "P_max", "T_load"],
-            [(r["kT"], r["g_opt"], r["P_max"], r["T_load"]) for r in rows],
-        )
+        path = outdir / f"fig4_design_gamma{gamma_over_g}.csv"
+        _rows_csv(path, rows, ("kT", "g_opt", "P_max", "T_load"))
     return {"gamma_over_g": list(gamma_family), "kT_grid": list(kT_grid), "pulse": "sech"}
 
 
-def _figure_fig5(outdir: Path) -> dict:
+def _figure_fig5(outdir: Path, workers=None) -> dict:
     kT, g = 2.0, 1.0
-    T = kT
     kinds = ("sech", "rectangular", "exp_rising", "exp_decaying")
     for kind in kinds:
-        pulse = pulses.make_named(kind, T, T)
-        grid = np.linspace(min(0.0, pulse.support[0]), 5.0 * T, 501)
-        traj = two_level.amplitude_ode(
-            two_level.TwoLevelParams(g=g, kappa=1.0), pulse, grid
-        )
-        write_csv(
-            outdir / f"fig5_{kind}.csv",
-            ["t_over_T", "pop_beta", "pop_ce"],
-            zip(grid / T, traj.population("beta"), traj.population("c_e")),
-        )
+        header, columns = _trajectory("two_level", {"kT": kT, "g_over_k": g, "pulse": kind}, 501)
+        write_csv(outdir / f"fig5_{kind}.csv", header, zip(*columns))
     return {"kT": kT, "g_over_k": g, "pulses": list(kinds)}
 
 
-def _figure_fig6(outdir: Path) -> dict:
+def _figure_fig6(outdir: Path, workers=None) -> dict:
     kT_values = (4.5, 5.0, 7.0, 10.0)
     g_prime_grid = np.linspace(0.25, 4.0, 16)
     cols = [g_prime_grid]
@@ -363,11 +219,7 @@ def _figure_fig7(outdir: Path, workers=None) -> dict:
         scenario="lambda_nonadiabatic", axes=(("kT", kT_nonad),), optimize_g=True
     )
     rows = optimize.sweep(spec_n, workers=workers)
-    write_csv(
-        outdir / "fig7_nonadiabatic.csv",
-        ["kT", "g_opt", "P_max"],
-        [(r["kT"], r["g_opt"], r["P_max"]) for r in rows],
-    )
+    _rows_csv(outdir / "fig7_nonadiabatic.csv", rows, ("kT", "g_opt", "P_max"))
     spec_a = optimize.SweepSpec(
         scenario="lambda_adiabatic_zed",
         axes=(("kT", kT_adiab),),
@@ -375,15 +227,11 @@ def _figure_fig7(outdir: Path, workers=None) -> dict:
         g_range=(0.2, 5.0),
     )
     rows = optimize.sweep(spec_a, workers=workers)
-    write_csv(
-        outdir / "fig7_adiabatic_zed.csv",
-        ["kT", "g_opt", "P_max"],
-        [(r["kT"], r["g_opt"], r["P_max"]) for r in rows],
-    )
+    _rows_csv(outdir / "fig7_adiabatic_zed.csv", rows, ("kT", "g_opt", "P_max"))
     return {"kT_nonadiabatic": list(kT_nonad), "kT_adiabatic": list(kT_adiab)}
 
 
-def _figure_fig8(outdir: Path) -> dict:
+def _figure_fig8(outdir: Path, workers=None) -> dict:
     offsets = np.linspace(-1.0, 1.0, 17)
     # non-adiabatic at kT = 1, its optimum coupling
     kT_n = 1.0
@@ -418,27 +266,14 @@ def _figure_fig8(outdir: Path) -> dict:
     }
 
 
-def _figure_fig9(outdir: Path) -> dict:
-    kappa = 1.0
+def _figure_fig9(outdir: Path, workers=None) -> dict:
     kT = 2.0
     g_values = (0.6, 0.9, 1.2, 2.0)
     kT0_values = (0.5, 1.0, 2.0, 4.0)
     # panel (a): fixed kT0 = 2, family over g
-    sp = entangled_loading.SpdcParams(T=kT, T0=2.0)
-    b = entangled_loading.spdc_biphoton(sp)
-    grid = np.linspace(0.0, b.support[1] + 2.0, 501)
-    cols = [grid / kT]
-    for g in g_values:
-        traj = entangled_loading.joint_trajectory(
-            two_level.TwoLevelParams(g=g, kappa=kappa), b, grid
-        )
-        cols.append(traj.population("c_ee"))
-    write_csv(
-        outdir / "fig9_vs_g.csv",
-        ["t_over_T"] + [f"pop_cee_g{g}" for g in g_values],
-        zip(*cols),
-    )
-    # panel (b): fixed g = 1, family over kT0
+    cfg = {"kT": kT, "kT0": 2.0}
+    _family_csv(outdir / "fig9_vs_g.csv", "mitnu", cfg, "g_over_k", g_values, "pop_cee_g")
+    # panel (b): fixed g = 1, family over kT0, on one grid that covers every pair
     hi = max(
         entangled_loading.spdc_biphoton(
             entangled_loading.SpdcParams(T=kT, T0=t0)
@@ -450,7 +285,7 @@ def _figure_fig9(outdir: Path) -> dict:
     for t0 in kT0_values:
         b = entangled_loading.spdc_biphoton(entangled_loading.SpdcParams(T=kT, T0=t0))
         traj = entangled_loading.joint_trajectory(
-            two_level.TwoLevelParams(g=1.0, kappa=kappa), b, grid
+            two_level.TwoLevelParams(g=1.0, kappa=1.0), b, grid
         )
         cols.append(traj.population("c_ee"))
     write_csv(
@@ -470,37 +305,31 @@ def _figure_fig10(outdir: Path, workers=None) -> dict:
         g_range=(0.1, 5.0),
     )
     rows = optimize.sweep(spec, workers=workers)
-    write_csv(
-        outdir / "fig10_g_opt.csv",
-        ["kT", "kT0", "g_opt"],
-        [(r["kT"], r["kT0"], r["g_opt"]) for r in rows],
-    )
-    write_csv(
-        outdir / "fig10_P_max.csv",
-        ["kT", "kT0", "P_max"],
-        [(r["kT"], r["kT0"], r["P_max"]) for r in rows],
-    )
+    _rows_csv(outdir / "fig10_g_opt.csv", rows, ("kT", "kT0", "g_opt"))
+    _rows_csv(outdir / "fig10_P_max.csv", rows, ("kT", "kT0", "P_max"))
     return {"kT_grid": list(grid), "kT0_grid": list(grid)}
+
+
+FIGURES = {
+    "fig3": _figure_fig3,
+    "fig4": _figure_fig4,
+    "fig5": _figure_fig5,
+    "fig6": _figure_fig6,
+    "fig7": _figure_fig7,
+    "fig8": _figure_fig8,
+    "fig9": _figure_fig9,
+    "fig10": _figure_fig10,
+}
+FIGURE_PRESETS = tuple(FIGURES)
 
 
 def cmd_figure(args) -> int:
     preset = args.preset
-    if preset not in FIGURE_PRESETS:
+    if preset not in FIGURES:
         raise ConfigError(f"unknown preset {preset!r}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    workers = args.workers
-    builders = {
-        "fig3": lambda: _figure_fig3(outdir),
-        "fig4": lambda: _figure_fig4(outdir, workers),
-        "fig5": lambda: _figure_fig5(outdir),
-        "fig6": lambda: _figure_fig6(outdir),
-        "fig7": lambda: _figure_fig7(outdir, workers),
-        "fig8": lambda: _figure_fig8(outdir),
-        "fig9": lambda: _figure_fig9(outdir),
-        "fig10": lambda: _figure_fig10(outdir, workers),
-    }
-    meta = builders[preset]()
+    meta = FIGURES[preset](outdir, args.workers)
     sidecar = outdir / f"{preset}_params.txt"
     lines = [f"{key} = {value}" for key, value in sorted(meta.items())]
     sidecar.write_text("\n".join(lines) + "\n")
@@ -514,36 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="write a trajectory CSV for one scenario")
-    sim.add_argument("--scenario", required=True)
-    for flag in (
-        "kT",
-        "kT0",
-        "g_over_k",
-        "gc_over_k",
-        "omega_over_k",
-        "delta1_over_k",
-        "delta2_over_k",
-        "gamma_over_k",
-        "gamma_r_over_k",
-        "delta_over_k",
-        "t_load_over_T",
-        "points",
+    for command, help_text, func in (
+        ("simulate", "write a trajectory CSV for one scenario", cmd_simulate),
+        ("optimize", "find the optimum coupling rate", cmd_optimize),
     ):
-        sim.add_argument(f"--{flag}", type=float, default=None)
-    sim.add_argument("--pulse", default=None)
-    sim.add_argument("--out", default=None)
-    sim.add_argument("--config", default=None)
-    sim.set_defaults(func=cmd_simulate)
-
-    opt = sub.add_parser("optimize", help="find the optimum coupling rate")
-    opt.add_argument("--scenario", required=True)
-    for flag in ("kT", "kT0", "gamma_over_g", "delta_over_k", "g_min", "g_max", "tol"):
-        opt.add_argument(f"--{flag}", type=float, default=None)
-    opt.add_argument("--pulse", default=None)
-    opt.add_argument("--out", default=None)
-    opt.add_argument("--config", default=None)
-    opt.set_defaults(func=cmd_optimize)
+        cmd = sub.add_parser(command, help=help_text)
+        cmd.add_argument("--scenario", required=True)
+        cmd.add_argument("--config", default=None)
+        for name in _flag_names(command):
+            cmd.add_argument(f"--{name}", default=None)
+        cmd.set_defaults(func=func)
 
     fig = sub.add_parser("figure", help="regenerate a figure dataset")
     fig.add_argument("--preset", required=True)
@@ -558,10 +367,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (numerics.OdeFailure, numerics.QuadratureFailure) as exc:

@@ -30,7 +30,7 @@ import numpy as np
 from . import numerics
 from .lambda_memory import LambdaParams, effective_two_level
 from .pulses import PulseShape, make_sech
-from .two_level import TwoLevelParams, Trajectory, _golden_max, _Kernels
+from .two_level import TwoLevelParams, Trajectory, _Kernels
 
 __all__ = [
     "PolarizationQubit",
@@ -84,23 +84,24 @@ class BiphotonAmplitude:
 class SpdcParams:
     """Downconverter pulse model: pump width T, phase-matching window T0.
 
-    The pump center defaults to 2T + T0 so the joint amplitude lives in
-    the positive-time quadrant up to a truncated tail.
+    The pump is centered at 2T + T0 so the joint amplitude lives in the
+    positive-time quadrant up to a truncated tail.
     """
 
     T: float
     T0: float
-    shift: float | None = None
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("pump width T must be positive")
-        if not self.T0 > 0:
-            raise ValueError("phase-matching window T0 must be positive")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"pump width T must be positive and finite, got {self.T!r}")
+        if not 0 < self.T0 < math.inf:
+            raise ValueError(
+                f"phase-matching window T0 must be positive and finite, got {self.T0!r}"
+            )
 
     @property
     def pump_center(self) -> float:
-        return 2.0 * self.T + self.T0 if self.shift is None else self.shift
+        return 2.0 * self.T + self.T0
 
 
 def v_level_load(
@@ -108,7 +109,6 @@ def v_level_load(
     leg: TwoLevelParams,
     pulse: PulseShape,
     t: float,
-    leg_minus: TwoLevelParams | None = None,
 ) -> float:
     """Probability of loading the target superposition of a V-level atom.
 
@@ -117,8 +117,6 @@ def v_level_load(
     recombined; the result equals the single-leg loading probability for
     every qubit (the identity this operation also verifies).
     """
-    if leg_minus is not None and leg_minus != leg:
-        raise ValueError("asymmetric legs are not supported; both legs must share parameters")
     kern = _Kernels(leg.kappa, complex(leg.gamma, -leg.delta), leg.g)
     _, c_e = kern.amplitudes_at(pulse, t)
     c_plus = q.alpha * c_e
@@ -127,15 +125,13 @@ def v_level_load(
     return float(abs(amp) ** 2)
 
 
-def spdc_biphoton(sp: SpdcParams, pump_kind: str = "sech") -> BiphotonAmplitude:
+def spdc_biphoton(sp: SpdcParams) -> BiphotonAmplitude:
     """Joint amplitude of a degenerate type-II downconverter.
 
     Built as pump((tau+tau')/2) times the phase-matching box
     |tau - tau'| <= T0 (full width 2 T0 in tau - tau'), normalized
     numerically so the two-time norm is one.
     """
-    if pump_kind != "sech":
-        raise ValueError(f"unsupported pump kind {pump_kind!r}")
     pump = make_sech(sp.T, sp.pump_center)
     t0w = sp.T0
     lo = pump.support[0] - t0w / 2.0
@@ -224,7 +220,8 @@ def _cee_quad2(
     else:
         band = math.inf
         brk = (t,)
-    # the same tightened inner tolerance as numerics.quad2
+    # the inner integral is smooth in tau2 away from the breakpoints, so a
+    # tenfold tighter inner tolerance keeps the outer estimate honest
     inner_spec = numerics.QuadratureSpec(
         rtol=spec.rtol * 0.1, atol=spec.atol * 0.1, max_subdivisions=spec.max_subdivisions
     )
@@ -349,7 +346,6 @@ def joint_trajectory(
     return Trajectory(
         times=grid,
         amplitudes={"c_ee": vals},
-        metadata={"params": p, "kappa_T0": p.kappa * (b.t0_window or 0.0)},
     )
 
 
@@ -357,30 +353,25 @@ def peak_joint_loading(
     p: TwoLevelParams,
     b: BiphotonAmplitude,
     horizon: float,
-    points: int = 400,
 ) -> tuple[float, float]:
     """Global maximum of |c_ee(t)|^2 over [0, horizon] (dense scan + refine)."""
     kern = _Kernels(p.kappa, complex(p.gamma, -p.delta), p.g)
-    grid = np.linspace(0.0, horizon, points + 1)
+    grid = np.linspace(0.0, horizon, 401)
     pop = np.abs(_cee_reduced(kern, b, grid)) ** 2
-    best = int(np.argmax(pop))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, points)]
 
     def objective(t):
         return abs(_cee_reduced(kern, b, np.array([t]))[0]) ** 2
 
-    t_peak, p_peak = _golden_max(objective, lo, hi, 1e-10 * max(horizon, 1.0))
-    if pop[best] >= p_peak:
-        return float(grid[best]), float(pop[best])
-    return float(t_peak), float(p_peak)
+    t_peak, p_peak, _ = numerics.scan_refine(
+        objective, grid, pop, 1e-10 * max(horizon, 1.0)
+    )
+    return t_peak, p_peak
 
 
 def mitnu_load(
     memory: LambdaParams,
     sp: SpdcParams,
     t_load: float,
-    memory_idler: LambdaParams | None = None,
 ) -> float:
     """Loading probability of the two-memory singlet target at t_load.
 
@@ -388,8 +379,6 @@ def mitnu_load(
     (constant control, adiabatic-elimination regime) and the joint
     amplitude is evaluated with the downconverter pulse model.
     """
-    if memory_idler is not None and memory_idler != memory:
-        raise ValueError("asymmetric memories are not supported")
     if not callable(memory.omega) and memory.omega == 0.0:
         return 0.0
     g_tilde, gamma_e, delta_e, d = effective_two_level(memory)

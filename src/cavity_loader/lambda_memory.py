@@ -61,7 +61,6 @@ __all__ = [
     "zed_phase_rate",
     "dark_bright_decompose",
     "timing_offset_scan",
-    "control_from_csv",
 ]
 
 # adiabatic elimination is trusted when the detuning exceeds the couplings
@@ -86,6 +85,12 @@ class LambdaParams:
     phi_z_dot: Callable[[float], float] | None = None
 
     def __post_init__(self):
+        rates = ["g_c", "kappa", "delta1", "delta2", "gamma_r"]
+        if not callable(self.omega):
+            rates.append("omega")
+        for name in rates:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
         if self.g_c < 0:
@@ -182,16 +187,15 @@ def full_ode(
     return Trajectory(
         times=grid,
         amplitudes={"beta": states[:, 0], "c_r": states[:, 1], "c_e": states[:, 2]},
-        metadata={"params": p, "pulse": pulse.kind},
     )
 
 
-def reduce(p: LambdaParams, omega_sup: float | None = None) -> ReducedParams:
+def reduce(p: LambdaParams) -> ReducedParams:
     """Adiabatically eliminate the upper state.
 
-    Valid for detunings much larger than the couplings; a diagnostic
-    warning is issued when Delta1 is less than 10x max(g_c, sup Omega)
-    or 10x gamma_r.
+    Valid for detunings much larger than the couplings; for a constant
+    control a diagnostic warning is emitted when Delta1 is less than
+    10x max(g_c, Omega) or 10x gamma_r.
     """
     if p.delta1 == 0:
         raise ValueError("adiabatic elimination requires a nonzero Delta1")
@@ -213,11 +217,9 @@ def reduce(p: LambdaParams, omega_sup: float | None = None) -> ReducedParams:
         om = p.omega_at(t)
         return gamma_r * (om**2 - g_c**2) / d1**2
 
-    if omega_sup is None and constant:
-        omega_sup = float(p.omega)
     valid = True
-    if omega_sup is not None:
-        scale = max(g_c, omega_sup, gamma_r)
+    if constant:
+        scale = max(g_c, float(p.omega), gamma_r)
         valid = abs(d1) >= VALIDITY_RATIO * scale
         if not valid:
             warnings.warn(
@@ -341,14 +343,11 @@ def _adiabatic_reduced_run(
     g_prime: float,
     kappa: float,
     T: float,
-    t0: float,
     detuned: bool,
     grid=None,
     control_offset: float = 0.0,
-    rtol: float = numerics.DEFAULT_RTOL,
-    atol: float = numerics.DEFAULT_ATOL,
 ) -> Trajectory:
-    """Reduced-model adiabatic run.
+    """Reduced-model adiabatic run for a sech input of width T centered at T.
 
     ``detuned`` selects the two-photon-resonance variant, which keeps the
     light shifts g' and g' Omega'^2 on the diagonal (the dark state stays
@@ -357,18 +356,17 @@ def _adiabatic_reduced_run(
     phase ramp and assumes the drive carrier has been pre-shifted to
     match, leaving a resonant two-level pair.
     """
-    pulse = make_sech(T, t0)
-    t_end = t0 + 4.0 * T + max(control_offset, 0.0)
+    pulse = make_sech(T, T)
     if grid is None:
-        grid = np.linspace(pulse.support[0], t_end, 1201)
+        # until four widths past the pulse center (or the shifted control)
+        grid = np.linspace(pulse.support[0], T + 4.0 * T + max(control_offset, 0.0), 1201)
     else:
         grid = np.asarray(grid, dtype=float)
-        t_end = float(grid[-1])
     drive = math.sqrt(2.0 * kappa)
 
     def omega_unit(t):
         # control amplitude in units of g_c, shifted to the pulse frame
-        return adiabatic_control_pulse(1.0, kappa, T, t - t0 - control_offset)
+        return adiabatic_control_pulse(1.0, kappa, T, t - T - control_offset)
 
     def rhs(t, y):
         beta, ce = y
@@ -389,22 +387,8 @@ def _adiabatic_reduced_run(
     system = OdeSystem(
         2, rhs, np.zeros(2, dtype=complex), (float(grid[0]), float(grid[-1]))
     )
-    states = numerics.integrate(
-        system, grid, rtol=rtol, atol=atol, max_step=T / 16.0
-    )
-    return Trajectory(
-        times=grid,
-        amplitudes={"beta": states[:, 0], "c_e": states[:, 1]},
-        metadata={
-            "g_prime": g_prime,
-            "kappa": kappa,
-            "T": T,
-            "pulse_t0": t0,
-            "scheme": "tpr" if detuned else "zed",
-            "control_offset": control_offset,
-            "t_end": t_end,
-        },
-    )
+    states = numerics.integrate(system, grid, max_step=T / 16.0)
+    return Trajectory(times=grid, amplitudes={"beta": states[:, 0], "c_e": states[:, 1]})
 
 
 def adiabatic_load_tpr(
@@ -413,19 +397,17 @@ def adiabatic_load_tpr(
     kappa: float,
     T: float,
     grid=None,
-    pulse_t0: float | None = None,
 ) -> tuple[Trajectory, float]:
     """Adiabatic passage at two-photon resonance (Delta1 = Delta2, no ramp).
 
     Returns the reduced-model trajectory and the settled loading
-    probability |c_e|^2 at four widths past the pulse center (t = 5T in
-    the default convention where the pulse is centered at T).  Only the
-    combination g' = g_c^2 / Delta1 matters for the populations.
+    probability |c_e|^2 at four widths past the center of a sech input
+    of width T centered at T (t = 5T).  Only the combination
+    g' = g_c^2 / Delta1 matters for the populations.
     """
     g_prime = g_c**2 / delta1
-    t0 = T if pulse_t0 is None else pulse_t0
-    traj = _adiabatic_reduced_run(g_prime, kappa, T, t0, detuned=True, grid=grid)
-    _attach_upper_state(traj, g_c, delta1, kappa, T, t0)
+    traj = _adiabatic_reduced_run(g_prime, kappa, T, detuned=True, grid=grid)
+    _attach_upper_state(traj, g_c, delta1, kappa, T)
     return traj, float(traj.population("c_e")[-1])
 
 
@@ -435,22 +417,20 @@ def adiabatic_load_zed(
     kappa: float,
     T: float,
     grid=None,
-    pulse_t0: float | None = None,
 ) -> tuple[Trajectory, float]:
     """Adiabatic passage with the phase ramp that zeroes the effective
     detuning; same conventions as ``adiabatic_load_tpr``."""
     g_prime = g_c**2 / delta1
-    t0 = T if pulse_t0 is None else pulse_t0
-    traj = _adiabatic_reduced_run(g_prime, kappa, T, t0, detuned=False, grid=grid)
-    _attach_upper_state(traj, g_c, delta1, kappa, T, t0)
+    traj = _adiabatic_reduced_run(g_prime, kappa, T, detuned=False, grid=grid)
+    _attach_upper_state(traj, g_c, delta1, kappa, T)
     return traj, float(traj.population("c_e")[-1])
 
 
 def _attach_upper_state(
-    traj: Trajectory, g_c: float, delta1: float, kappa: float, T: float, t0: float
+    traj: Trajectory, g_c: float, delta1: float, kappa: float, T: float
 ) -> None:
     """Reconstruct c_r from the eliminated-state relation and store it."""
-    om = adiabatic_control_pulse(g_c, kappa, T, traj.times - t0)
+    om = adiabatic_control_pulse(g_c, kappa, T, traj.times - T)
     traj.amplitudes["c_r"] = (
         g_c * traj.amplitudes["beta"] + om * traj.amplitudes["c_e"]
     ) / delta1
@@ -489,11 +469,11 @@ def timing_offset_scan(scheme: str, config: dict, offsets) -> np.ndarray:
     T = float(config["T"])
     if scheme == "nonadiabatic":
         g = float(config["g"])
-        pulse = config.get("pulse") or make_sech(T, T)
+        pulse = make_sech(T, T)
         params = TwoLevelParams(g=g, kappa=kappa)
         t_load = config.get("t_load")
         if t_load is None:
-            t_load, _ = peak_loading(params, pulse, config.get("horizon", 5.0 * T))
+            t_load, _ = peak_loading(params, pulse, 5.0 * T)
         kern = _Kernels(kappa, 0.0 + 0.0j, g)
         out = np.empty(offsets.shape)
         for i, off in enumerate(offsets):
@@ -506,53 +486,10 @@ def timing_offset_scan(scheme: str, config: dict, offsets) -> np.ndarray:
         return out
     g_prime = float(config["g_prime"])
     detuned = config.get("variant", "zed") == "tpr"
-    t0 = float(config.get("pulse_t0", T))
     out = np.empty(offsets.shape)
     for i, off in enumerate(offsets):
         traj = _adiabatic_reduced_run(
-            g_prime, kappa, T, t0, detuned=detuned, control_offset=float(off)
+            g_prime, kappa, T, detuned=detuned, control_offset=float(off)
         )
         out[i] = float(traj.population("c_e")[-1])
     return out
-
-
-def control_from_csv(path):
-    """Load a tabulated control field from CSV columns (t, Omega, phi_z).
-
-    Returns (omega, phi_z, phi_z_dot) callables; Omega and phi_z are
-    linearly interpolated, so phi_z_dot is piecewise constant.
-    """
-    import csv as _csv
-
-    with open(path, newline="") as handle:
-        rows = list(_csv.reader(handle))
-    if not rows:
-        raise ValueError(f"{path}: empty control file")
-    try:
-        float(rows[0][0])
-    except (ValueError, IndexError):
-        pass
-    else:
-        raise ValueError(f"{path}: header row required")
-    data = np.array([[float(c) for c in row] for row in rows[1:] if row])
-    if data.shape[1] != 3:
-        raise ValueError(f"{path}: expected columns t, Omega, phi_z")
-    t, om, phz = data[:, 0], data[:, 1], data[:, 2]
-    if np.any(np.diff(t) <= 0):
-        raise ValueError(f"{path}: times must be strictly increasing")
-    if np.any(om < 0):
-        raise ValueError(f"{path}: Omega must be nonnegative")
-    slopes = np.diff(phz) / np.diff(t)
-
-    def omega(x):
-        return np.interp(x, t, om)
-
-    def phi_z(x):
-        return np.interp(x, t, phz)
-
-    def phi_z_dot(x):
-        idx = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(slopes) - 1)
-        inside = (np.asarray(x) >= t[0]) & (np.asarray(x) <= t[-1])
-        return np.where(inside, slopes[idx], 0.0)
-
-    return omega, phi_z, phi_z_dot

@@ -1,15 +1,18 @@
-"""Shared numerical engines: complex linear ODE integration and quadrature.
+"""Shared numerical engines: complex linear ODE integration, quadrature
+and peak finding.
 
 The ODE path is the brute-force reference for every model in the
-package; the quadrature routines evaluate the convolution kernels of the
+package; the quadrature routine evaluates the convolution kernels of the
 closed-form solutions.  Both wrap scipy (Dormand-Prince RK45 and
 QUADPACK Gauss-Kronrod) behind small, deterministic interfaces with
-explicit failure signalling.
+explicit failure signalling.  ``scan_refine`` is the one peak finder:
+the loading peak over time and the optimum over the coupling both use it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +25,7 @@ __all__ = [
     "QuadratureFailure",
     "integrate",
     "quad1",
-    "quad2",
+    "scan_refine",
 ]
 
 DEFAULT_RTOL = 1e-8
@@ -113,6 +116,8 @@ def integrate(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("output grid must be strictly increasing")
     t0, t1 = system.t_span
+    if not t1 > t0:
+        raise ValueError(f"integration span [{t0:.6g}, {t1:.6g}] has zero length")
     if grid[0] < t0 - 1e-12 or grid[-1] > t1 + 1e-12:
         raise ValueError("output grid extends beyond the system time span")
 
@@ -203,29 +208,6 @@ def quad1(
     return complex(re, im)
 
 
-def quad2(
-    f: Callable[[float, float], complex],
-    rectangle: tuple[float, float, float, float],
-    spec: QuadratureSpec = DEFAULT_QUAD,
-    breakpoints_x: Sequence[float] = (),
-    breakpoints_y: Sequence[float] = (),
-) -> complex:
-    """Iterated adaptive integral of f(x, y) over [x0, x1] x [y0, y1]."""
-    x0, x1, y0, y1 = (float(v) for v in rectangle)
-    if not all(np.isfinite(v) for v in (x0, x1, y0, y1)):
-        raise ValueError("quad2 requires a finite rectangle")
-    # the inner integral is smooth in y away from the listed breakpoints,
-    # so a mildly tighter inner tolerance keeps the outer estimate honest
-    inner_spec = QuadratureSpec(
-        rtol=spec.rtol * 0.1, atol=spec.atol * 0.1, max_subdivisions=spec.max_subdivisions
-    )
-
-    def inner(y: float) -> complex:
-        return quad1(lambda x: f(x, y), (x0, x1), inner_spec, breakpoints_x)
-
-    return quad1(inner, (y0, y1), spec, breakpoints_y)
-
-
 def _quad_real(g, a, b, spec, points):
     out = quad(
         g,
@@ -240,3 +222,41 @@ def _quad_real(g, a, b, spec, points):
     if len(out) > 3:
         raise QuadratureFailure(f"quadrature on [{a:.6g}, {b:.6g}]: {out[3]}")
     return out[0]
+
+
+def scan_refine(
+    f: Callable[[float], float], grid, values, tol: float
+) -> tuple[float, float, float]:
+    """Maximum of f: the best point of a scan, refined by golden section.
+
+    ``values`` holds f on the increasing ``grid``.  The golden-section
+    search runs over the two grid cells around the best scanned point,
+    and that point is kept unless the refinement beats it strictly.
+    Returns (argmax, maximum, width within which the argmax is known).
+    """
+    best = int(np.argmax(values))
+    a = grid[max(best - 1, 0)]
+    b = grid[min(best + 1, len(grid) - 1)]
+    x, fx = _golden_max(f, a, b, tol)
+    if values[best] >= fx:
+        x, fx = grid[best], values[best]
+    return float(x), float(fx), min(tol, float(b - a))
+
+
+def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section maximum of f on [a, b] (unimodal on the bracket)."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    t = c if fc >= fd else d
+    return t, max(fc, fd)

@@ -1,28 +1,34 @@
-"""Coupling-rate optimization and design-curve sweeps.
+"""Loading scenarios, coupling-rate optimization and design-curve sweeps.
 
-Every loading scheme exposes a scalar objective: the time-peak loading
-probability at fixed bandwidth(s) as a function of the coupling rate in
-units of kappa.  The Rabi-oscillation structure creates multiple local
-maxima in time but the coupling dependence is tame once the global basin
-is isolated, so the search is a coarse log-spaced scan followed by
-golden-section refinement.  Sweeps evaluate grids of bandwidth points
-(optionally optimizing the coupling per cell) on a small process pool.
+Each loading configuration is one ``Scenario`` in ``SCENARIOS``: the
+fields its ``simulate`` and ``optimize`` commands read, its objective
+(the time-peak loading probability as a function of the coupling rate,
+in units of kappa) and its trajectory.  The coupling dependence is tame
+once the global basin is isolated, so the search is a coarse log-spaced
+scan followed by golden-section refinement.  Sweeps evaluate grids of
+bandwidth points (optionally optimizing the coupling per cell) on a
+small process pool.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
-from . import entangled_loading, lambda_memory, pulses, two_level
+from . import entangled_loading, lambda_memory, numerics, pulses, two_level
 
 __all__ = [
     "SCENARIOS",
+    "Fields",
+    "Scenario",
     "SweepSpec",
     "OptimumPoint",
+    "get_scenario",
     "scenario_probability",
     "optimize_coupling",
     "sweep",
@@ -30,18 +36,201 @@ __all__ = [
     "resolve_workers",
 ]
 
-SCENARIOS = (
-    "two_level",
-    "lambda_nonadiabatic",
-    "lambda_adiabatic_tpr",
-    "lambda_adiabatic_zed",
-    "mitnu",
-)
-
 WORKERS_ENV = "CAVITY_LOADER_THREADS"
 
 DEFAULT_G_RANGE = (0.05, 10.0)
 DEFAULT_G_TOL = 1e-3
+
+
+@dataclass(frozen=True)
+class Fields:
+    """The fields one command reads, each mapped to its parser.
+
+    A parser turns a command-line or config-file string into the typed
+    value and raises ValueError on a bad one.
+    """
+
+    required: dict[str, Callable[[str], object]]
+    optional: dict[str, Callable[[str], object]] = field(default_factory=dict)
+
+    def parsers(self) -> dict[str, Callable[[str], object]]:
+        return {**self.required, **self.optional}
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One loading configuration.
+
+    ``probability(g_over_k, fixed)`` returns (loading probability, time of
+    the relevant peak) with ``fixed`` holding ``optimize`` fields;
+    ``trajectory(cfg, points)`` returns a CSV header and its columns with
+    ``cfg`` holding ``simulate`` fields.
+    """
+
+    simulate: Fields
+    optimize: Fields
+    probability: Callable[[float, dict], tuple[float, float]]
+    trajectory: Callable[[dict, int], tuple[list[str], list[np.ndarray]]]
+
+
+def _table(traj, T: float, columns) -> tuple[list[str], list[np.ndarray]]:
+    """Header and columns: t/T, then |amplitude|^2 per (column, amplitude)."""
+    header = ["t_over_T"] + [name for name, _ in columns]
+    return header, [traj.times / T] + [traj.population(amp) for _, amp in columns]
+
+
+_LAMBDA_COLUMNS = (("pop_beta", "beta"), ("pop_cr", "c_r"), ("pop_ce", "c_e"))
+
+
+def _two_level_probability(g_over_k: float, fixed: dict) -> tuple[float, float]:
+    T = float(fixed["kT"])
+    gamma = float(fixed.get("gamma_over_g", 0.0)) * g_over_k
+    delta = float(fixed.get("delta_over_k", 0.0))
+    pulse = pulses.make_named(fixed.get("pulse", "sech"), T, T)
+    params = two_level.TwoLevelParams(g=g_over_k, kappa=1.0, gamma=gamma, delta=delta)
+    t_load, p_max = two_level.peak_loading(params, pulse, 5.0 * T)
+    return p_max, t_load
+
+
+def _two_level_trajectory(cfg: dict, points: int):
+    T = cfg["kT"]
+    pulse = pulses.make_named(cfg.get("pulse", "sech"), T, T)
+    params = two_level.TwoLevelParams(
+        g=cfg["g_over_k"],
+        kappa=1.0,
+        gamma=cfg.get("gamma_over_k", 0.0),
+        delta=cfg.get("delta_over_k", 0.0),
+    )
+    grid = np.linspace(min(0.0, pulse.support[0]), 5.0 * T, points)
+    traj = two_level.amplitude_ode(params, pulse, grid)
+    return _table(traj, T, (("pop_beta", "beta"), ("pop_ce", "c_e")))
+
+
+def _lambda_nonadiabatic_trajectory(cfg: dict, points: int):
+    """Full three-level run with a step control switched off at t_load.
+
+    Without ``delta2_over_k`` the Stark-compensating Delta2 is used;
+    without ``t_load_over_T`` the switch-off is the loading peak of the
+    effective two-level system.
+    """
+    T, g_c, om, d1 = cfg["kT"], cfg["gc_over_k"], cfg["omega_over_k"], cfg["delta1_over_k"]
+    gamma_r = cfg.get("gamma_r_over_k", 0.0)
+    base = lambda_memory.LambdaParams(
+        g_c=g_c, kappa=1.0, delta1=d1, delta2=d1, omega=om, gamma_r=gamma_r
+    )
+    d2 = cfg.get("delta2_over_k")
+    if d2 is None:
+        d2 = lambda_memory.stark_compensation(base)
+    pulse = pulses.make_named(cfg.get("pulse", "sech"), T, T)
+    if "t_load_over_T" in cfg:
+        t_load = cfg["t_load_over_T"] * T
+    else:
+        fixed = {"kT": T, "pulse": cfg.get("pulse", "sech")}
+        _, t_load = _two_level_probability(g_c * om / d1, fixed)
+
+    def omega_step(t):
+        return np.where(np.asarray(t) <= t_load, om, 0.0)
+
+    params = replace(base, delta2=d2, omega=omega_step)
+    drive = lambda_memory.compensated_pulse(pulse, params)
+    grid = np.linspace(min(0.0, pulse.support[0]), 5.0 * T, points)
+    traj = lambda_memory.full_ode(params, drive, grid, breakpoints=(t_load,))
+    return _table(traj, T, _LAMBDA_COLUMNS)
+
+
+def _adiabatic(detuned: bool) -> Scenario:
+    """Adiabatic passage at two-photon resonance (``detuned``) or with zero
+    effective detuning; only g' = g_c^2/Delta1 matters for the populations."""
+
+    def probability(g_over_k: float, fixed: dict) -> tuple[float, float]:
+        T = float(fixed["kT"])
+        traj = lambda_memory._adiabatic_reduced_run(g_over_k, 1.0, T, detuned=detuned)
+        return float(traj.population("c_e")[-1]), float(traj.times[-1])
+
+    def trajectory(cfg: dict, points: int):
+        T = cfg["kT"]
+        # a deep-elimination split of g'
+        delta1 = 400.0
+        g_c = float(np.sqrt(cfg["g_prime_over_k"] * delta1))
+        if detuned:
+            load = lambda_memory.adiabatic_load_tpr
+        else:
+            load = lambda_memory.adiabatic_load_zed
+        grid = np.linspace(pulses.make_sech(T, T).support[0], 5.0 * T, points)
+        traj, _ = load(g_c, delta1, 1.0, T, grid=grid)
+        return _table(traj, T, _LAMBDA_COLUMNS)
+
+    return Scenario(
+        simulate=Fields({"kT": float, "g_prime_over_k": float}),
+        optimize=Fields({"kT": float}),
+        probability=probability,
+        trajectory=trajectory,
+    )
+
+
+def _mitnu_biphoton(kT: float, kT0: float):
+    return entangled_loading.spdc_biphoton(entangled_loading.SpdcParams(T=kT, T0=kT0))
+
+
+def _mitnu_probability(g_over_k: float, fixed: dict) -> tuple[float, float]:
+    b = _mitnu_biphoton(float(fixed["kT"]), float(fixed["kT0"]))
+    params = two_level.TwoLevelParams(g=g_over_k, kappa=1.0)
+    t_pk, p_max = entangled_loading.peak_joint_loading(params, b, b.support[1] + 2.0)
+    return p_max, t_pk
+
+
+def _mitnu_trajectory(cfg: dict, points: int):
+    b = _mitnu_biphoton(cfg["kT"], cfg["kT0"])
+    params = two_level.TwoLevelParams(g=cfg["g_over_k"], kappa=1.0)
+    grid = np.linspace(0.0, b.support[1] + 2.0, points)
+    traj = entangled_loading.joint_trajectory(params, b, grid)
+    return _table(traj, cfg["kT"], (("pop_ce", "c_ee"),))
+
+
+# the two-level objective's optional fields; the non-adiabatic Lambda
+# scheme optimizes the same objective in its effective coupling
+_TWO_LEVEL_FIXED = {"gamma_over_g": float, "delta_over_k": float, "pulse": str}
+
+SCENARIOS = {
+    "two_level": Scenario(
+        simulate=Fields(
+            {"kT": float, "g_over_k": float},
+            {"gamma_over_k": float, "delta_over_k": float, "pulse": str},
+        ),
+        optimize=Fields({"kT": float}, _TWO_LEVEL_FIXED),
+        probability=_two_level_probability,
+        trajectory=_two_level_trajectory,
+    ),
+    "lambda_nonadiabatic": Scenario(
+        simulate=Fields(
+            {"kT": float, "gc_over_k": float, "omega_over_k": float, "delta1_over_k": float},
+            {
+                "delta2_over_k": float,
+                "gamma_r_over_k": float,
+                "t_load_over_T": float,
+                "pulse": str,
+            },
+        ),
+        optimize=Fields({"kT": float}, _TWO_LEVEL_FIXED),
+        probability=_two_level_probability,
+        trajectory=_lambda_nonadiabatic_trajectory,
+    ),
+    "lambda_adiabatic_tpr": _adiabatic(detuned=True),
+    "lambda_adiabatic_zed": _adiabatic(detuned=False),
+    "mitnu": Scenario(
+        simulate=Fields({"kT": float, "kT0": float, "g_over_k": float}),
+        optimize=Fields({"kT": float, "kT0": float}),
+        probability=_mitnu_probability,
+        trajectory=_mitnu_trajectory,
+    ),
+}
+
+
+def get_scenario(name: str) -> Scenario:
+    """The registered scenario of this name."""
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}")
+    return SCENARIOS[name]
 
 
 @dataclass(frozen=True)
@@ -69,11 +258,9 @@ class SweepSpec:
     fixed: dict = field(default_factory=dict)
     optimize_g: bool = False
     g_range: tuple[float, float] = DEFAULT_G_RANGE
-    g_tol: float = DEFAULT_G_TOL
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
+        get_scenario(self.scenario)  # raises on an unknown name
         if not 1 <= len(self.axes) <= 2:
             raise ValueError("a sweep needs one or two axes")
         for name, grid in self.axes:
@@ -85,40 +272,11 @@ class SweepSpec:
 def scenario_probability(scenario: str, g_over_k: float, fixed: dict) -> tuple[float, float]:
     """(loading probability, time of the relevant peak) for one design point.
 
-    All rates are in units of kappa (kappa = 1 internally).  ``fixed``
-    carries the bandwidth parameters: kT for all scenarios, kT0 for the
-    biphoton one, plus optional gamma_over_g / delta_over_k / pulse for
-    the two-level family.
+    ``fixed`` carries the scenario's optimize fields: kT for all
+    scenarios, kT0 for the biphoton one, plus optional gamma_over_g /
+    delta_over_k / pulse for the two-level family.
     """
-    kappa = 1.0
-    kT = float(fixed["kT"])
-    T = kT / kappa
-    if scenario in ("two_level", "lambda_nonadiabatic"):
-        g = g_over_k * kappa
-        gamma = float(fixed.get("gamma_over_g", 0.0)) * g
-        delta = float(fixed.get("delta_over_k", 0.0)) * kappa
-        kind = fixed.get("pulse", "sech")
-        pulse = pulses.make_named(kind, T, T)
-        params = two_level.TwoLevelParams(g=g, kappa=kappa, gamma=gamma, delta=delta)
-        horizon = float(fixed.get("horizon_over_T", 5.0)) * T
-        t_load, p_max = two_level.peak_loading(params, pulse, horizon)
-        return p_max, t_load
-    if scenario in ("lambda_adiabatic_tpr", "lambda_adiabatic_zed"):
-        detuned = scenario.endswith("tpr")
-        traj = lambda_memory._adiabatic_reduced_run(
-            g_over_k * kappa, kappa, T, T, detuned=detuned
-        )
-        pop = traj.population("c_e")
-        return float(pop[-1]), float(traj.times[-1])
-    if scenario == "mitnu":
-        kT0 = float(fixed["kT0"])
-        sp = entangled_loading.SpdcParams(T=T, T0=kT0 / kappa)
-        b = entangled_loading.spdc_biphoton(sp)
-        params = two_level.TwoLevelParams(g=g_over_k * kappa, kappa=kappa)
-        horizon = b.support[1] + 2.0 / kappa
-        t_pk, p_max = entangled_loading.peak_joint_loading(params, b, horizon)
-        return p_max, t_pk
-    raise ValueError(f"unknown scenario {scenario!r}")
+    return get_scenario(scenario).probability(g_over_k, fixed)
 
 
 def optimize_coupling(
@@ -126,36 +284,18 @@ def optimize_coupling(
     fixed: dict,
     g_range: tuple[float, float] = DEFAULT_G_RANGE,
     tol: float = DEFAULT_G_TOL,
-    n_coarse: int = 40,
 ) -> OptimumPoint:
     """Maximize the loading probability over the coupling rate.
 
-    Coarse scan on a log-spaced grid (at least 40 points) followed by
-    golden-section refinement of the best grid cell; ties break toward
-    the smaller coupling.
+    Coarse scan on a 40-point log-spaced grid followed by golden-section
+    refinement of the best grid cell; ties break toward the smaller
+    coupling.
     """
     lo, hi = float(g_range[0]), float(g_range[1])
     if not (0 < lo < hi):
         raise ValueError("coupling search range must be positive and increasing")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    grid = np.geomspace(lo, hi, max(n_coarse, 40))
-    probs = np.empty(grid.size)
-    t_loads = np.empty(grid.size)
-    for i, g in enumerate(grid):
-        probs[i], t_loads[i] = scenario_probability(scenario, float(g), fixed)
-    if probs.max() - probs.min() < 1e-9:
-        return OptimumPoint(
-            g_opt=float(grid[0]),
-            P_max=float(probs[0]),
-            T_load=float(t_loads[0]),
-            bracket=hi - lo,
-            degenerate=True,
-        )
-    best = int(np.argmax(probs))
-    a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, grid.size - 1)])
-
     cache: dict[float, tuple[float, float]] = {}
 
     def objective(g: float) -> float:
@@ -163,13 +303,18 @@ def optimize_coupling(
             cache[g] = scenario_probability(scenario, g, fixed)
         return cache[g][0]
 
-    g_ref, p_ref = two_level._golden_max(objective, a, b, tol)
-    if probs[best] >= p_ref:
-        g_opt, p_max, t_load = float(grid[best]), float(probs[best]), float(t_loads[best])
-    else:
-        g_opt, p_max = float(g_ref), float(p_ref)
-        t_load = cache[g_ref][1]
-    return OptimumPoint(g_opt=g_opt, P_max=p_max, T_load=t_load, bracket=min(tol, b - a))
+    grid = np.geomspace(lo, hi, 40).tolist()
+    probs = np.array([objective(g) for g in grid])
+    if probs.max() - probs.min() < 1e-9:
+        return OptimumPoint(
+            g_opt=grid[0],
+            P_max=float(probs[0]),
+            T_load=cache[grid[0]][1],
+            bracket=hi - lo,
+            degenerate=True,
+        )
+    g_opt, p_max, bracket = numerics.scan_refine(objective, grid, probs, tol)
+    return OptimumPoint(g_opt=g_opt, P_max=p_max, T_load=cache[g_opt][1], bracket=bracket)
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -182,13 +327,13 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def _sweep_cell(args) -> dict:
-    scenario, axis_items, fixed, optimize_g, g_range, g_tol = args
+    scenario, axis_items, fixed, optimize_g, g_range = args
     row = dict(axis_items)
     try:
         cell_fixed = dict(fixed)
         cell_fixed.update(axis_items)
         if optimize_g:
-            opt = optimize_coupling(scenario, cell_fixed, g_range, g_tol)
+            opt = optimize_coupling(scenario, cell_fixed, g_range)
             row.update(
                 g_opt=opt.g_opt, P_max=opt.P_max, T_load=opt.T_load, error=""
             )
@@ -206,18 +351,10 @@ def _sweep_cell(args) -> dict:
 def sweep(spec: SweepSpec, workers: int | None = None) -> list[dict]:
     """Evaluate a sweep, row-major over the axes, deterministically ordered."""
     names = [name for name, _ in spec.axes]
-    grids = [np.asarray(grid, dtype=float) for _, grid in spec.axes]
-    cells = []
-    if len(grids) == 1:
-        for v in grids[0]:
-            cells.append(((names[0], float(v)),))
-    else:
-        for v1 in grids[0]:
-            for v2 in grids[1]:
-                cells.append(((names[0], float(v1)), (names[1], float(v2))))
+    grids = [np.asarray(grid, dtype=float).tolist() for _, grid in spec.axes]
     payloads = [
-        (spec.scenario, cell, spec.fixed, spec.optimize_g, spec.g_range, spec.g_tol)
-        for cell in cells
+        (spec.scenario, tuple(zip(names, values)), spec.fixed, spec.optimize_g, spec.g_range)
+        for values in itertools.product(*grids)
     ]
     n_workers = resolve_workers(workers)
     if n_workers == 1 or len(payloads) == 1:

@@ -9,10 +9,9 @@ windows can be chosen mechanically.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -21,9 +20,6 @@ __all__ = [
     "make_sech",
     "make_named",
     "make_zero",
-    "make_tabulated",
-    "read_pulse_csv",
-    "effective_width",
     "frequency_shifted",
     "PULSE_KINDS",
 ]
@@ -58,8 +54,6 @@ class PulseShape:
     t0: float
     support: tuple[float, float]
     _func: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    #: interior times where the envelope is non-smooth (quadrature split points)
-    breakpoints: tuple[float, ...] = ()
 
     def amplitude(self, t):
         """Evaluate Phi_b(t); accepts scalars or arrays, zero off support."""
@@ -89,7 +83,7 @@ class PulseShape:
         val = numerics.quad1(
             lambda t: complex(abs(self.amplitude(t)) ** 2),
             (lo, hi),
-            breakpoints=self.breakpoints + (self.t0,),
+            breakpoints=(self.t0,),
         )
         return float(val.real)
 
@@ -170,83 +164,6 @@ def make_zero(T: float = math.nan, t0: float = 0.0) -> PulseShape:
     return PulseShape(kind="zero", T=T, t0=t0, support=(t0, t0), _func=func)
 
 
-def make_tabulated(times: Sequence[float], values: Sequence[complex]) -> PulseShape:
-    """Pulse from samples, linearly interpolated and renormalized to unit norm.
-
-    The effective width is the inverse-participation measure
-    (integral |Phi|^2)^2 / integral |Phi|^4, which equals T for a
-    rectangular pulse.
-    """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=complex)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("tabulated pulse needs at least two samples")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("sample times must be strictly increasing")
-    if v.shape != t.shape:
-        raise ValueError("times and values must have equal length")
-
-    norm2 = _piecewise_linear_norms(t, v, power=2)
-    if norm2 <= 0.0:
-        raise ValueError("tabulated pulse has zero norm")
-    v = v / math.sqrt(norm2)
-
-    norm4 = _piecewise_linear_norms(t, v, power=4)
-    width = 1.0 / norm4  # (int |f|^2)^2 = 1 after renormalization
-    center = float(
-        np.trapezoid(np.abs(v) ** 2 * t, t)
-    )  # |f|^2-weighted mean time, trapezoid is adequate for a reference time
-
-    real_i = np.interp
-    tt, vv = t, v
-
-    def func(x):
-        xr = np.asarray(x, dtype=float)
-        return real_i(xr, tt, vv.real) + 1j * real_i(xr, tt, vv.imag)
-
-    return PulseShape(
-        kind="tabulated",
-        T=width,
-        t0=center,
-        support=(float(t[0]), float(t[-1])),
-        _func=func,
-        breakpoints=tuple(float(x) for x in t[1:-1]),
-    )
-
-
-def read_pulse_csv(path) -> PulseShape:
-    """Load a tabulated pulse from CSV columns (t, re[, im]); header required."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise ValueError(f"{path}: empty pulse file")
-    header = rows[0]
-    try:
-        float(header[0])
-    except (ValueError, IndexError):
-        pass
-    else:
-        raise ValueError(f"{path}: header row required (got numeric first row)")
-    if len(header) not in (2, 3):
-        raise ValueError(f"{path}: expected 2 or 3 columns, got {len(header)}")
-    times, values = [], []
-    for row in rows[1:]:
-        if not row:
-            continue
-        times.append(float(row[0]))
-        re = float(row[1])
-        im = float(row[2]) if len(row) > 2 else 0.0
-        values.append(complex(re, im))
-    return make_tabulated(times, values)
-
-
-def effective_width(pulse: PulseShape) -> float:
-    """Return the pulse's effective width T."""
-    if pulse.kind == "zero":
-        raise ValueError("zero pulse has no defined effective width")
-    return pulse.T
-
-
 def frequency_shifted(pulse: PulseShape, delta_omega: float) -> PulseShape:
     """Shift the pulse's carrier by +delta_omega.
 
@@ -264,27 +181,9 @@ def frequency_shifted(pulse: PulseShape, delta_omega: float) -> PulseShape:
         t0=pulse.t0,
         support=pulse.support,
         _func=func,
-        breakpoints=pulse.breakpoints,
     )
 
 
 def _check_width(T: float) -> None:
     if not (isinstance(T, (int, float)) and math.isfinite(T) and T > 0):
         raise ValueError(f"pulse width must be positive and finite, got {T!r}")
-
-
-def _piecewise_linear_norms(t: np.ndarray, v: np.ndarray, power: int) -> float:
-    """Integral of |f|^power for piecewise-linear f (3-pt Gauss per segment)."""
-    # 3-point Gauss-Legendre is exact up to degree 5, enough for |f|^4
-    nodes = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
-    weights = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
-    a, b = t[:-1], t[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    total = 0.0
-    for x, w in zip(nodes, weights):
-        pts = mid + x * half
-        frac = (pts - a) / (b - a)
-        vals = v[:-1] * (1.0 - frac) + v[1:] * frac
-        total += w * float(np.sum(half * np.abs(vals) ** power))
-    return total

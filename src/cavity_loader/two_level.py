@@ -28,7 +28,7 @@ import numpy as np
 
 from . import numerics
 from .numerics import OdeSystem, QuadratureSpec
-from .pulses import PulseShape
+from .pulses import PulseShape, make_named
 
 __all__ = [
     "TwoLevelParams",
@@ -62,6 +62,9 @@ class TwoLevelParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        for name in ("g", "kappa", "gamma", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
         if self.g < 0:
@@ -90,10 +93,6 @@ class Trajectory:
     times: np.ndarray
     amplitudes: dict[str, np.ndarray]
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def populations(self) -> dict[str, np.ndarray]:
-        return {k: np.abs(v) ** 2 for k, v in self.amplitudes.items()}
 
     def population(self, name: str) -> np.ndarray:
         return np.abs(self.amplitudes[name]) ** 2
@@ -270,7 +269,7 @@ class _Kernels:
         upper = min(t, hi)
         if upper <= lo:
             return 0.0 + 0.0j, 0.0 + 0.0j
-        brk = pulse.breakpoints + (pulse.t0,)
+        brk = (pulse.t0,)
         beta = -1j * math.sqrt(2.0 * self.kappa) * numerics.quad1(
             lambda tau: pulse.amplitude(tau) * self.beta_kernel(t - tau),
             (lo, upper),
@@ -338,7 +337,6 @@ def amplitude_ode(
     traj = Trajectory(
         times=grid,
         amplitudes={"beta": states[:, 0], "c_e": states[:, 1]},
-        metadata={"params": p, "pulse": pulse.kind},
     )
     if dense_output:
         return traj, result[1]
@@ -388,56 +386,30 @@ def spectral_amplitude(
 
 
 def peak_loading(
-    p: TwoLevelParams,
-    pulse: PulseShape,
-    horizon: float,
-    points_per_width: int = 400,
-    refine_tol: float = 1e-10,
+    p: TwoLevelParams, pulse: PulseShape, horizon: float
 ) -> tuple[float, float]:
     """Global maximum of |c_e(t)|^2 over [0, horizon].
 
-    A dense scan (>= ``points_per_width`` samples per pulse width) locates
-    the global basin despite Rabi oscillations; golden-section refinement
-    then sharpens the peak.  Ties break toward the earliest time.
+    A dense scan (400 samples per pulse width, at least 64) locates the
+    global basin despite Rabi oscillations; golden-section refinement of
+    the ODE's dense output then sharpens the peak.  Ties break toward the
+    earliest time.
     """
     if pulse.kind == "zero":
         return 0.0, 0.0
     t_begin = min(0.0, pulse.support[0])
     width = pulse.T if math.isfinite(pulse.T) else (horizon - t_begin)
-    n = max(int(np.ceil((horizon - t_begin) / width * points_per_width)), 64)
+    n = max(int(np.ceil((horizon - t_begin) / width * 400)), 64)
     grid = np.linspace(t_begin, horizon, n + 1)
     traj, interp = amplitude_ode(p, pulse, grid, dense_output=True)
-    pop = traj.population("c_e")
-    best = int(np.argmax(pop))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, n)]
 
     def objective(t: float) -> float:
         return abs(interp(t)[1]) ** 2
 
-    t_peak, p_peak = _golden_max(objective, lo, hi, refine_tol * max(width, 1.0))
-    if pop[best] >= p_peak:
-        return float(grid[best]), float(pop[best])
-    return float(t_peak), float(p_peak)
-
-
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximum of f on [a, b] (unimodal on the bracket)."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    t = c if fc >= fd else d
-    return t, max(fc, fd)
+    t_peak, p_peak, _ = numerics.scan_refine(
+        objective, grid, traj.population("c_e"), 1e-10 * max(width, 1.0)
+    )
+    return t_peak, p_peak
 
 
 def dimensionless_load(
@@ -458,13 +430,6 @@ def dimensionless_load(
     T = kT / kappa
     g = g_over_k * kappa
     p = TwoLevelParams(g=g, kappa=kappa, gamma=gamma_over_g * g, delta=0.0)
-    pulse = _standard_pulse(pulse_kind, T)
+    pulse = make_named(pulse_kind, T, T)
     _, c_e = amplitude_closed_form(p, pulse, t_over_T * T)
     return float(abs(c_e) ** 2)
-
-
-def _standard_pulse(kind: str, T: float) -> PulseShape:
-    """Pulse of the given family centered one width after the time origin."""
-    from .pulses import make_named
-
-    return make_named(kind, T, T)

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from cavity_loader import cli, pulses, two_level
+from cavity_loader import cli, lambda_memory, pulses, two_level
 
 
 def run(argv):
@@ -268,3 +268,86 @@ def test_csv_round_trip_format(tmp_path):
     assert rows[0][0] == 0.1
     assert rows[0][1] == 1e-17
     assert np.isnan(rows[1][0])
+
+
+@pytest.mark.parametrize("variant", ["tpr", "zed"])
+def test_simulate_adiabatic_by_flags(tmp_path, variant):
+    out = tmp_path / f"{variant}.csv"
+    rc = run(
+        [
+            "simulate",
+            "--scenario",
+            f"lambda_adiabatic_{variant}",
+            "--kT",
+            "4.5",
+            "--g_prime_over_k",
+            "1",
+            "--points",
+            "80",
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 0
+    header, rows = read_csv(out)
+    assert header == ["t_over_T", "pop_beta", "pop_cr", "pop_ce"]
+    # the module's run on the same grid, with g' = g_c^2 / Delta1 = 1
+    grid = np.linspace(pulses.make_sech(4.5, 4.5).support[0], 5.0 * 4.5, 80)
+    load = getattr(lambda_memory, f"adiabatic_load_{variant}")
+    traj, _ = load(20.0, 400.0, 1.0, 4.5, grid=grid)
+    np.testing.assert_allclose(
+        np.asarray(rows)[:, 3], traj.population("c_e"), rtol=0.0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["simulate", "--scenario", "two_level", "--kT", "2", "--g_over_k", "1",
+          "--omega_over_k", "7"], "omega_over_k"),
+        (["optimize", "--scenario", "two_level", "--kT", "2", "--kT0", "3"], "kT0"),
+        (["optimize", "--scenario", "mitnu", "--kT", "2", "--kT0", "2",
+          "--pulse", "sech"], "pulse"),
+    ],
+)
+def test_field_unused_by_scenario_rejected(tmp_path, capsys, argv, field):
+    rc = run(argv + ["--out", str(tmp_path / "never.csv")])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_config_key_unused_by_scenario_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kT = 2\nkT0 = 3\n")
+    out = tmp_path / "never.csv"
+    rc = run(["optimize", "--scenario", "two_level", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert "kT0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", ["1", "2.7", "0", "-3", "many"])
+def test_simulate_points_must_be_integer_of_two_or_more(tmp_path, capsys, points):
+    argv = ["simulate", "--scenario", "two_level", "--kT", "2", "--g_over_k", "1"]
+    assert run(argv + ["--points", points, "--out", str(tmp_path / "a.csv")]) == 2
+    assert "points" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"points = {points}\n")
+    assert run(argv + ["--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 2
+    assert "points" in capsys.readouterr().err
+
+
+def test_simulate_two_points_is_enough(tmp_path):
+    out = tmp_path / "two.csv"
+    argv = ["simulate", "--scenario", "two_level", "--kT", "2", "--g_over_k", "1"]
+    assert run(argv + ["--points", "2", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_non_finite_coupling_rejected(capsys, value):
+    rc = run(["simulate", "--scenario", "two_level", "--kT", "2", "--g_over_k", value])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err

@@ -46,13 +46,6 @@ def test_v_level_polarization_invariance():
         assert el.v_level_load(q, PK, pulse, 3.0) == pytest.approx(ref, abs=1e-12)
 
 
-def test_v_level_rejects_asymmetric_legs():
-    pulse = pulses.make_sech(2.0, 2.0)
-    other = TwoLevelParams(g=1.5, kappa=1.0)
-    with pytest.raises(ValueError):
-        el.v_level_load(PolarizationQubit(1.0, 0.0), PK, pulse, 3.0, leg_minus=other)
-
-
 def test_spdc_symmetric(biphoton):
     rng = np.random.default_rng(9)
     ts = rng.uniform(0.0, 12.0, size=(40, 2))
@@ -176,15 +169,16 @@ def test_mitnu_reduces_to_effective_two_level(biphoton):
     assert p == pytest.approx(ref, abs=1e-12)
 
 
-def test_mitnu_rejects_asymmetric_memories():
-    m1 = lm.LambdaParams(g_c=5.0, kappa=1.0, delta1=50.0, delta2=50.0, omega=5.0)
-    m2 = lm.LambdaParams(g_c=4.0, kappa=1.0, delta1=50.0, delta2=50.0, omega=5.0)
-    with pytest.raises(ValueError):
-        el.mitnu_load(m1, SP, 7.0, memory_idler=m2)
-
-
 def test_spdc_params_validation():
     with pytest.raises(ValueError):
         SpdcParams(T=0.0, T0=1.0)
     with pytest.raises(ValueError):
         SpdcParams(T=1.0, T0=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spdc_params_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="T "):
+        SpdcParams(T=bad, T0=1.0)
+    with pytest.raises(ValueError, match="T0"):
+        SpdcParams(T=1.0, T0=bad)

@@ -78,6 +78,15 @@ def test_reduce_warns_outside_validity():
     assert not red.valid_regime
 
 
+@pytest.mark.parametrize("name", ["g_c", "kappa", "delta1", "delta2", "gamma_r", "omega"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_params_reject_non_finite(name, bad):
+    rates = {"g_c": 1.0, "kappa": 1.0, "delta1": 50.0, "delta2": 50.0, "omega": 1.0}
+    rates[name] = bad
+    with pytest.raises(ValueError, match=name):
+        LambdaParams(**rates)
+
+
 def test_reduce_requires_detuning():
     with pytest.raises(ValueError):
         lm.reduce(make_params(delta1=0.0))
@@ -291,20 +300,3 @@ def test_scaling_invariance_full_system():
             np.abs(ref.amplitudes[key]) ** 2,
             atol=1e-9,
         )
-
-
-def test_control_from_csv(tmp_path):
-    path = tmp_path / "control.csv"
-    path.write_text("t,Omega,phi_z\n0.0,1.0,0.0\n1.0,2.0,0.5\n2.0,0.0,0.5\n")
-    omega, phi_z, phi_z_dot = lm.control_from_csv(path)
-    assert omega(0.5) == pytest.approx(1.5)
-    assert phi_z(0.5) == pytest.approx(0.25)
-    assert phi_z_dot(0.5) == pytest.approx(0.5)
-    assert phi_z_dot(1.5) == pytest.approx(0.0)
-
-
-def test_control_csv_validation(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("0.0,1.0,0.0\n1.0,2.0,0.5\n")
-    with pytest.raises(ValueError, match="header"):
-        lm.control_from_csv(path)

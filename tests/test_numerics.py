@@ -80,6 +80,12 @@ def test_integrate_grid_validation():
         numerics.integrate(sys_, [0.5, 2.0])
 
 
+def test_integrate_rejects_zero_length_span():
+    sys_ = OdeSystem(1, lambda t, y: -y, np.array([1.0 + 0j]), (2.0, 2.0))
+    with pytest.raises(ValueError, match="zero length"):
+        numerics.integrate(sys_, [2.0])
+
+
 def test_integrate_failure_reports_time():
     # finite-time blow-up forces a step-size underflow
     sys_ = OdeSystem(1, lambda t, y: y * y, np.array([1.0 + 0j]), (0.0, 2.0))
@@ -131,31 +137,6 @@ def test_quad1_subdivision_limit():
     spec = QuadratureSpec(rtol=1e-13, atol=1e-300, max_subdivisions=3)
     with pytest.raises(numerics.QuadratureFailure):
         numerics.quad1(lambda t: abs(t - 0.31) ** 0.3 + 0j, (0.0, 1.0), spec)
-
-
-def test_quad2_unit_square():
-    val = numerics.quad2(lambda x, y: 1.0 + 0.0j, (0.0, 1.0, 0.0, 1.0))
-    assert val == pytest.approx(1.0, abs=1e-10)
-
-
-def test_quad2_separable_product():
-    a = lambda x: np.exp(1j * x)
-    b = lambda y: y * y + 0j
-    val = numerics.quad2(lambda x, y: a(x) * b(y), (0.0, 2.0, -1.0, 1.0))
-    va = numerics.quad1(a, (0.0, 2.0))
-    vb = numerics.quad1(b, (-1.0, 1.0))
-    assert val == pytest.approx(va * vb, abs=1e-8)
-
-
-def test_quad2_antisymmetric_vanishes():
-    g = lambda x: np.exp(-((x - 0.3) ** 2)) + 0j
-    h = lambda x: np.sin(2.0 * x) + 0j
-
-    def f(x, y):
-        return g(x) * h(y) - g(y) * h(x)
-
-    val = numerics.quad2(f, (-1.0, 1.0, -1.0, 1.0))
-    assert abs(val) < 1e-10
 
 
 def test_quadrature_spec_validation():

@@ -59,8 +59,7 @@ def test_support_exact_zero():
 
 
 def test_scalar_amplitude_matches_array():
-    tab = pulses.make_tabulated([0.0, 0.4, 1.1, 2.0], [0.0, 1.0 + 0.5j, 0.3j, 0.0])
-    for p in [pulses.make_named(kind, 1.5, 0.7) for kind in ALL_KINDS] + [tab]:
+    for p in [pulses.make_named(kind, 1.5, 0.7) for kind in ALL_KINDS]:
         lo, hi = p.support
         t = np.concatenate([np.linspace(lo - 1.0, hi + 1.0, 101), [lo, hi]])
         one = [p.amplitude(float(x)) for x in t]
@@ -80,16 +79,6 @@ def test_time_scaling_law(kind):
     )
 
 
-def test_effective_width_returns_stored():
-    assert pulses.effective_width(pulses.make_sech(3.0, 0.0)) == 3.0
-    assert pulses.effective_width(pulses.make_named("rectangular", 2.0, 0.0)) == 2.0
-
-
-def test_effective_width_zero_pulse_undefined():
-    with pytest.raises(ValueError):
-        pulses.effective_width(pulses.make_zero())
-
-
 def test_zero_pulse_is_zero():
     p = pulses.make_zero(1.0, 0.0)
     assert np.all(p.amplitude(np.linspace(-5, 5, 11)) == 0.0)
@@ -106,57 +95,6 @@ def test_nonpositive_width_rejected(bad):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         pulses.make_named("gaussian", 1.0, 0.0)
-
-
-def test_tabulated_norm_enforced_and_width():
-    # rectangular samples: inverse-participation width equals the box width
-    t = np.linspace(0.0, 2.0, 401)
-    v = np.where((t >= 0.5) & (t <= 1.5), 3.0, 0.0)
-    p = pulses.make_tabulated(t, v)
-    assert p.norm_squared() == pytest.approx(1.0, abs=1e-9)
-    assert p.T == pytest.approx(1.0, rel=2e-2)
-
-
-def test_tabulated_interpolates_complex():
-    t = np.array([0.0, 1.0, 2.0])
-    v = np.array([0.0, 1.0 + 1.0j, 0.0])
-    p = pulses.make_tabulated(t, v)
-    mid = p.amplitude(0.5)
-    assert mid.real == pytest.approx(mid.imag, abs=1e-12)
-    assert p.amplitude(-0.1) == 0.0
-
-
-def test_tabulated_rejects_bad_input():
-    with pytest.raises(ValueError):
-        pulses.make_tabulated([0.0, 0.0, 1.0], [1.0, 2.0, 1.0])
-    with pytest.raises(ValueError):
-        pulses.make_tabulated([0.0, 1.0], [0.0, 0.0])
-
-
-def test_csv_round_trip(tmp_path):
-    path = tmp_path / "pulse.csv"
-    t = np.linspace(0.0, 4.0, 201)
-    v = np.sqrt(2.0 / 1.0) / np.cosh(4.0 * (t - 2.0) / 1.0)
-    lines = ["t,re,im"] + [f"{ti},{vi},0.0" for ti, vi in zip(t, v)]
-    path.write_text("\n".join(lines) + "\n")
-    p = pulses.read_pulse_csv(path)
-    assert p.kind == "tabulated"
-    assert p.norm_squared() == pytest.approx(1.0, abs=1e-9)
-    assert p.T == pytest.approx(0.75, rel=5e-2)  # sech inverse-participation width
-
-
-def test_csv_two_columns_defaults_imaginary(tmp_path):
-    path = tmp_path / "pulse2.csv"
-    path.write_text("t,re\n0.0,1.0\n1.0,1.0\n")
-    p = pulses.read_pulse_csv(path)
-    assert p.amplitude(0.5).imag == 0.0
-
-
-def test_csv_header_required(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("0.0,1.0\n1.0,1.0\n")
-    with pytest.raises(ValueError, match="header"):
-        pulses.read_pulse_csv(path)
 
 
 def test_frequency_shift_preserves_norm_and_support():

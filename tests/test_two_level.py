@@ -225,3 +225,11 @@ def test_params_validation():
         TwoLevelParams(g=-1.0, kappa=1.0)
     with pytest.raises(ValueError):
         TwoLevelParams(g=1.0, kappa=1.0, gamma=-0.1)
+
+
+@pytest.mark.parametrize("name", ["g", "kappa", "gamma", "delta"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_params_reject_non_finite(name, bad):
+    rates = {"g": 1.0, "kappa": 1.0, "gamma": 0.1, "delta": 0.2, name: bad}
+    with pytest.raises(ValueError, match=name):
+        TwoLevelParams(**rates)
