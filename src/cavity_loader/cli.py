@@ -107,10 +107,9 @@ def _gather(args, command: str) -> dict:
     for key in _flag_names(command):
         if getattr(args, key) is not None:
             raw[key] = getattr(args, key)
+    optimize.check_fields(args.scenario, raw, parsers)
     cfg = {}
     for key, value in raw.items():
-        if key not in parsers:
-            raise ConfigError(f"scenario {args.scenario} does not use field {key}")
         try:
             cfg[key] = parsers[key](value)
         except ValueError as exc:
@@ -364,7 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors and --help: argparse's status
+        return exc.code
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # ConfigError included

@@ -129,24 +129,18 @@ def spdc_biphoton(sp: SpdcParams) -> BiphotonAmplitude:
     """Joint amplitude of a degenerate type-II downconverter.
 
     Built as pump((tau+tau')/2) times the phase-matching box
-    |tau - tau'| <= T0 (full width 2 T0 in tau - tau'), normalized
-    numerically so the two-time norm is one.
+    |tau - tau'| <= T0 (full width 2 T0 in tau - tau'), normalized so the
+    two-time norm is one.
     """
     pump = make_sech(sp.T, sp.pump_center)
     t0w = sp.T0
     lo = pump.support[0] - t0w / 2.0
     hi = pump.support[1] + t0w / 2.0
 
-    # int |pump|^2 d(mean) * int d(diff) over the box, exact in the
-    # mean/difference coordinates
-    pump_norm2 = float(
-        numerics.quad1(
-            lambda a: complex(abs(pump.amplitude(a)) ** 2),
-            pump.support,
-            breakpoints=(pump.t0,),
-        ).real
-    )
-    norm_constant = 1.0 / math.sqrt(2.0 * t0w * pump_norm2)
+    # in the mean/difference coordinates the two-time norm is
+    # int |pump|^2 d(mean) * int d(diff) over the box = 1 * 2 T0: make_sech
+    # is normalized over its truncated window
+    norm_constant = 1.0 / math.sqrt(2.0 * t0w)
 
     def joint(tau, tau2):
         tau = np.asarray(tau, dtype=float)
@@ -204,42 +198,39 @@ def _cee_quad2(
     t: float,
     spec: numerics.QuadratureSpec = numerics.DEFAULT_QUAD,
 ) -> complex:
-    """Direct double quadrature of the joint convolution."""
+    """Direct double quadrature of the joint convolution.
+
+    The outer integral runs over tau'; for each batch of outer nodes the
+    inner integrals over tau are one vector-valued quadrature.  A
+    downconverter amplitude lives on the band |tau - tau'| <= T0, so the
+    inner limits are clipped to the band (no band for a generic
+    amplitude) and each inner interval is mapped onto [0, 1].
+    """
     x0, x1, y0, y1 = b.support
     x1 = min(x1, t)
     y1 = min(y1, t)
     if x1 <= x0 or y1 <= y0:
         return 0.0 + 0.0j
     pref = 2.0 * kern.kappa * kern.g_amp**2
-    if b.separable_structure:
-        # the joint amplitude lives on the band |tau - tau2| <= T0; clipping
-        # the inner limits to the band keeps the discontinuity at the
-        # endpoints where the adaptive rule handles it cleanly
-        band = b.t0_window
-        brk = (t, b.pump.t0)
-    else:
-        band = math.inf
-        brk = (t,)
-    # the inner integral is smooth in tau2 away from the breakpoints, so a
+    band = b.t0_window if b.separable_structure else math.inf
+    # the inner integral is smooth in tau' away from the breakpoints, so a
     # tenfold tighter inner tolerance keeps the outer estimate honest
     inner_spec = numerics.QuadratureSpec(
         rtol=spec.rtol * 0.1, atol=spec.atol * 0.1, max_subdivisions=spec.max_subdivisions
     )
 
-    def inner(tau2: float) -> complex:
-        lo_i = max(x0, tau2 - band)
-        hi_i = min(x1, tau2 + band)
-        if hi_i <= lo_i:
-            return 0.0 + 0.0j
-        k2 = kern.ce_kernel(t - tau2)
-        return numerics.quad1(
-            lambda tau: b.joint(tau, tau2) * kern.ce_kernel(t - tau) * k2,
-            (lo_i, hi_i),
-            inner_spec,
-            breakpoints=brk,
-        )
+    def outer(tau2: np.ndarray) -> np.ndarray:
+        lo = np.maximum(x0, tau2 - band)
+        width = np.maximum(np.minimum(x1, tau2 + band) - lo, 0.0)
 
-    return pref * numerics.quad1(inner, (y0, y1), spec, breakpoints=brk)
+        def inner(u: np.ndarray) -> np.ndarray:
+            tau = lo + u[:, None] * width
+            return b.joint(tau, tau2) * kern.ce_kernel(t - tau) * width
+
+        return numerics.quad1(inner, (0.0, 1.0), inner_spec) * kern.ce_kernel(t - tau2)
+
+    # the clipped inner limits have kinks where tau' -+ T0 meets the support
+    return pref * numerics.quad1(outer, (y0, y1), spec, breakpoints=(x0 + band, x1 - band))
 
 
 def _difference_integral(kern: _Kernels, w: np.ndarray, window: float) -> np.ndarray:
@@ -304,7 +295,9 @@ def _cee_reduced(kern: _Kernels, b: BiphotonAmplitude, times: np.ndarray) -> np.
     # the quad2 route reads the normalization from b.joint; here the pump is
     # used bare, so norm_constant enters once through the prefactor
     pref = 2.0 * kern.kappa * kern.g_amp**2 * b.norm_constant
-    return pref * pump_vals.dot(weight)
+    # an elementwise reduction: a BLAS product would start a thread pool in
+    # every worker of a sweep
+    return pref * (pump_vals * weight).sum(axis=1)
 
 
 def _composite_gauss(a: float, b: float, h: float, fixed=(), order: int = 12):

@@ -34,16 +34,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import numerics
+from . import numerics, two_level
 from .numerics import OdeSystem
 from .pulses import PulseShape, frequency_shifted, make_sech
-from .two_level import (
-    Trajectory,
-    _drive_max_step,
-    _Kernels,
-    peak_loading,
-    TwoLevelParams,
-)
+from .two_level import Trajectory, _drive_max_step, _Kernels, TwoLevelParams
 
 __all__ = [
     "LambdaParams",
@@ -268,12 +262,7 @@ def effective_two_level(p: LambdaParams) -> tuple[complex, float, float, float]:
     return g_tilde, float(red.gamma_eff(0.0)), float(red.delta_eff(0.0)), red.drive_decay_rate
 
 
-def nonadiabatic_amplitude(
-    p: LambdaParams,
-    pulse: PulseShape,
-    t: float,
-    spec: numerics.QuadratureSpec = numerics.DEFAULT_QUAD,
-) -> complex:
+def nonadiabatic_amplitude(p: LambdaParams, pulse: PulseShape, t: float) -> complex:
     """Target-state amplitude at time t (control still on) for constant Omega.
 
     Uses the effective two-level closed form; the magnitude includes the
@@ -283,7 +272,7 @@ def nonadiabatic_amplitude(
         return 0.0 + 0.0j
     g_tilde, gamma_e, delta_e, d = effective_two_level(p)
     kern = _Kernels(p.kappa, complex(gamma_e, -delta_e), g_tilde, extra_decay=d)
-    _, c_e = kern.amplitudes_at(pulse, t, spec)
+    _, c_e = kern.amplitudes_at(pulse, t)
     return c_e
 
 
@@ -473,7 +462,7 @@ def timing_offset_scan(scheme: str, config: dict, offsets) -> np.ndarray:
         params = TwoLevelParams(g=g, kappa=kappa)
         t_load = config.get("t_load")
         if t_load is None:
-            t_load, _ = peak_loading(params, pulse, 5.0 * T)
+            t_load, _ = two_level.peak_loading(params, pulse, 5.0 * T)
         kern = _Kernels(kappa, 0.0 + 0.0j, g)
         out = np.empty(offsets.shape)
         for i, off in enumerate(offsets):

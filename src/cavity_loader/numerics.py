@@ -3,10 +3,11 @@ and peak finding.
 
 The ODE path is the brute-force reference for every model in the
 package; the quadrature routine evaluates the convolution kernels of the
-closed-form solutions.  Both wrap scipy (Dormand-Prince RK45 and
-QUADPACK Gauss-Kronrod) behind small, deterministic interfaces with
-explicit failure signalling.  ``scan_refine`` is the one peak finder:
-the loading peak over time and the optimum over the coupling both use it.
+closed-form solutions on arrays of nodes.  Both wrap scipy (Dormand-Prince
+RK45 and adaptive Gauss-Kronrod cubature) behind small, deterministic
+interfaces with explicit failure signalling.  ``scan_refine`` is the one
+peak finder: the loading peak over time and the optimum over the coupling
+both use it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import cubature, solve_ivp
 
 __all__ = [
     "OdeSystem",
@@ -181,47 +182,45 @@ class _PiecewiseInterpolant:
 
 
 def quad1(
-    f: Callable[[float], complex],
+    f: Callable[[np.ndarray], np.ndarray],
     interval: tuple[float, float],
     spec: QuadratureSpec = DEFAULT_QUAD,
     breakpoints: Sequence[float] = (),
-) -> complex:
-    """Adaptive Gauss-Kronrod integral of a complex integrand on [a, b]."""
+):
+    """Adaptive Gauss-Kronrod integral of a complex integrand on [a, b].
+
+    ``f`` takes a 1-D array of n nodes and returns n complex values, or an
+    (n, m) array for m integrals done together; the result is a complex
+    number or an array of m.  Real and imaginary parts are integrated in
+    one adaptive pass, refined until each meets the tolerance.
+    """
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("quad1 requires a finite interval")
-    if a == b:
-        return 0.0 + 0.0j
-    pts = sorted(p for p in set(float(p) for p in breakpoints) if a < p < b)
-    # the real and imaginary passes share most of their nodes; evaluate f
-    # once per node
-    values = {}
+    pts = [[p] for p in sorted(set(float(p) for p in breakpoints)) if a < p < b]
 
-    def g(t):
-        v = values.get(t)
-        if v is None:
-            v = values[t] = f(t)
-        return v
+    def pair(x):
+        v = np.asarray(f(x[:, 0]), dtype=complex)
+        # a constant integrand may return a single value
+        v = np.broadcast_to(v, (x.shape[0],) + v.shape[1:])
+        return np.stack((v.real, v.imag), axis=-1)
 
-    re = _quad_real(lambda t: g(t).real, a, b, spec, pts)
-    im = _quad_real(lambda t: g(t).imag, a, b, spec, pts)
-    return complex(re, im)
-
-
-def _quad_real(g, a, b, spec, points):
-    out = quad(
-        g,
-        a,
-        b,
-        epsabs=spec.atol,
-        epsrel=spec.rtol,
-        limit=spec.max_subdivisions,
-        points=points if points else None,
-        full_output=1,
+    res = cubature(
+        pair,
+        [a],
+        [b],
+        rtol=spec.rtol,
+        atol=spec.atol,
+        max_subdivisions=spec.max_subdivisions,
+        points=pts,
     )
-    if len(out) > 3:
-        raise QuadratureFailure(f"quadrature on [{a:.6g}, {b:.6g}]: {out[3]}")
-    return out[0]
+    if res.status != "converged":
+        raise QuadratureFailure(
+            f"quadrature on [{a:.6g}, {b:.6g}]: no convergence within "
+            f"{spec.max_subdivisions} subdivisions"
+        )
+    est = res.estimate[..., 0] + 1j * res.estimate[..., 1]
+    return complex(est) if est.ndim == 0 else est
 
 
 def scan_refine(

@@ -29,6 +29,7 @@ __all__ = [
     "SweepSpec",
     "OptimumPoint",
     "get_scenario",
+    "check_fields",
     "scenario_probability",
     "optimize_coupling",
     "sweep",
@@ -233,6 +234,13 @@ def get_scenario(name: str) -> Scenario:
     return SCENARIOS[name]
 
 
+def check_fields(scenario: str, keys, allowed) -> None:
+    """Reject, by name, the first of ``keys`` that is not in ``allowed``."""
+    for key in keys:
+        if key not in allowed:
+            raise ValueError(f"scenario {scenario} does not use field {key}")
+
+
 @dataclass(frozen=True)
 class OptimumPoint:
     """Result of a coupling optimization (coupling in units of kappa)."""
@@ -260,7 +268,10 @@ class SweepSpec:
     g_range: tuple[float, float] = DEFAULT_G_RANGE
 
     def __post_init__(self):
-        get_scenario(self.scenario)  # raises on an unknown name
+        allowed = dict(get_scenario(self.scenario).optimize.parsers())
+        if not self.optimize_g:
+            allowed["g_over_k"] = float
+        check_fields(self.scenario, [name for name, _ in self.axes] + list(self.fixed), allowed)
         if not 1 <= len(self.axes) <= 2:
             raise ValueError("a sweep needs one or two axes")
         for name, grid in self.axes:
@@ -274,9 +285,12 @@ def scenario_probability(scenario: str, g_over_k: float, fixed: dict) -> tuple[f
 
     ``fixed`` carries the scenario's optimize fields: kT for all
     scenarios, kT0 for the biphoton one, plus optional gamma_over_g /
-    delta_over_k / pulse for the two-level family.
+    delta_over_k / pulse for the two-level family; any other key is an
+    error.
     """
-    return get_scenario(scenario).probability(g_over_k, fixed)
+    chosen = get_scenario(scenario)
+    check_fields(scenario, fixed, chosen.optimize.parsers())
+    return chosen.probability(g_over_k, fixed)
 
 
 def optimize_coupling(

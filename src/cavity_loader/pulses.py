@@ -60,7 +60,7 @@ class PulseShape:
         t_arr = np.asarray(t, dtype=float)
         lo, hi = self.support
         if t_arr.ndim == 0:
-            # scalar calls dominate the quadrature and ODE routes; skip the
+            # the ODE right-hand sides call this at every step; skip the
             # masking and evaluate on a numpy scalar
             t_val = t_arr[()]
             return complex(self._func(t_val)) if lo <= t_val <= hi else 0.0 + 0.0j
@@ -81,7 +81,7 @@ class PulseShape:
         if not hi > lo:
             return 0.0
         val = numerics.quad1(
-            lambda t: complex(abs(self.amplitude(t)) ** 2),
+            lambda t: np.abs(self.amplitude(t)) ** 2,
             (lo, hi),
             breakpoints=(self.t0,),
         )

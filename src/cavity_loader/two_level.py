@@ -129,13 +129,6 @@ def _sinhc(z):
     return out
 
 
-def _sinhc_scalar(z: np.complex128) -> np.complex128:
-    """``_sinhc`` of one numpy complex scalar."""
-    if np.abs(z) < 1e-4:
-        return 1.0 + np.multiply(z, z) / 6.0
-    return np.sinh(z) / z
-
-
 # kernel evaluation switches from the exponential difference to the factored
 # sinhc form when |xi s / 2| drops below this, avoiding cancellation near the
 # confluent point and overflow far from it
@@ -171,21 +164,6 @@ class _Kernels:
         self.extra_decay = float(extra_decay)
         self._mean = (kappa + gamma_prime) / 2.0 + extra_decay
         self._half_diff = (kappa - gamma_prime) / 2.0
-        # the coefficients of _eval as numpy scalars, for _eval_scalar
-        r = self.rates
-        self._scalar_coeffs = tuple(
-            np.complex128(v)
-            for v in (
-                0.5 * r.xi,
-                -self._mean,
-                self._half_diff,
-                -(r.kappa_plus + self.extra_decay),
-                -(r.kappa_minus + self.extra_decay),
-                r.kappa_p_plus,
-                r.kappa_p_minus,
-                r.xi,
-            )
-        )
 
     def ce_kernel(self, s):
         return self._eval(s, want_beta=False)
@@ -195,8 +173,6 @@ class _Kernels:
 
     def _eval(self, s, want_beta: bool):
         s_arr = np.asarray(s, dtype=float)
-        if s_arr.ndim == 0:
-            return self._eval_scalar(s_arr[()], want_beta)
         out = np.zeros(s_arr.shape, dtype=complex)
         pos = s_arr >= 0 if want_beta else s_arr > 0
         if pos.any():
@@ -229,67 +205,29 @@ class _Kernels:
             out[pos] = vals
         return out
 
-    def _eval_scalar(self, s: np.float64, want_beta: bool) -> np.complex128:
-        """``_eval`` at one time: the same operations on numpy scalars.
-
-        The quadrature routes call the kernels one time at a time, where
-        the masking and array setup of ``_eval`` cost more than the
-        arithmetic.  Products of two complex numbers go through the
-        ``np.multiply`` loop, which rounds differently from the scalar
-        ``*``; with that, both paths return the same bits.
-        """
-        if not (s >= 0 if want_beta else s > 0):
-            return np.complex128(0.0)
-        half_xi, neg_mean, half_diff, neg_kp, neg_km, kpp, kpm, xi = self._scalar_coeffs
-        mul = np.multiply
-        half = half_xi * s
-        if np.abs(half) < _FACTORED_THRESHOLD:
-            damp = np.exp(neg_mean * s)
-            if want_beta:
-                shape = np.cosh(half) - mul(half_diff * s, _sinhc_scalar(half))
-                return mul(shape, damp)
-            return mul(-s * _sinhc_scalar(half), damp)
-        ep = np.exp(neg_kp * s)
-        em = np.exp(neg_km * s)
-        if want_beta:
-            return (mul(kpp, ep) - mul(kpm, em)) / xi
-        return (ep - em) / xi
-
     def ce_prefactor(self) -> complex:
         return self.g_amp * math.sqrt(2.0 * self.kappa)
 
-    def amplitudes_at(
-        self,
-        pulse: PulseShape,
-        t: float,
-        spec: QuadratureSpec = numerics.DEFAULT_QUAD,
-    ) -> tuple[complex, complex]:
+    def amplitudes_at(self, pulse: PulseShape, t: float) -> tuple[complex, complex]:
         """(beta, c_e) at time t by convolution over the pulse support."""
         lo, hi = pulse.support
         upper = min(t, hi)
         if upper <= lo:
             return 0.0 + 0.0j, 0.0 + 0.0j
-        brk = (pulse.t0,)
-        beta = -1j * math.sqrt(2.0 * self.kappa) * numerics.quad1(
-            lambda tau: pulse.amplitude(tau) * self.beta_kernel(t - tau),
-            (lo, upper),
-            spec,
-            breakpoints=brk,
+
+        def integrand(tau):
+            phi, s = pulse.amplitude(tau), t - tau
+            return np.stack((phi * self.beta_kernel(s), phi * self.ce_kernel(s)), axis=-1)
+
+        beta_conv, ce_conv = numerics.quad1(
+            integrand, (lo, upper), breakpoints=(pulse.t0,)
         )
-        c_e = self.ce_prefactor() * numerics.quad1(
-            lambda tau: pulse.amplitude(tau) * self.ce_kernel(t - tau),
-            (lo, upper),
-            spec,
-            breakpoints=brk,
-        )
-        return beta, c_e
+        beta = -1j * math.sqrt(2.0 * self.kappa) * beta_conv
+        return complex(beta), complex(self.ce_prefactor() * ce_conv)
 
 
 def amplitude_closed_form(
-    p: TwoLevelParams,
-    pulse: PulseShape,
-    t: float,
-    spec: QuadratureSpec = numerics.DEFAULT_QUAD,
+    p: TwoLevelParams, pulse: PulseShape, t: float
 ) -> tuple[complex, complex]:
     """Closed-form (beta, c_e) at time t.
 
@@ -297,15 +235,13 @@ def amplitude_closed_form(
     the textbook lower limit 0 to pulses that begin before t = 0.
     """
     kern = _Kernels(p.kappa, complex(p.gamma, -p.delta), p.g)
-    return kern.amplitudes_at(pulse, t, spec)
+    return kern.amplitudes_at(pulse, t)
 
 
 def amplitude_ode(
     p: TwoLevelParams,
     pulse: PulseShape,
     grid,
-    rtol: float = numerics.DEFAULT_RTOL,
-    atol: float = numerics.DEFAULT_ATOL,
     dense_output: bool = False,
 ):
     """Integrate the baseband equations of motion on the given time grid.
@@ -331,7 +267,7 @@ def amplitude_ode(
     system = OdeSystem(2, rhs, np.zeros(2, dtype=complex), (t_start, float(grid[-1])))
     max_step = _drive_max_step(pulse, t_start, float(grid[-1]))
     result = numerics.integrate(
-        system, grid, rtol=rtol, atol=atol, max_step=max_step, dense_output=dense_output
+        system, grid, max_step=max_step, dense_output=dense_output
     )
     states = result[0] if dense_output else result
     traj = Trajectory(
@@ -351,31 +287,33 @@ def _drive_max_step(pulse: PulseShape, t_start: float, t_end: float) -> float:
 
 def spectral_amplitude(
     p: TwoLevelParams,
-    spectral_weight: Callable[[float], complex],
+    spectral_weight: Callable[[np.ndarray], np.ndarray],
     omega_interval: tuple[float, float],
     t: float,
     origin: float = 0.0,
-    spec: QuadratureSpec = numerics.DEFAULT_QUAD,
 ) -> complex:
     """c_e(t) assembled from per-frequency amplitudes.
 
-    ``spectral_weight`` is the baseband spectrum (argument is the offset
-    from the carrier) normalized so its |.|^2 integrates to one over
-    ``omega_interval``.  Each frequency component responds independently;
-    the results superpose.  Converges to the time-domain closed form when
-    the weight is the Fourier transform of the pulse; quadratic cost, so
-    intended for validation rather than production runs.
+    ``spectral_weight`` is the baseband spectrum on an array of
+    frequencies (offsets from the carrier), normalized so its |.|^2
+    integrates to one over ``omega_interval``.  Each frequency component
+    responds independently; the results superpose.  Converges to the
+    time-domain closed form when the weight is the Fourier transform of
+    the pulse; quadratic cost, so intended for validation rather than
+    production runs.
     """
     kern = _Kernels(p.kappa, complex(p.gamma, -p.delta), p.g)
     if t <= origin:
         return 0.0 + 0.0j
+    spec = numerics.DEFAULT_QUAD
     inner_spec = QuadratureSpec(
         rtol=spec.rtol * 0.1, atol=spec.atol * 0.1, max_subdivisions=spec.max_subdivisions
     )
 
-    def per_frequency(nu: float) -> complex:
+    def per_frequency(nu: np.ndarray) -> np.ndarray:
+        # one vector-valued time integral for the whole batch of frequencies
         conv = numerics.quad1(
-            lambda tau: np.exp(-1j * nu * tau) * kern.ce_kernel(t - tau),
+            lambda tau: np.exp(-1j * np.outer(tau, nu)) * kern.ce_kernel(t - tau)[:, None],
             (origin, t),
             inner_spec,
         )

@@ -49,6 +49,12 @@ def test_tracer_sees_every_hooked_layer(tmp_path):
         ):
             p, _ = optimize.scenario_probability(scenario, 1.0, fixed)
             assert 0.0 < p <= 1.0
+        peak_searches = tracer.calls["two_level.peak_loading"]
+        # without t_load the scan finds the loading peak through two_level
+        lambda_memory.timing_offset_scan(
+            "nonadiabatic", {"kappa": 1.0, "T": 1.0, "g": 1.7}, [0.0]
+        )
+        assert tracer.calls["two_level.peak_loading"] > peak_searches
         rc = cli.main(
             [
                 "optimize",

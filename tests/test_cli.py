@@ -351,3 +351,11 @@ def test_simulate_non_finite_coupling_rejected(capsys, value):
     rc = run(["simulate", "--scenario", "two_level", "--kT", "2", "--g_over_k", value])
     assert rc == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_usage_error_returns_status(capsys):
+    # argparse takes "-inf" for an option, so the flag has no value: a usage
+    # error, reported by return code rather than SystemExit
+    rc = run(["simulate", "--scenario", "two_level", "--kT", "2", "--g_over_k", "-inf"])
+    assert rc == 2
+    assert "expected one argument" in capsys.readouterr().err

@@ -64,7 +64,7 @@ def test_spdc_norm_via_quad2(biphoton):
     x0, x1, y0, y1 = biphoton.support
     spec = numerics.QuadratureSpec(rtol=1e-8, atol=1e-12, max_subdivisions=2000)
 
-    def f(tau2):
+    def inner(tau2):
         lo = max(x0, tau2 - SP.T0)
         hi = min(x1, tau2 + SP.T0)
         if hi <= lo:
@@ -72,6 +72,9 @@ def test_spdc_norm_via_quad2(biphoton):
         return numerics.quad1(
             lambda tau: abs(biphoton.joint(tau, tau2)) ** 2 + 0.0j, (lo, hi), spec
         )
+
+    def f(tau2s):
+        return np.array([inner(tau2) for tau2 in tau2s])
 
     norm2 = numerics.quad1(f, (y0, y1), spec)
     assert norm2.real == pytest.approx(1.0, abs=1e-6)

@@ -117,7 +117,7 @@ def test_quad1_self_convergence_against_fixed_order():
     kappa, t = 1.0, 3.0
 
     def f(tau):
-        return p.amplitude(tau) * math.exp(-kappa * (t - tau))
+        return p.amplitude(tau) * np.exp(-kappa * (t - tau))
 
     adaptive = numerics.quad1(f, (p.support[0], t))
 
@@ -131,6 +131,21 @@ def test_quad1_self_convergence_against_fixed_order():
     ref2 = simpson(8192)
     assert abs(ref - ref2) < 1e-10
     assert abs(adaptive - ref2) < 1e-8
+
+
+def test_quad1_vector_valued_matches_separate_calls():
+    # m integrals in one call: each agrees with its own call and with the
+    # exact value; the shared pass refines until every component converges
+    rates = np.array([0.5, 1.0, 3.0]) - 2j
+    together = numerics.quad1(
+        lambda t: np.exp(-np.outer(t, rates)), (0.0, 4.0), breakpoints=(1.0,)
+    )
+    assert together.shape == rates.shape
+    for value, rate in zip(together, rates):
+        alone = numerics.quad1(lambda t: np.exp(-rate * t), (0.0, 4.0), breakpoints=(1.0,))
+        exact = (1.0 - np.exp(-4.0 * rate)) / rate
+        assert abs(value - alone) < 1e-10
+        assert abs(value - exact) < 1e-10
 
 
 def test_quad1_subdivision_limit():

@@ -104,6 +104,24 @@ def test_sweep_spec_validation():
         SweepSpec(scenario="nope", axes=(("kT", (1.0, 2.0)),))
 
 
+def test_python_api_rejects_fields_the_scenario_does_not_read():
+    with pytest.raises(ValueError, match="does not use field gama_over_g"):
+        SweepSpec(
+            scenario="two_level",
+            axes=(("kT", (2.0,)),),
+            fixed={"g_over_k": 1.0, "gama_over_g": 0.5},
+        )
+    with pytest.raises(ValueError, match="does not use field gama_over_g"):
+        optimize.optimize_coupling("two_level", {"kT": 2.0, "gama_over_g": 0.5})
+    with pytest.raises(ValueError, match="does not use field g_over_k"):
+        SweepSpec(
+            scenario="two_level",
+            axes=(("kT", (2.0,)),),
+            fixed={"g_over_k": 1.0},
+            optimize_g=True,
+        )
+
+
 def test_resolve_workers_env(monkeypatch):
     monkeypatch.setenv(optimize.WORKERS_ENV, "1")
     assert optimize.resolve_workers() == 1

@@ -126,29 +126,6 @@ def test_degenerate_limit_continuity():
         assert abs(ce - ce_mid) / abs(ce_mid) < 1e-3
 
 
-def test_kernel_scalar_path_matches_array_path():
-    # one-time kernel calls take a numpy-scalar route; it must return the
-    # very bits of the array route, through the factored and series branches
-    rng = np.random.default_rng(11)
-    cases = [(1.0, 0j, 0.5, 0.0), (1.0, 0j, 0.5 + 1e-7, 0.0), (2.0, 0.3 - 0.8j, 1.7, 0.2)]
-    cases += [(1.0, 0j, 1.0 + 0.4j, 0.0), (0.7, 0.1 + 0.5j, 4.0, 0.0)]
-    for kappa, gp, g, d in cases:
-        kern = two_level._Kernels(kappa, gp, g, extra_decay=d)
-        xi = max(abs(kern.rates.xi), 1e-12)
-        s = np.concatenate(
-            [
-                rng.uniform(-1.0, 20.0, 200),
-                rng.uniform(0.0, 0.2 / xi, 50),
-                rng.uniform(0.0, 2e-4 / xi, 20),
-                [0.0, 1e-300],
-            ]
-        )
-        for kernel in (kern.ce_kernel, kern.beta_kernel):
-            arr = kernel(s)
-            one = np.array([kernel(float(x)) for x in s])
-            assert one.tobytes() == arr.tobytes()
-
-
 def _sech_spectrum(T: float, t0: float):
     # exact Fourier pair of the sech envelope; unit spectral norm
     def weight(nu):
