@@ -188,7 +188,7 @@ def c_ee(
     if method in ("auto", "reduced"):
         if not b.separable_structure:
             raise ValueError("reduced evaluation needs a downconverter-structured amplitude")
-        return complex(_cee_reduced(kern, b, np.array([t]))[0])
+        return complex(_cee_reduced(kern, b, t)(np.array([t]))[0])
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -269,20 +269,20 @@ def _difference_integral(kern: _Kernels, w: np.ndarray, window: float) -> np.nda
     return out
 
 
-def _cee_reduced(kern: _Kernels, b: BiphotonAmplitude, times: np.ndarray) -> np.ndarray:
-    """c_ee on a time grid via the mean/difference-coordinate reduction.
+def _cee_reduced(kern: _Kernels, b: BiphotonAmplitude, t_max: float):
+    """c_ee(times) for times up to t_max, by the mean/difference reduction.
 
     Writing the double convolution in the mean time a = (tau + tau')/2
     and lag w = t - a, the difference coordinate integrates analytically
     (``_difference_integral``), leaving one integral of pump(t - w)
     against a t-independent weight.  Sampled with composite Gauss panels
-    split at the w = T0/2 kink.
+    split at the w = T0/2 kink, built once up to t_max; at earlier times
+    the nodes past t - (pump start) see pump = 0.
     """
     pump, t0w = b.pump, b.t0_window
-    times = np.asarray(times, dtype=float)
-    w_max = float(np.max(times)) - pump.support[0]
+    w_max = t_max - pump.support[0]
     if w_max <= 0:
-        return np.zeros(times.shape, dtype=complex)
+        return lambda times: np.zeros(times.shape, dtype=complex)
     rate = max(
         kern.rates.kappa_plus.real + kern.extra_decay,
         kern.rates.kappa_minus.real + kern.extra_decay,
@@ -291,13 +291,17 @@ def _cee_reduced(kern: _Kernels, b: BiphotonAmplitude, times: np.ndarray) -> np.
     h = min(pump.T / 2.0, t0w / 2.0, 0.5 / rate)
     nodes, weights = _composite_gauss(0.0, w_max, h, fixed=(t0w / 2.0,))
     weight = weights * _difference_integral(kern, nodes, t0w)
-    pump_vals = pump.amplitude(times[:, None] - nodes[None, :])
     # the quad2 route reads the normalization from b.joint; here the pump is
     # used bare, so norm_constant enters once through the prefactor
     pref = 2.0 * kern.kappa * kern.g_amp**2 * b.norm_constant
-    # an elementwise reduction: a BLAS product would start a thread pool in
-    # every worker of a sweep
-    return pref * (pump_vals * weight).sum(axis=1)
+
+    def evaluate(times: np.ndarray) -> np.ndarray:
+        pump_vals = pump.amplitude(times[:, None] - nodes[None, :])
+        # an elementwise reduction: a BLAS product would start a thread pool
+        # in every worker of a sweep
+        return pref * (pump_vals * weight).sum(axis=1)
+
+    return evaluate
 
 
 def _composite_gauss(a: float, b: float, h: float, fixed=(), order: int = 12):
@@ -335,7 +339,7 @@ def joint_trajectory(
         raise ValueError("joint_trajectory needs a downconverter-structured amplitude")
     grid = np.asarray(grid, dtype=float)
     kern = _Kernels(p.kappa, complex(p.gamma, -p.delta), p.g)
-    vals = _cee_reduced(kern, b, grid)
+    vals = _cee_reduced(kern, b, float(np.max(grid)))(grid)
     return Trajectory(
         times=grid,
         amplitudes={"c_ee": vals},
@@ -349,11 +353,12 @@ def peak_joint_loading(
 ) -> tuple[float, float]:
     """Global maximum of |c_ee(t)|^2 over [0, horizon] (dense scan + refine)."""
     kern = _Kernels(p.kappa, complex(p.gamma, -p.delta), p.g)
+    c_ee_at = _cee_reduced(kern, b, horizon)
     grid = np.linspace(0.0, horizon, 401)
-    pop = np.abs(_cee_reduced(kern, b, grid)) ** 2
+    pop = np.abs(c_ee_at(grid)) ** 2
 
     def objective(t):
-        return abs(_cee_reduced(kern, b, np.array([t]))[0]) ** 2
+        return abs(c_ee_at(np.array([t]))[0]) ** 2
 
     t_peak, p_peak, _ = numerics.scan_refine(
         objective, grid, pop, 1e-10 * max(horizon, 1.0)
@@ -377,5 +382,5 @@ def mitnu_load(
     g_tilde, gamma_e, delta_e, d = effective_two_level(memory)
     kern = _Kernels(memory.kappa, complex(gamma_e, -delta_e), g_tilde, extra_decay=d)
     b = spdc_biphoton(sp)
-    val = _cee_reduced(kern, b, np.array([t_load]))[0]
+    val = _cee_reduced(kern, b, t_load)(np.array([t_load]))[0]
     return float(abs(val) ** 2)

@@ -101,34 +101,22 @@ class LambdaParams:
             raise ValueError("omega is time dependent")
         return float(self.omega)
 
-    def omega_at(self, t):
-        if callable(self.omega):
-            return self.omega(t)
-        return self.omega if np.ndim(t) == 0 else np.full(np.shape(t), self.omega)
-
-    def phi_z_dot_at(self, t):
-        if self.phi_z_dot is None:
-            return 0.0 if np.ndim(t) == 0 else np.zeros(np.shape(t))
-        return self.phi_z_dot(t)
-
 
 @dataclass(frozen=True)
 class ReducedParams:
     """Effective two-level quantities after adiabatic elimination of |r>.
 
-    ``g_eff``, ``delta_eff`` and ``gamma_eff`` are maps of time (constant
-    functions when the control is constant); ``drive_decay_rate`` is the
-    g_c^2 gamma_r / Delta1^2 damping the loading inherits from the upper
-    state.
+    ``g_eff``, ``delta_eff`` and ``gamma_eff`` are the effective coupling,
+    detuning and decay; ``drive_decay_rate`` is the g_c^2 gamma_r / Delta1^2
+    damping the loading inherits from the upper state.
     """
 
-    g_eff: Callable[[float], float]
+    g_eff: float
     Gamma_r: complex
-    delta_eff: Callable[[float], float]
-    gamma_eff: Callable[[float], float]
+    delta_eff: float
+    gamma_eff: float
     drive_decay_rate: float
     valid_regime: bool
-    constant: bool
 
 
 @dataclass(frozen=True)
@@ -158,15 +146,17 @@ def full_ode(
     g_c, kappa, gamma_r = p.g_c, p.kappa, p.gamma_r
     d1, d2 = p.delta1, p.delta2
     drive = math.sqrt(2.0 * kappa)
+    omega = p.omega if callable(p.omega) else lambda t: p.omega
+    phi_z_dot = p.phi_z_dot or (lambda t: 0.0)
 
     def rhs(t, y):
         beta, cr, ce = y
-        om = p.omega_at(t)
+        om = omega(t)
         return np.array(
             [
                 -1j * g_c * cr - 1j * drive * pulse.amplitude(t) - kappa * beta,
                 -1j * g_c * beta + 1j * d1 * cr - 1j * om * ce - gamma_r * cr,
-                -1j * om * cr - 1j * (d2 - d1 + p.phi_z_dot_at(t)) * ce,
+                -1j * om * cr - 1j * (d2 - d1 + phi_z_dot(t)) * ce,
             ]
         )
 
@@ -185,51 +175,34 @@ def full_ode(
 
 
 def reduce(p: LambdaParams) -> ReducedParams:
-    """Adiabatically eliminate the upper state.
+    """Adiabatically eliminate the upper state for a constant control.
 
-    Valid for detunings much larger than the couplings; for a constant
-    control a diagnostic warning is emitted when Delta1 is less than
-    10x max(g_c, Omega) or 10x gamma_r.
+    Valid for detunings much larger than the couplings; warns when Delta1
+    is below 10x max(g_c, Omega, gamma_r).
     """
     if p.delta1 == 0:
         raise ValueError("adiabatic elimination requires a nonzero Delta1")
-    d1 = p.delta1
-    g_c, gamma_r = p.g_c, p.gamma_r
-    Gamma_r = 1.0 + 1j * gamma_r / d1
-    constant = not callable(p.omega)
-
-    def g_eff(t):
-        return g_c * p.omega_at(t) / d1
-
-    def delta_eff(t):
-        om = p.omega_at(t)
-        return (g_c**2 - om**2) / d1 + p.delta1 - p.delta2 - p.phi_z_dot_at(t)
-
-    def gamma_eff(t):
+    if p.phi_z_dot is not None:
+        raise ValueError("adiabatic elimination assumes a constant control phase")
+    g_c, gamma_r, om, d1 = p.g_c, p.gamma_r, p.omega_const, p.delta1
+    scale = max(g_c, om, gamma_r)
+    valid = abs(d1) >= VALIDITY_RATIO * scale
+    if not valid:
+        warnings.warn(
+            "adiabatic elimination outside its validity regime: "
+            f"|Delta1| = {abs(d1):.3g} < {VALIDITY_RATIO} x max(g_c, Omega, gamma_r) = "
+            f"{VALIDITY_RATIO * scale:.3g}",
+            stacklevel=2,
+        )
+    return ReducedParams(
+        g_eff=g_c * om / d1,
+        Gamma_r=complex(1.0 + 1j * gamma_r / d1),
+        delta_eff=(g_c**2 - om**2) / d1 + p.delta1 - p.delta2,
         # g_eff * gamma_r * (Omega/g_c - g_c/Omega) / Delta1, written in the
         # cancelled form that stays finite as Omega -> 0
-        om = p.omega_at(t)
-        return gamma_r * (om**2 - g_c**2) / d1**2
-
-    valid = True
-    if constant:
-        scale = max(g_c, float(p.omega), gamma_r)
-        valid = abs(d1) >= VALIDITY_RATIO * scale
-        if not valid:
-            warnings.warn(
-                "adiabatic elimination outside its validity regime: "
-                f"|Delta1| = {abs(d1):.3g} < {VALIDITY_RATIO} x max(g_c, Omega, gamma_r) = "
-                f"{VALIDITY_RATIO * scale:.3g}",
-                stacklevel=2,
-            )
-    return ReducedParams(
-        g_eff=g_eff,
-        Gamma_r=complex(Gamma_r),
-        delta_eff=delta_eff,
-        gamma_eff=gamma_eff,
+        gamma_eff=gamma_r * (om**2 - g_c**2) / d1**2,
         drive_decay_rate=g_c**2 * gamma_r / d1**2,
         valid_regime=valid,
-        constant=constant,
     )
 
 
@@ -257,9 +230,8 @@ def compensated_pulse(pulse: PulseShape, p: LambdaParams) -> PulseShape:
 def effective_two_level(p: LambdaParams) -> tuple[complex, float, float, float]:
     """(complex coupling, gamma_eff, delta_eff, drive decay) for constant control."""
     red = reduce(p)
-    om = p.omega_const
-    g_tilde = complex(p.g_c * om / p.delta1) / red.Gamma_r
-    return g_tilde, float(red.gamma_eff(0.0)), float(red.delta_eff(0.0)), red.drive_decay_rate
+    g_tilde = complex(red.g_eff) / red.Gamma_r
+    return g_tilde, float(red.gamma_eff), float(red.delta_eff), red.drive_decay_rate
 
 
 def nonadiabatic_amplitude(p: LambdaParams, pulse: PulseShape, t: float) -> complex:

@@ -89,8 +89,7 @@ def integrate(
     atol: float = DEFAULT_ATOL,
     max_step: float = np.inf,
     breakpoints: Sequence[float] = (),
-    dense_output: bool = False,
-):
+) -> np.ndarray:
     """Integrate ``system`` and return the state at the requested times.
 
     Parameters
@@ -103,13 +102,11 @@ def integrate(
     breakpoints : sequence of float
         Times where the right-hand side is discontinuous; integration is
         split there instead of stepping across.
-    dense_output : bool
-        Also return a callable interpolant t -> state vector.
 
     Returns
     -------
     states : ndarray, shape (len(grid), dimension)
-        complex state at each grid time (and the interpolant if asked).
+        complex state at each grid time.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -131,7 +128,6 @@ def integrate(
     states = np.empty((grid.size, system.dimension), dtype=complex)
     filled = 0
     y = system.y0
-    interps = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         # grid points in (a, b], plus the very first point if it sits at t0
         n_here = int(np.count_nonzero((grid > a) & (grid <= b)))
@@ -159,26 +155,9 @@ def integrate(
             states[filled : filled + t_eval.size] = sol.y.T
             filled += t_eval.size
         y = np.asarray(sol.sol(b), dtype=complex)
-        if dense_output:
-            interps.append((a, b, sol.sol))
     if filled != grid.size:  # pragma: no cover - guarded by the span check
         raise OdeFailure("output grid not fully covered", float(grid[filled]))
-    if dense_output:
-        return states, _PiecewiseInterpolant(interps)
     return states
-
-
-class _PiecewiseInterpolant:
-    """Dense output stitched across breakpoint segments."""
-
-    def __init__(self, pieces):
-        self._pieces = pieces
-
-    def __call__(self, t: float) -> np.ndarray:
-        for a, b, sol in self._pieces:
-            if a - 1e-12 <= t <= b + 1e-12:
-                return sol(min(max(t, a), b))
-        raise ValueError(f"time {t} outside the integrated span")
 
 
 def quad1(

@@ -1,7 +1,8 @@
 """Loading dynamics of a two-level trapped atom driven by a single photon.
 
-Two independent routes are provided and cross-checked against each
-other: direct integration of the baseband equations of motion
+Two independent routes, which check each other and the exact stepping
+of ``peak_loading``, are direct integration of the baseband equations of
+motion
 
     d(beta)/dt = -i g c_e - i sqrt(2 kappa) Phi_b(t) - kappa beta
     d(c_e)/dt  =  i Delta c_e - i g beta - gamma c_e
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -182,15 +183,11 @@ class _Kernels:
             factored = np.abs(half) < _FACTORED_THRESHOLD
             vals = np.empty(sp.shape, dtype=complex)
             if factored.any():
-                sf = sp[factored]
-                hf = half[factored]
-                damp = np.exp(-self._mean * sf)
+                ch, sh = self._propagator_parts(sp[factored])
                 if want_beta:
-                    vals[factored] = (
-                        np.cosh(hf) - self._half_diff * sf * _sinhc(hf)
-                    ) * damp
+                    vals[factored] = ch - self._half_diff * sh
                 else:
-                    vals[factored] = -sf * _sinhc(hf) * damp
+                    vals[factored] = -sh
             direct = ~factored
             if direct.any():
                 sd = sp[direct]
@@ -204,6 +201,18 @@ class _Kernels:
                     vals[direct] = (ep - em) / xi
             out[pos] = vals
         return out
+
+    def _propagator_parts(self, s):
+        """exp(A s) = ch I + sh (A + mean) exactly, A the drive-free matrix:
+        A + mean is traceless and squares to (xi / 2)^2.  Finite at xi = 0."""
+        half = 0.5 * self.rates.xi * s
+        damp = np.exp(-self._mean * s)
+        return np.cosh(half) * damp, s * _sinhc(half) * damp
+
+    def _propagator(self, s):
+        """Entries (bb, be, ee) of the symmetric matrix exp(A s)."""
+        ch, sh = self._propagator_parts(s)
+        return ch - self._half_diff * sh, -1j * self.g_amp * sh, ch + self._half_diff * sh
 
     def ce_prefactor(self) -> complex:
         return self.g_amp * math.sqrt(2.0 * self.kappa)
@@ -238,16 +247,11 @@ def amplitude_closed_form(
     return kern.amplitudes_at(pulse, t)
 
 
-def amplitude_ode(
-    p: TwoLevelParams,
-    pulse: PulseShape,
-    grid,
-    dense_output: bool = False,
-):
+def amplitude_ode(p: TwoLevelParams, pulse: PulseShape, grid) -> Trajectory:
     """Integrate the baseband equations of motion on the given time grid.
 
-    This is the brute-force cross-check for the closed form; it also
-    covers time-dependent generalizations the closed form cannot.
+    RK45, independent of the closed form: the trajectory writer, and the
+    brute-force check of ``amplitude_closed_form`` and ``peak_loading``.
     """
     grid = np.asarray(grid, dtype=float)
     lo = pulse.support[0]
@@ -266,17 +270,11 @@ def amplitude_ode(
 
     system = OdeSystem(2, rhs, np.zeros(2, dtype=complex), (t_start, float(grid[-1])))
     max_step = _drive_max_step(pulse, t_start, float(grid[-1]))
-    result = numerics.integrate(
-        system, grid, max_step=max_step, dense_output=dense_output
-    )
-    states = result[0] if dense_output else result
-    traj = Trajectory(
+    states = numerics.integrate(system, grid, max_step=max_step)
+    return Trajectory(
         times=grid,
         amplitudes={"beta": states[:, 0], "c_e": states[:, 1]},
     )
-    if dense_output:
-        return traj, result[1]
-    return traj
 
 
 def _drive_max_step(pulse: PulseShape, t_start: float, t_end: float) -> float:
@@ -328,26 +326,71 @@ def peak_loading(
 ) -> tuple[float, float]:
     """Global maximum of |c_e(t)|^2 over [0, horizon].
 
-    A dense scan (400 samples per pulse width, at least 64) locates the
-    global basin despite Rabi oscillations; golden-section refinement of
-    the ODE's dense output then sharpens the peak.  Ties break toward the
-    earliest time.
+    A scan of (beta, c_e), stepped exactly across a uniform grid (400 steps
+    per pulse width, at least 64), locates the global basin despite Rabi
+    oscillations; golden-section refinement, one partial step from the grid
+    state below, sharpens the peak.  Ties break toward the earliest time.
     """
-    if pulse.kind == "zero":
-        return 0.0, 0.0
     t_begin = min(0.0, pulse.support[0])
     width = pulse.T if math.isfinite(pulse.T) else (horizon - t_begin)
     n = max(int(np.ceil((horizon - t_begin) / width * 400)), 64)
     grid = np.linspace(t_begin, horizon, n + 1)
-    traj, interp = amplitude_ode(p, pulse, grid, dense_output=True)
+    kern = _Kernels(p.kappa, complex(p.gamma, -p.delta), p.g)
+    states = _march(kern, pulse, grid)
 
     def objective(t: float) -> float:
-        return abs(interp(t)[1]) ** 2
+        i = min(int(np.searchsorted(grid, t, side="right")) - 1, n - 1)
+        return abs(_advance(kern, pulse, states[i], grid[i], t)[1]) ** 2
 
+    values = np.abs([c_e for _, c_e in states]) ** 2
     t_peak, p_peak, _ = numerics.scan_refine(
-        objective, grid, traj.population("c_e"), 1e-10 * max(width, 1.0)
+        objective, grid, values, 1e-10 * max(width, 1.0)
     )
     return t_peak, p_peak
+
+
+# 8-point Gauss-Legendre rule on [0, 1] for the drive across one step
+_STEP_NODES, _STEP_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_STEP_NODES, _STEP_WEIGHTS = (_STEP_NODES + 1.0) / 2.0, _STEP_WEIGHTS / 2.0
+
+
+def _drive_response(kern: _Kernels, pulse: PulseShape, starts, s: float):
+    """(beta, c_e) reached from rest by driving over [start, start + s]: the
+    Gauss-Legendre integral of exp(A (start + s - tau)) -i sqrt(2 kappa)
+    Phi_b(tau).  Steps in an array of starts share the kernel's 8 values."""
+    bb, eb, _ = kern._propagator(s * (1.0 - _STEP_NODES))
+    phi = pulse.amplitude(np.add.outer(starts, s * _STEP_NODES))
+    phi = phi * (-1j * math.sqrt(2.0 * kern.kappa) * s * _STEP_WEIGHTS)
+    return (phi * bb).sum(axis=-1), (phi * eb).sum(axis=-1)
+
+
+def _advance(kern: _Kernels, pulse: PulseShape, state, a: float, b: float):
+    """(beta, c_e) at b from ``state`` at a, split at the pulse's edges and
+    center so that the rule only integrates a smooth drive."""
+    beta, c_e = state
+    cuts = [a] + sorted(e for e in {*pulse.support, pulse.t0} if a < e < b) + [b]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        bb, be, ee = kern._propagator(hi - lo)
+        f_b, f_e = _drive_response(kern, pulse, lo, hi - lo)
+        beta, c_e = bb * beta + be * c_e + f_b, be * beta + ee * c_e + f_e
+    return complex(beta), complex(c_e)
+
+
+def _march(kern: _Kernels, pulse: PulseShape, grid) -> list[tuple[complex, complex]]:
+    """(beta, c_e) at every point of a uniform grid, from rest at grid[0]."""
+    h = (grid[-1] - grid[0]) / (len(grid) - 1)
+    f_b, f_e = _drive_response(kern, pulse, grid[:-1], h)
+    for i in set(np.searchsorted(grid, [*pulse.support, pulse.t0]) - 1):
+        if 0 <= i < len(grid) - 1:
+            f_b[i], f_e[i] = _advance(kern, pulse, (0j, 0j), grid[i], grid[i + 1])
+    bb, be, ee = (complex(m) for m in kern._propagator(h))
+    # a plain complex loop: a BLAS product would start a thread pool in
+    # every worker of a sweep
+    states = [(0j, 0j)]
+    for x, y in zip(f_b.tolist(), f_e.tolist()):
+        beta, c_e = states[-1]
+        states.append((bb * beta + be * c_e + x, be * beta + ee * c_e + y))
+    return states
 
 
 def dimensionless_load(

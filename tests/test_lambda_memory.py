@@ -58,18 +58,18 @@ def test_full_ode_zero_pulse():
 def test_reduce_no_decay():
     red = lm.reduce(make_params(gamma_r=0.0))
     assert red.Gamma_r == 1.0
-    assert red.gamma_eff(1.3) == 0.0
+    assert red.gamma_eff == 0.0
     assert red.drive_decay_rate == 0.0
 
 
 def test_reduce_balanced_control_kills_effective_decay():
     red = lm.reduce(make_params(g_c=4.0, omega=4.0, gamma_r=0.8, delta1=80.0))
-    assert red.gamma_eff(0.0) == pytest.approx(0.0, abs=1e-14)
+    assert red.gamma_eff == pytest.approx(0.0, abs=1e-14)
 
 
 def test_reduce_effective_coupling_value():
     red = lm.reduce(make_params(g_c=5.0, omega=5.0, delta1=50.0))
-    assert red.g_eff(0.0) == pytest.approx(0.5)
+    assert red.g_eff == pytest.approx(0.5)
 
 
 def test_reduce_warns_outside_validity():
@@ -92,6 +92,17 @@ def test_reduce_requires_detuning():
         lm.reduce(make_params(delta1=0.0))
 
 
+def test_reduce_requires_constant_control():
+    ramp = LambdaParams(g_c=5.0, kappa=1.0, delta1=50.0, delta2=50.0, omega=lambda t: 5.0)
+    with pytest.raises(ValueError, match="time dependent"):
+        lm.reduce(ramp)
+    phased = LambdaParams(
+        g_c=5.0, kappa=1.0, delta1=50.0, delta2=50.0, omega=5.0, phi_z_dot=lambda t: 0.0
+    )
+    with pytest.raises(ValueError, match="constant control phase"):
+        lm.reduce(phased)
+
+
 def test_stark_compensation_two_photon_resonance():
     p = make_params(g_c=3.0, omega=3.0, delta1=60.0)
     assert lm.stark_compensation(p) == pytest.approx(60.0)
@@ -106,7 +117,7 @@ def test_stark_compensation_zeroes_effective_detuning():
     p = make_params(g_c=5.0, omega=3.0, delta1=50.0)
     d2 = lm.stark_compensation(p)
     red = lm.reduce(make_params(g_c=5.0, omega=3.0, delta1=50.0, delta2=d2))
-    assert abs(red.delta_eff(0.7)) < 1e-12
+    assert abs(red.delta_eff) < 1e-12
 
 
 def test_nonadiabatic_zero_control():

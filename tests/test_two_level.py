@@ -171,6 +171,27 @@ def test_peak_loading_regression_fig3():
     assert t_load == pytest.approx(FIG3_T_LOAD, abs=1e-4)
 
 
+LOSSY_DETUNED = TwoLevelParams(g=1.0, kappa=1.0, gamma=0.2, delta=0.3)
+
+
+@pytest.mark.parametrize("kind", ["sech", "rectangular", "exp_rising", "exp_decaying"])
+@pytest.mark.parametrize(
+    "params, horizon",
+    [
+        (LOSSY_DETUNED, 10.0),
+        (TwoLevelParams(g=0.5, kappa=1.0), 10.0),  # confluent point, xi = 0
+        # a grid step of 10.3713 / 2075 puts the rectangular and exponential
+        # edges strictly inside a step
+        (LOSSY_DETUNED, 10.3713),
+    ],
+)
+def test_peak_loading_matches_closed_form(kind, params, horizon):
+    pulse = pulses.make_named(kind, 2.0, 2.0)
+    t_load, p_max = two_level.peak_loading(params, pulse, horizon)
+    _, ce = two_level.amplitude_closed_form(params, pulse, t_load)
+    assert abs(p_max - abs(ce) ** 2) <= 1e-10
+
+
 def test_dimensionless_scaling_invariance():
     # scaling every rate by c and time by 1/c leaves |c_e(t/T)|^2 unchanged
     ref = two_level.dimensionless_load(2.0, 1.2, 0.25, 1.7)
