@@ -144,6 +144,12 @@ def cmd_optimize(args) -> int:
     out_path = fixed.pop("out", f"{args.scenario}_optimum.csv")
     opt = optimize.optimize_coupling(args.scenario, fixed, (g_min, g_max), tol)
     write_csv(out_path, ["g_opt", "P_max", "T_load"], [(opt.g_opt, opt.P_max, opt.T_load)])
+    if opt.at_boundary:
+        print(
+            f"warning: g_opt = {opt.g_opt!r} is an end of the search range "
+            f"[{g_min!r}, {g_max!r}]; the optimum may lie outside it",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

@@ -243,13 +243,18 @@ def check_fields(scenario: str, keys, allowed) -> None:
 
 @dataclass(frozen=True)
 class OptimumPoint:
-    """Result of a coupling optimization (coupling in units of kappa)."""
+    """Result of a coupling optimization (coupling in units of kappa).
+
+    ``at_boundary`` is set when g_opt is an end of the search range: the
+    loading may keep rising beyond it, so it need not be the optimum.
+    """
 
     g_opt: float
     P_max: float
     T_load: float
     bracket: float
     degenerate: bool = False
+    at_boundary: bool = False
 
 
 @dataclass(frozen=True)
@@ -326,9 +331,16 @@ def optimize_coupling(
             T_load=cache[grid[0]][1],
             bracket=hi - lo,
             degenerate=True,
+            at_boundary=True,
         )
     g_opt, p_max, bracket = numerics.scan_refine(objective, grid, probs, tol)
-    return OptimumPoint(g_opt=g_opt, P_max=p_max, T_load=cache[g_opt][1], bracket=bracket)
+    return OptimumPoint(
+        g_opt=g_opt,
+        P_max=p_max,
+        T_load=cache[g_opt][1],
+        bracket=bracket,
+        at_boundary=g_opt in (grid[0], grid[-1]),
+    )
 
 
 def resolve_workers(workers: int | None = None) -> int:

@@ -352,6 +352,8 @@ def peak_loading(
 # 8-point Gauss-Legendre rule on [0, 1] for the drive across one step
 _STEP_NODES, _STEP_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _STEP_NODES, _STEP_WEIGHTS = (_STEP_NODES + 1.0) / 2.0, _STEP_WEIGHTS / 2.0
+# steps whose drive ``_march`` evaluates together
+_DRIVE_BLOCK = 512
 
 
 def _drive_response(kern: _Kernels, pulse: PulseShape, starts, s: float):
@@ -379,7 +381,13 @@ def _advance(kern: _Kernels, pulse: PulseShape, state, a: float, b: float):
 def _march(kern: _Kernels, pulse: PulseShape, grid) -> list[tuple[complex, complex]]:
     """(beta, c_e) at every point of a uniform grid, from rest at grid[0]."""
     h = (grid[-1] - grid[0]) / (len(grid) - 1)
-    f_b, f_e = _drive_response(kern, pulse, grid[:-1], h)
+    starts = grid[:-1]
+    f_b = np.empty(starts.size, dtype=complex)
+    f_e = np.empty_like(f_b)
+    # the drive in blocks of steps, so that its (steps x 8) temporaries stay small
+    for lo in range(0, starts.size, _DRIVE_BLOCK):
+        block = slice(lo, lo + _DRIVE_BLOCK)
+        f_b[block], f_e[block] = _drive_response(kern, pulse, starts[block], h)
     for i in set(np.searchsorted(grid, [*pulse.support, pulse.t0]) - 1):
         if 0 <= i < len(grid) - 1:
             f_b[i], f_e[i] = _advance(kern, pulse, (0j, 0j), grid[i], grid[i + 1])

@@ -212,6 +212,22 @@ def test_optimize_row_and_determinism(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_optimize_range_edge_warns(tmp_path, capsys):
+    # two-level loading at kT = 2 peaks near g = kappa: capped at 0.5 the
+    # optimum is the range's upper end, which is flagged on stderr only
+    out = tmp_path / "edge.csv"
+    base = ["optimize", "--scenario", "two_level", "--kT", "2", "--out", str(out)]
+    assert run(base + ["--g_max", "0.5"]) == 0
+    header, rows = read_csv(out)
+    assert header == ["g_opt", "P_max", "T_load"]
+    assert rows[0][0] == 0.5
+    err = capsys.readouterr().err
+    assert "warning" in err and "search range" in err
+    assert run(base + ["--g_min", "0.5", "--g_max", "3.0"]) == 0
+    assert 0.5 < read_csv(out)[1][0][0] < 3.0
+    assert capsys.readouterr().err == ""
+
+
 def test_optimize_empty_range(capsys):
     rc = run(
         [

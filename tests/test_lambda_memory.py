@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from cavity_loader import lambda_memory as lm
-from cavity_loader import pulses, two_level
+from cavity_loader import cli, pulses, two_level
 from cavity_loader.lambda_memory import LambdaParams
 from cavity_loader.two_level import TwoLevelParams
 
@@ -311,3 +312,86 @@ def test_scaling_invariance_full_system():
             np.abs(ref.amplitudes[key]) ** 2,
             atol=1e-9,
         )
+
+
+def _reduced_reference(g_prime, kT, detuned, offset):
+    """|c_e|^2 at t = 5T + max(offset, 0) of the reduced adiabatic equations,
+    by adaptive DOP853 (rtol 1e-11) with the control and the sech drive
+    written out here (kappa = 1, pulse centered at T, control at T + offset)."""
+    T = kT
+    amp = math.sqrt(2.0 / T) / math.sqrt(math.tanh(20.0))
+
+    def control(t):
+        x = min(max(4.0 * (t - T - offset) / T, -350.0), 350.0)
+        return math.sqrt(2.0 / ((math.exp(2.0 * x) + 1.0) * (math.tanh(x) + kT / 2.0 - 1.0)))
+
+    def rhs(t, y):
+        beta, c_e = y
+        om = control(t)
+        g_t = g_prime * om
+        phi = amp / math.cosh(4.0 * (t - T) / T) if abs(t - T) <= 5.0 * T else 0.0
+        shift_b, shift_e = (g_prime, g_prime * om * om) if detuned else (0.0, 0.0)
+        return [
+            -(1.0 + 1j * shift_b) * beta - 1j * g_t * c_e - 1j * math.sqrt(2.0) * phi,
+            -1j * g_t * beta - 1j * shift_e * c_e,
+        ]
+
+    # from the pulse window's start; the window ends at 6T, past every end time
+    t_end = 5.0 * T + max(offset, 0.0)
+    sol = solve_ivp(rhs, (-4.0 * T, t_end), [0j, 0j], method="DOP853", rtol=1e-11, atol=1e-13)
+    return abs(sol.y[1, -1]) ** 2
+
+
+@pytest.mark.parametrize("detuned", [False, True], ids=["zed", "tpr"])
+@pytest.mark.parametrize("kT", [4.5, 10.0])
+def test_adiabatic_rk4_matches_dop853(detuned, kT):
+    # the fixed-step RK4 production route against an adaptive DOP853 run of
+    # the same equations, including tpr at kT = 4.5 and g' = 5, where the
+    # step is set by the stiff light shift g' Omega^2
+    for g_prime in (0.2, 1.0, 5.0):
+        for offset in (-kT / 2.0, 0.0, kT / 2.0):
+            traj = lm._adiabatic_reduced_run(g_prime, 1.0, kT, detuned, control_offset=offset)
+            want = _reduced_reference(g_prime, kT, detuned, offset)
+            assert abs(traj.population("c_e")[-1] - want) <= 1e-8, (g_prime, offset)
+
+
+def test_adiabatic_rk4_step_stable_for_stiff_light_shift():
+    # tpr at kT = 4.5 and g' = 20: the light shift g' Omega^2 reaches 160
+    # kappa at the window start, so the stability bound sets the RK4 step
+    # (at T/200 alone, the run overflows)
+    traj = lm._adiabatic_reduced_run(20.0, 1.0, 4.5, True)
+    want = _reduced_reference(20.0, 4.5, True, 0.0)
+    assert abs(traj.population("c_e")[-1] - want) <= 1e-8
+
+
+@pytest.mark.parametrize("detuned", [False, True], ids=["zed", "tpr"])
+def test_adiabatic_rk4_step_converged(detuned):
+    # the default grid has 1200 intervals over 9T, each taken in two RK4
+    # steps of 9T/2400 (the cap is T/200); 4800 intervals take one step of
+    # 9T/4800 each, half as long
+    for kT in (4.5, 10.0):
+        for g_prime in (0.2, 1.0, 5.0):
+            coarse = lm._adiabatic_reduced_run(g_prime, 1.0, kT, detuned)
+            grid = np.linspace(coarse.times[0], coarse.times[-1], 4801)
+            fine = lm._adiabatic_reduced_run(g_prime, 1.0, kT, detuned, grid=grid)
+            gap = abs(coarse.population("c_e")[-1] - fine.population("c_e")[-1])
+            assert gap <= 1e-9, (kT, g_prime)
+
+
+@pytest.mark.parametrize("variant", ["zed", "tpr"])
+def test_optimize_at_control_threshold_is_numeric_failure(tmp_path, capsys, variant):
+    # at kappa T = 4 the dark-state control is infinite at the window start
+    rc = cli.main(
+        [
+            "optimize",
+            "--scenario",
+            f"lambda_adiabatic_{variant}",
+            "--kT",
+            "4",
+            "--out",
+            str(tmp_path / "opt.csv"),
+        ]
+    )
+    assert rc == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not (tmp_path / "opt.csv").exists()
