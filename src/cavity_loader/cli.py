@@ -207,11 +207,8 @@ def _figure_fig6(outdir: Path, workers=None) -> dict:
     g_prime_grid = np.linspace(0.25, 4.0, 16)
     cols = [g_prime_grid]
     for kT in kT_values:
-        probs = [
-            optimize.scenario_probability("lambda_adiabatic_tpr", float(gp), {"kT": kT})[0]
-            for gp in g_prime_grid
-        ]
-        cols.append(np.asarray(probs))
+        probs, _ = optimize.scenario_probability("lambda_adiabatic_tpr", g_prime_grid, {"kT": kT})
+        cols.append(probs)
     header = ["g_prime_over_k"] + [f"P_kT{kT}" for kT in kT_values]
     write_csv(outdir / "fig6_adiabatic_tpr.csv", header, zip(*cols))
     return {"kT": list(kT_values), "g_prime_grid": [float(x) for x in g_prime_grid]}

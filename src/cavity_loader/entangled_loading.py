@@ -269,6 +269,33 @@ def _difference_integral(kern: _Kernels, w: np.ndarray, window: float) -> np.nda
     return out
 
 
+def _panel_width(kern: _Kernels, b: BiphotonAmplitude) -> float:
+    """Gauss panel width that resolves the pump, the window and the kernel."""
+    rate = max(
+        kern.rates.kappa_plus.real + kern.extra_decay,
+        kern.rates.kappa_minus.real + kern.extra_decay,
+        kern.kappa,
+    )
+    return min(b.pump.T / 2.0, b.t0_window / 2.0, 0.5 / rate)
+
+
+def _reduced_rule(b: BiphotonAmplitude, t_max: float, h: float):
+    """Composite Gauss nodes/weights in the lag w over [0, t_max - pump start],
+    split at the w = T0/2 kink; None when no lag reaches the pump."""
+    w_max = t_max - b.pump.support[0]
+    if w_max <= 0:
+        return None
+    return _composite_gauss(0.0, w_max, h, fixed=(b.t0_window / 2.0,))
+
+
+def _reduced_weight(kern: _Kernels, b: BiphotonAmplitude, nodes, weights):
+    """(prefactor, per-node weight) of the reduced integral for one kernel."""
+    # the quad2 route reads the normalization from b.joint; here the pump is
+    # used bare, so norm_constant enters once through the prefactor
+    pref = 2.0 * kern.kappa * kern.g_amp**2 * b.norm_constant
+    return pref, weights * _difference_integral(kern, nodes, b.t0_window)
+
+
 def _cee_reduced(kern: _Kernels, b: BiphotonAmplitude, t_max: float):
     """c_ee(times) for times up to t_max, by the mean/difference reduction.
 
@@ -279,24 +306,14 @@ def _cee_reduced(kern: _Kernels, b: BiphotonAmplitude, t_max: float):
     split at the w = T0/2 kink, built once up to t_max; at earlier times
     the nodes past t - (pump start) see pump = 0.
     """
-    pump, t0w = b.pump, b.t0_window
-    w_max = t_max - pump.support[0]
-    if w_max <= 0:
+    rule = _reduced_rule(b, t_max, _panel_width(kern, b))
+    if rule is None:
         return lambda times: np.zeros(times.shape, dtype=complex)
-    rate = max(
-        kern.rates.kappa_plus.real + kern.extra_decay,
-        kern.rates.kappa_minus.real + kern.extra_decay,
-        kern.kappa,
-    )
-    h = min(pump.T / 2.0, t0w / 2.0, 0.5 / rate)
-    nodes, weights = _composite_gauss(0.0, w_max, h, fixed=(t0w / 2.0,))
-    weight = weights * _difference_integral(kern, nodes, t0w)
-    # the quad2 route reads the normalization from b.joint; here the pump is
-    # used bare, so norm_constant enters once through the prefactor
-    pref = 2.0 * kern.kappa * kern.g_amp**2 * b.norm_constant
+    nodes = rule[0]
+    pref, weight = _reduced_weight(kern, b, *rule)
 
     def evaluate(times: np.ndarray) -> np.ndarray:
-        pump_vals = pump.amplitude(times[:, None] - nodes[None, :])
+        pump_vals = b.pump.amplitude(times[:, None] - nodes[None, :])
         # an elementwise reduction: a BLAS product would start a thread pool
         # in every worker of a sweep
         return pref * (pump_vals * weight).sum(axis=1)
@@ -346,24 +363,68 @@ def joint_trajectory(
     )
 
 
-def peak_joint_loading(
-    p: TwoLevelParams,
-    b: BiphotonAmplitude,
-    horizon: float,
-) -> tuple[float, float]:
-    """Global maximum of |c_ee(t)|^2 over [0, horizon] (dense scan + refine)."""
-    kern = _Kernels(p.kappa, complex(p.gamma, -p.delta), p.g)
-    c_ee_at = _cee_reduced(kern, b, horizon)
+@functools.lru_cache(maxsize=1)
+def _scan_state(b: BiphotonAmplitude, horizon: float, h: float):
+    """The coupling-independent part of a peak search: the 401-point time
+    scan, the reduced rule and pump(t_i - w_j) on scan x nodes, or None
+    when no lag reaches the pump.
+
+    One entry: the calls of one coupling optimum share amplitude, horizon
+    and panel width, so every call after the first is a hit.
+    """
+    rule = _reduced_rule(b, horizon, h)
+    if rule is None:
+        return None
     grid = np.linspace(0.0, horizon, 401)
-    pop = np.abs(c_ee_at(grid)) ** 2
+    pump_matrix = np.empty((grid.size, rule[0].size), dtype=complex)
+    # in blocks of rows: the build's temporaries stay small next to the
+    # matrix, which the previous entry still holds until this one returns
+    for i in range(0, grid.size, 32):
+        pump_matrix[i : i + 32] = b.pump.amplitude(grid[i : i + 32, None] - rule[0][None, :])
+    for arr in (grid, *rule, pump_matrix):
+        arr.flags.writeable = False
+    return grid, rule, pump_matrix
 
-    def objective(t):
-        return abs(c_ee_at(np.array([t]))[0]) ** 2
 
-    t_peak, p_peak, _ = numerics.scan_refine(
-        objective, grid, pop, 1e-10 * max(horizon, 1.0)
-    )
-    return t_peak, p_peak
+def peak_joint_loading(p, b: BiphotonAmplitude, horizon: float):
+    """Global maximum of |c_ee(t)|^2 over [0, horizon] (dense scan + refine).
+
+    ``p`` is one TwoLevelParams, giving (t_peak, P_peak) as floats, or a
+    sequence of them, giving both as arrays.  The batch shares one Gauss
+    rule, at the narrowest panel width its kernels ask for, and the pump
+    on the scan grid x nodes; the scan of every coupling is one product,
+    then each peak is refined at single times.
+    """
+    if not b.separable_structure:
+        raise ValueError("peak_joint_loading needs a downconverter-structured amplitude")
+    single = isinstance(p, TwoLevelParams)
+    kerns = [
+        _Kernels(q.kappa, complex(q.gamma, -q.delta), q.g) for q in ([p] if single else p)
+    ]
+    h = min(_panel_width(kern, b) for kern in kerns)
+    state = _scan_state(b, float(horizon), h)
+    t_peaks, p_peaks = np.zeros(len(kerns)), np.zeros(len(kerns))
+    # with no lag reaching the pump, c_ee vanishes on [0, horizon]
+    if state is not None:
+        grid, rule, pump_matrix = state
+        nodes = rule[0]
+        prefs, weights = zip(*(_reduced_weight(kern, b, *rule) for kern in kerns))
+        # plain einsum: no BLAS thread pool in the workers of a sweep
+        scans = np.array(prefs)[:, None] * np.einsum(
+            "tn,gn->gt", pump_matrix, np.array(weights)
+        )
+        tol = 1e-10 * max(horizon, 1.0)
+        for i, (pref, weight) in enumerate(zip(prefs, weights)):
+
+            def objective(t):
+                return abs(pref * (b.pump.amplitude(t - nodes) * weight).sum()) ** 2
+
+            t_peaks[i], p_peaks[i], _ = numerics.scan_refine(
+                objective, grid, np.abs(scans[i]) ** 2, tol
+            )
+    if single:
+        return float(t_peaks[0]), float(p_peaks[0])
+    return t_peaks, p_peaks
 
 
 def mitnu_load(

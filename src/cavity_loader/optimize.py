@@ -3,15 +3,17 @@
 Each loading configuration is one ``Scenario`` in ``SCENARIOS``: the
 fields its ``simulate`` and ``optimize`` commands read, its objective
 (the time-peak loading probability as a function of the coupling rate,
-in units of kappa) and its trajectory.  The coupling dependence is tame
-once the global basin is isolated, so the search is a coarse log-spaced
-scan followed by golden-section refinement.  Sweeps evaluate grids of
-bandwidth points (optionally optimizing the coupling per cell) on a
-small process pool.
+in units of kappa, evaluated on an array of couplings) and its
+trajectory.  The coupling dependence is tame once the global basin is
+isolated, so the search is a coarse log-spaced scan, evaluated in one
+objective call, followed by golden-section refinement at single
+couplings.  Sweeps evaluate grids of bandwidth points (optionally
+optimizing the coupling per cell) on a small process pool.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -62,15 +64,16 @@ class Fields:
 class Scenario:
     """One loading configuration.
 
-    ``probability(g_over_k, fixed)`` returns (loading probability, time of
-    the relevant peak) with ``fixed`` holding ``optimize`` fields;
+    ``probability(g_over_k, fixed)`` takes a 1-D array of couplings and
+    returns two arrays of its length, the loading probability and the
+    time of the relevant peak, with ``fixed`` holding ``optimize`` fields;
     ``trajectory(cfg, points)`` returns a CSV header and its columns with
     ``cfg`` holding ``simulate`` fields.
     """
 
     simulate: Fields
     optimize: Fields
-    probability: Callable[[float, dict], tuple[float, float]]
+    probability: Callable[[np.ndarray, dict], tuple[np.ndarray, np.ndarray]]
     trajectory: Callable[[dict, int], tuple[list[str], list[np.ndarray]]]
 
 
@@ -83,7 +86,17 @@ def _table(traj, T: float, columns) -> tuple[list[str], list[np.ndarray]]:
 _LAMBDA_COLUMNS = (("pop_beta", "beta"), ("pop_cr", "c_r"), ("pop_ce", "c_e"))
 
 
-def _two_level_probability(g_over_k: float, fixed: dict) -> tuple[float, float]:
+def _looped(point: Callable[[float, dict], tuple[float, float]]):
+    """An array objective that calls the one-coupling ``point`` per coupling."""
+
+    def probability(g_over_k: np.ndarray, fixed: dict) -> tuple[np.ndarray, np.ndarray]:
+        out = np.array([point(g, fixed) for g in g_over_k.tolist()], dtype=float)
+        return out[:, 0], out[:, 1]
+
+    return probability
+
+
+def _two_level_point(g_over_k: float, fixed: dict) -> tuple[float, float]:
     T = float(fixed["kT"])
     gamma = float(fixed.get("gamma_over_g", 0.0)) * g_over_k
     delta = float(fixed.get("delta_over_k", 0.0))
@@ -127,7 +140,7 @@ def _lambda_nonadiabatic_trajectory(cfg: dict, points: int):
         t_load = cfg["t_load_over_T"] * T
     else:
         fixed = {"kT": T, "pulse": cfg.get("pulse", "sech")}
-        _, t_load = _two_level_probability(g_c * om / d1, fixed)
+        _, t_load = _two_level_point(g_c * om / d1, fixed)
 
     def omega_step(t):
         return np.where(np.asarray(t) <= t_load, om, 0.0)
@@ -143,7 +156,7 @@ def _adiabatic(detuned: bool) -> Scenario:
     """Adiabatic passage at two-photon resonance (``detuned``) or with zero
     effective detuning; only g' = g_c^2/Delta1 matters for the populations."""
 
-    def probability(g_over_k: float, fixed: dict) -> tuple[float, float]:
+    def point(g_over_k: float, fixed: dict) -> tuple[float, float]:
         T = float(fixed["kT"])
         traj = lambda_memory._adiabatic_reduced_run(g_over_k, 1.0, T, detuned=detuned)
         return float(traj.population("c_e")[-1]), float(traj.times[-1])
@@ -164,18 +177,21 @@ def _adiabatic(detuned: bool) -> Scenario:
     return Scenario(
         simulate=Fields({"kT": float, "g_prime_over_k": float}),
         optimize=Fields({"kT": float}),
-        probability=probability,
+        probability=_looped(point),
         trajectory=trajectory,
     )
 
 
+# one entry: every objective call of one optimum (and so of one sweep cell)
+# passes the same amplitude, which keys peak_joint_loading's scan state
+@functools.lru_cache(maxsize=1)
 def _mitnu_biphoton(kT: float, kT0: float):
     return entangled_loading.spdc_biphoton(entangled_loading.SpdcParams(T=kT, T0=kT0))
 
 
-def _mitnu_probability(g_over_k: float, fixed: dict) -> tuple[float, float]:
+def _mitnu_probability(g_over_k: np.ndarray, fixed: dict) -> tuple[np.ndarray, np.ndarray]:
     b = _mitnu_biphoton(float(fixed["kT"]), float(fixed["kT0"]))
-    params = two_level.TwoLevelParams(g=g_over_k, kappa=1.0)
+    params = [two_level.TwoLevelParams(g=g, kappa=1.0) for g in g_over_k.tolist()]
     t_pk, p_max = entangled_loading.peak_joint_loading(params, b, b.support[1] + 2.0)
     return p_max, t_pk
 
@@ -199,7 +215,7 @@ SCENARIOS = {
             {"gamma_over_k": float, "delta_over_k": float, "pulse": str},
         ),
         optimize=Fields({"kT": float}, _TWO_LEVEL_FIXED),
-        probability=_two_level_probability,
+        probability=_looped(_two_level_point),
         trajectory=_two_level_trajectory,
     ),
     "lambda_nonadiabatic": Scenario(
@@ -213,7 +229,7 @@ SCENARIOS = {
             },
         ),
         optimize=Fields({"kT": float}, _TWO_LEVEL_FIXED),
-        probability=_two_level_probability,
+        probability=_looped(_two_level_point),
         trajectory=_lambda_nonadiabatic_trajectory,
     ),
     "lambda_adiabatic_tpr": _adiabatic(detuned=True),
@@ -247,6 +263,8 @@ class OptimumPoint:
 
     ``at_boundary`` is set when g_opt is an end of the search range: the
     loading may keep rising beyond it, so it need not be the optimum.
+    ``n_evals`` is the number of distinct couplings whose objective was
+    evaluated.
     """
 
     g_opt: float
@@ -255,6 +273,7 @@ class OptimumPoint:
     bracket: float
     degenerate: bool = False
     at_boundary: bool = False
+    n_evals: int = 0
 
 
 @dataclass(frozen=True)
@@ -285,17 +304,24 @@ class SweepSpec:
                 raise ValueError(f"axis {name!r} must be a strictly increasing grid")
 
 
-def scenario_probability(scenario: str, g_over_k: float, fixed: dict) -> tuple[float, float]:
-    """(loading probability, time of the relevant peak) for one design point.
+def scenario_probability(scenario: str, g_over_k, fixed: dict):
+    """(loading probability, time of the relevant peak) at one or more couplings.
 
-    ``fixed`` carries the scenario's optimize fields: kT for all
-    scenarios, kT0 for the biphoton one, plus optional gamma_over_g /
-    delta_over_k / pulse for the two-level family; any other key is an
-    error.
+    ``g_over_k`` is a float, giving two floats, or a non-empty 1-D array,
+    giving two arrays of its length.  ``fixed`` carries the scenario's
+    optimize fields: kT for all scenarios, kT0 for the biphoton one, plus
+    optional gamma_over_g / delta_over_k / pulse for the two-level
+    family; any other key is an error.
     """
     chosen = get_scenario(scenario)
     check_fields(scenario, fixed, chosen.optimize.parsers())
-    return chosen.probability(g_over_k, fixed)
+    g = np.asarray(g_over_k, dtype=float)
+    if g.ndim > 1 or g.size == 0:
+        raise ValueError("couplings must be a float or a non-empty 1-D array")
+    probs, times = chosen.probability(g.reshape(-1), fixed)
+    if g.ndim == 0:
+        return float(probs[0]), float(times[0])
+    return probs, times
 
 
 def optimize_coupling(
@@ -306,24 +332,25 @@ def optimize_coupling(
 ) -> OptimumPoint:
     """Maximize the loading probability over the coupling rate.
 
-    Coarse scan on a 40-point log-spaced grid followed by golden-section
-    refinement of the best grid cell; ties break toward the smaller
-    coupling.
+    Coarse scan on a 40-point log-spaced grid, evaluated in one objective
+    call, followed by golden-section refinement of the best grid cell at
+    single couplings; ties break toward the smaller coupling.
     """
     lo, hi = float(g_range[0]), float(g_range[1])
     if not (0 < lo < hi):
         raise ValueError("coupling search range must be positive and increasing")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    cache: dict[float, tuple[float, float]] = {}
+    grid = np.geomspace(lo, hi, 40)
+    probs, times = scenario_probability(scenario, grid, fixed)
+    grid = grid.tolist()
+    cache = dict(zip(grid, zip(probs.tolist(), times.tolist())))
 
     def objective(g: float) -> float:
         if g not in cache:
             cache[g] = scenario_probability(scenario, g, fixed)
         return cache[g][0]
 
-    grid = np.geomspace(lo, hi, 40).tolist()
-    probs = np.array([objective(g) for g in grid])
     if probs.max() - probs.min() < 1e-9:
         return OptimumPoint(
             g_opt=grid[0],
@@ -332,6 +359,7 @@ def optimize_coupling(
             bracket=hi - lo,
             degenerate=True,
             at_boundary=True,
+            n_evals=len(cache),
         )
     g_opt, p_max, bracket = numerics.scan_refine(objective, grid, probs, tol)
     return OptimumPoint(
@@ -340,6 +368,7 @@ def optimize_coupling(
         T_load=cache[g_opt][1],
         bracket=bracket,
         at_boundary=g_opt in (grid[0], grid[-1]),
+        n_evals=len(cache),
     )
 
 

@@ -28,8 +28,8 @@ from cavity_loader import (  # noqa: E402
 )
 
 
-def test_tracer_sees_every_hooked_layer(tmp_path):
-    pkg = SimpleNamespace(
+def _package():
+    return SimpleNamespace(
         cli=cli,
         entangled_loading=entangled_loading,
         lambda_memory=lambda_memory,
@@ -38,7 +38,13 @@ def test_tracer_sees_every_hooked_layer(tmp_path):
         pulses=pulses,
         two_level=two_level,
     )
+
+
+def test_tracer_sees_every_hooked_layer(tmp_path):
+    pkg = _package()
     original = optimize.scenario_probability
+    # the biphoton is cached per (kT, kT0); start cold so it is built here
+    optimize._mitnu_biphoton.cache_clear()
     tracer = Tracer()
     tracer.install(pkg)
     try:
@@ -86,3 +92,22 @@ def test_tracer_sees_every_hooked_layer(tmp_path):
     ):
         assert tracer.calls[name] > 0, name
     assert optimize.scenario_probability is original
+
+
+def test_tracer_sees_the_optimizer_route():
+    # the batched coarse scan and the golden calls must both go through the
+    # module attributes the tracer wraps
+    optimize._mitnu_biphoton.cache_clear()
+    tracer = Tracer()
+    tracer.install(_package())
+    try:
+        opt = optimize.optimize_coupling("mitnu", {"kT": 2.5, "kT0": 3.5}, (0.5, 0.6), tol=0.05)
+    finally:
+        tracer.uninstall()
+    assert 0.0 < opt.P_max <= 1.0
+    for name in (
+        "optimize.objective",
+        "entangled_loading.peak_joint_loading",
+        "entangled_loading.spdc_biphoton",
+    ):
+        assert tracer.calls[name] > 0, name

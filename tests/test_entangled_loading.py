@@ -139,6 +139,37 @@ def test_cee_fast_path_matches_quad2(biphoton):
         assert abs(fast - slow) < 1e-8
 
 
+def test_batched_peak_matches_quad2(biphoton):
+    params = [TwoLevelParams(g=g, kappa=1.0) for g in (0.4, 1.0)]
+    times, probs = el.peak_joint_loading(params, biphoton, biphoton.support[1] + 2.0)
+    for q, t, p in zip(params, times, probs):
+        slow = el.c_ee(q, biphoton, t, method="quad2")
+        assert abs(math.sqrt(p) - abs(slow)) < 1e-8
+
+
+def test_batched_peak_matches_single_calls(biphoton):
+    horizon = biphoton.support[1] + 2.0
+    params = [TwoLevelParams(g=g, kappa=1.0) for g in np.geomspace(0.1, 5.0, 7)]
+    times, probs = el.peak_joint_loading(params, biphoton, horizon)
+    assert isinstance(times, np.ndarray) and isinstance(probs, np.ndarray)
+    for q, t, p in zip(params, times, probs):
+        t1, p1 = el.peak_joint_loading(q, biphoton, horizon)
+        assert type(t1) is float and type(p1) is float
+        assert abs(p - p1) <= 1e-14
+        assert abs(t - t1) <= 1e-6 * SP.T
+
+
+def test_mitnu_couplings_share_one_panel_width():
+    # so the coarse scan and the golden calls of one optimum hit one scan state
+    for kT, kT0 in ((2.0, 6.0), (6.0, 2.0), (3.0, 4.0)):
+        b = el.spdc_biphoton(SpdcParams(T=kT, T0=kT0))
+        widths = {
+            el._panel_width(two_level._Kernels(1.0, 0.0, g), b)
+            for g in np.geomspace(0.1, 5.0, 40)
+        }
+        assert widths == {min(kT / 2.0, kT0 / 2.0, 0.5)}
+
+
 def test_cee_narrow_window_continuity():
     # as the phase-matching window closes, the joint amplitude approaches a
     # time-correlated ridge and |c_ee|^2 scales linearly with the window;

@@ -146,3 +146,74 @@ def test_throughput_algebra():
 def test_throughput_zero_reference():
     with pytest.raises(ValueError):
         optimize.throughput_compare(1.0, 0.5, 4.0, 0.0)
+
+
+MITNU_FIXED = {"kT": 3.0, "kT0": 4.0}
+
+
+def test_scenario_probability_float_in_float_out():
+    for scenario, fixed in (("two_level", {"kT": 2.0}), ("mitnu", MITNU_FIXED)):
+        p, t = optimize.scenario_probability(scenario, 0.7, fixed)
+        assert type(p) is float and type(t) is float
+        probs, times = optimize.scenario_probability(scenario, np.array([0.7]), fixed)
+        assert isinstance(probs, np.ndarray) and probs.shape == (1,)
+        assert isinstance(times, np.ndarray) and times.shape == (1,)
+
+
+def test_scenario_probability_rejects_bad_coupling_arrays():
+    for bad in (np.ones((2, 2)), np.array([])):
+        with pytest.raises(ValueError, match="couplings"):
+            optimize.scenario_probability("two_level", bad, {"kT": 2.0})
+
+
+def test_mitnu_array_call_matches_float_calls():
+    grid = np.geomspace(0.1, 5.0, 40)
+    probs, times = optimize.scenario_probability("mitnu", grid, MITNU_FIXED)
+    for g, p, t in zip(grid, probs, times):
+        p1, t1 = optimize.scenario_probability("mitnu", float(g), MITNU_FIXED)
+        assert abs(p - p1) <= 1e-14
+        assert abs(t - t1) <= 1e-6 * MITNU_FIXED["kT"]
+
+
+@pytest.mark.parametrize(
+    "scenario, fixed, grid",
+    [
+        ("two_level", {"kT": 2.0, "gamma_over_g": 0.1, "pulse": "exp_rising"},
+         np.geomspace(0.3, 4.0, 5)),
+        ("lambda_adiabatic_zed", {"kT": 4.5}, np.geomspace(0.2, 5.0, 3)),
+    ],
+)
+def test_looped_array_call_is_bit_identical(scenario, fixed, grid):
+    probs, times = optimize.scenario_probability(scenario, grid, fixed)
+    singles = [optimize.scenario_probability(scenario, float(g), fixed) for g in grid]
+    assert probs.tolist() == [p for p, _ in singles]
+    assert times.tolist() == [t for _, t in singles]
+
+
+def _count_single_calls(monkeypatch):
+    """Count objective calls at one coupling; the coarse scan is one array call."""
+    calls = {"single": 0, "array": 0}
+    original = optimize.scenario_probability
+
+    def counting(scenario, g, fixed):
+        calls["array" if np.ndim(g) else "single"] += 1
+        return original(scenario, g, fixed)
+
+    monkeypatch.setattr(optimize, "scenario_probability", counting)
+    return calls
+
+
+def test_optimum_counts_distinct_evaluations(monkeypatch):
+    calls = _count_single_calls(monkeypatch)
+    opt = optimize.optimize_coupling("two_level", {"kT": 2.0}, (0.3, 4.0))
+    assert calls["array"] == 1
+    assert calls["single"] > 0
+    assert opt.n_evals == 40 + calls["single"]
+
+
+def test_degenerate_optimum_counts_the_scan(monkeypatch):
+    calls = _count_single_calls(monkeypatch)
+    opt = optimize.optimize_coupling("two_level", {"kT": 2.0}, (1.0, 1.0 + 1e-9), tol=1e-4)
+    assert opt.degenerate
+    assert calls == {"single": 0, "array": 1}
+    assert opt.n_evals == 40
