@@ -363,6 +363,12 @@ def joint_trajectory(
     )
 
 
+# a scan state larger than this is dropped after the call that built it: the
+# mitnu design range needs at most ~10 MB (kT = kT0 = 6), while a narrow
+# phase-matching window asks for hundreds of rule nodes per unit time
+_SCAN_STATE_KEEP_BYTES = 16 * 2**20
+
+
 @functools.lru_cache(maxsize=1)
 def _scan_state(b: BiphotonAmplitude, horizon: float, h: float):
     """The coupling-independent part of a peak search: the 401-point time
@@ -393,7 +399,7 @@ def peak_joint_loading(p, b: BiphotonAmplitude, horizon: float):
     sequence of them, giving both as arrays.  The batch shares one Gauss
     rule, at the narrowest panel width its kernels ask for, and the pump
     on the scan grid x nodes; the scan of every coupling is one product,
-    then each peak is refined at single times.
+    and one golden-section search refines every peak in lockstep.
     """
     if not b.separable_structure:
         raise ValueError("peak_joint_loading needs a downconverter-structured amplitude")
@@ -407,21 +413,21 @@ def peak_joint_loading(p, b: BiphotonAmplitude, horizon: float):
     # with no lag reaching the pump, c_ee vanishes on [0, horizon]
     if state is not None:
         grid, rule, pump_matrix = state
+        if pump_matrix.nbytes > _SCAN_STATE_KEEP_BYTES:
+            _scan_state.cache_clear()
         nodes = rule[0]
         prefs, weights = zip(*(_reduced_weight(kern, b, *rule) for kern in kerns))
+        prefs, weights = np.array(prefs), np.array(weights)
         # plain einsum: no BLAS thread pool in the workers of a sweep
-        scans = np.array(prefs)[:, None] * np.einsum(
-            "tn,gn->gt", pump_matrix, np.array(weights)
+        scans = prefs[:, None] * np.einsum("tn,gn->gt", pump_matrix, weights)
+
+        def objective(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
+            pump = b.pump.amplitude(times[:, None] - nodes)
+            return np.abs(prefs[rows] * (pump * weights[rows]).sum(axis=1)) ** 2
+
+        t_peaks, p_peaks, _ = numerics.scan_refine(
+            objective, grid, np.abs(scans) ** 2, 1e-10 * max(horizon, 1.0)
         )
-        tol = 1e-10 * max(horizon, 1.0)
-        for i, (pref, weight) in enumerate(zip(prefs, weights)):
-
-            def objective(t):
-                return abs(pref * (b.pump.amplitude(t - nodes) * weight).sum()) ** 2
-
-            t_peaks[i], p_peaks[i], _ = numerics.scan_refine(
-                objective, grid, np.abs(scans[i]) ** 2, tol
-            )
     if single:
         return float(t_peaks[0]), float(p_peaks[0])
     return t_peaks, p_peaks

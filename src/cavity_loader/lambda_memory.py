@@ -310,6 +310,11 @@ def zed_phase_rate(
 # at most this many marched from one evaluation of the coefficients
 _RK4_STEPS_PER_WIDTH = 200
 _RK4_BLOCK = 4096
+# at most this many stability-limited steps across a run (~0.1 s): the
+# tests, figure presets and benchmark requests need at most ~4800, while
+# the bound asks for millions as kappa T -> 4, where the control's maximum
+# diverges
+_RK4_STEP_BUDGET = 200_000
 
 
 def _adiabatic_reduced_run(
@@ -357,6 +362,13 @@ def _adiabatic_reduced_run(
         raise numerics.OdeFailure("the adiabatic control is not finite", float(grid[0]))
     # RK4 is stable on the imaginary axis up to |h lambda| = 2.8
     h_max = min(T / _RK4_STEPS_PER_WIDTH, 2.0 / rho)
+    n_stable = math.ceil(float(grid[-1] - grid[0]) / h_max)
+    if n_stable > _RK4_STEP_BUDGET:
+        raise numerics.OdeFailure(
+            f"the adiabatic run needs {n_stable} RK4 steps to stay stable, more "
+            f"than the budget of {_RK4_STEP_BUDGET}",
+            float(grid[0]),
+        )
     n_sub = math.ceil(float(dt.max()) / h_max)
     # the drive and the coupling at t, t + h/2 and t + h of every sub-step
     frac = np.arange(2 * n_sub) / (2 * n_sub)

@@ -248,39 +248,55 @@ class _OnePassKronrod:
         return self._error
 
 
-def scan_refine(
-    f: Callable[[float], float], grid, values, tol: float
-) -> tuple[float, float, float]:
-    """Maximum of f: the best point of a scan, refined by golden section.
+def scan_refine(f: Callable[[np.ndarray, np.ndarray], np.ndarray], grid, values, tol: float):
+    """Maxima of the rows of a scan, each refined by golden section.
 
-    ``values`` holds f on the increasing ``grid``.  The golden-section
-    search runs over the two grid cells around the best scanned point,
-    and that point is kept unless the refinement beats it strictly.
-    Returns (argmax, maximum, width within which the argmax is known).
+    ``values`` holds one row per function, sampled on the increasing
+    ``grid``; ``f(rows, x)`` takes two arrays of equal length and returns
+    the value of row rows[k] at x[k] for every k.  Per row, the
+    golden-section search runs over the two grid cells around the best
+    scanned point, and that point is kept unless the refinement beats it
+    strictly.  The rows search in lockstep, so each golden step is one call
+    of ``f`` for the rows still searching.  Returns arrays (argmax,
+    maximum, width within which the argmax is known), one entry per row.
     """
-    best = int(np.argmax(values))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
+    values = np.asarray(values, dtype=float)
+    best = values.argmax(axis=1).tolist()
+    last = len(grid) - 1
+    a = [float(grid[max(i - 1, 0)]) for i in best]
+    b = [float(grid[min(i + 1, last)]) for i in best]
     x, fx = _golden_max(f, a, b, tol)
-    if values[best] >= fx:
-        x, fx = grid[best], values[best]
-    return float(x), float(fx), min(tol, float(b - a))
+    for row, i in enumerate(best):
+        if values[row, i] >= fx[row]:
+            x[row], fx[row] = float(grid[i]), float(values[row, i])
+    return np.array(x), np.array(fx), np.array([min(tol, hi - lo) for lo, hi in zip(a, b)])
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximum of f on [a, b] (unimodal on the bracket)."""
+def _golden_max(f, a: list, b: list, tol: float) -> tuple[list, list]:
+    """Golden-section maxima of the rows of f, row r on [a[r], b[r]] (unimodal
+    on the bracket), in lockstep; each row's bookkeeping is Python floats."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    t = c if fc >= fd else d
-    return t, max(fc, fd)
+    a, b, rows = list(a), list(b), list(range(len(a)))
+    c = [hi - inv_phi * (hi - lo) for lo, hi in zip(a, b)]
+    d = [lo + inv_phi * (hi - lo) for lo, hi in zip(a, b)]
+    both = f(np.array(rows + rows), np.array(c + d)).tolist()
+    fc, fd = both[: len(rows)], both[len(rows) :]
+    active = [r for r in rows if b[r] - a[r] > tol]
+    while active:
+        left = [fc[r] >= fd[r] for r in active]
+        for r, to_left in zip(active, left):
+            if to_left:
+                b[r], d[r], fd[r] = d[r], c[r], fc[r]
+                c[r] = b[r] - inv_phi * (b[r] - a[r])
+            else:
+                a[r], c[r], fc[r] = c[r], d[r], fd[r]
+                d[r] = a[r] + inv_phi * (b[r] - a[r])
+        trial = [c[r] if to_left else d[r] for r, to_left in zip(active, left)]
+        for r, to_left, v in zip(active, left, f(np.array(active), np.array(trial)).tolist()):
+            if to_left:
+                fc[r] = v
+            else:
+                fd[r] = v
+        active = [r for r in active if b[r] - a[r] > tol]
+    x = [c[r] if fc[r] >= fd[r] else d[r] for r in rows]
+    return x, [max(fc[r], fd[r]) for r in rows]

@@ -96,12 +96,15 @@ def _looped(point: Callable[[float, dict], tuple[float, float]]):
     return probability
 
 
-def _two_level_point(g_over_k: float, fixed: dict) -> tuple[float, float]:
+def _two_level_probability(g_over_k: np.ndarray, fixed: dict) -> tuple[np.ndarray, np.ndarray]:
     T = float(fixed["kT"])
-    gamma = float(fixed.get("gamma_over_g", 0.0)) * g_over_k
+    gamma_over_g = float(fixed.get("gamma_over_g", 0.0))
     delta = float(fixed.get("delta_over_k", 0.0))
     pulse = pulses.make_named(fixed.get("pulse", "sech"), T, T)
-    params = two_level.TwoLevelParams(g=g_over_k, kappa=1.0, gamma=gamma, delta=delta)
+    params = [
+        two_level.TwoLevelParams(g=g, kappa=1.0, gamma=gamma_over_g * g, delta=delta)
+        for g in g_over_k.tolist()
+    ]
     t_load, p_max = two_level.peak_loading(params, pulse, 5.0 * T)
     return p_max, t_load
 
@@ -140,7 +143,8 @@ def _lambda_nonadiabatic_trajectory(cfg: dict, points: int):
         t_load = cfg["t_load_over_T"] * T
     else:
         fixed = {"kT": T, "pulse": cfg.get("pulse", "sech")}
-        _, t_load = _two_level_point(g_c * om / d1, fixed)
+        _, times = _two_level_probability(np.array([g_c * om / d1]), fixed)
+        t_load = float(times[0])
 
     def omega_step(t):
         return np.where(np.asarray(t) <= t_load, om, 0.0)
@@ -215,7 +219,7 @@ SCENARIOS = {
             {"gamma_over_k": float, "delta_over_k": float, "pulse": str},
         ),
         optimize=Fields({"kT": float}, _TWO_LEVEL_FIXED),
-        probability=_looped(_two_level_point),
+        probability=_two_level_probability,
         trajectory=_two_level_trajectory,
     ),
     "lambda_nonadiabatic": Scenario(
@@ -229,7 +233,7 @@ SCENARIOS = {
             },
         ),
         optimize=Fields({"kT": float}, _TWO_LEVEL_FIXED),
-        probability=_looped(_two_level_point),
+        probability=_two_level_probability,
         trajectory=_lambda_nonadiabatic_trajectory,
     ),
     "lambda_adiabatic_tpr": _adiabatic(detuned=True),
@@ -346,10 +350,11 @@ def optimize_coupling(
     grid = grid.tolist()
     cache = dict(zip(grid, zip(probs.tolist(), times.tolist())))
 
-    def objective(g: float) -> float:
-        if g not in cache:
-            cache[g] = scenario_probability(scenario, g, fixed)
-        return cache[g][0]
+    def objective(rows: np.ndarray, gs: np.ndarray) -> np.ndarray:
+        for g in gs.tolist():
+            if g not in cache:
+                cache[g] = scenario_probability(scenario, g, fixed)
+        return np.array([cache[g][0] for g in gs.tolist()])
 
     if probs.max() - probs.min() < 1e-9:
         return OptimumPoint(
@@ -361,7 +366,9 @@ def optimize_coupling(
             at_boundary=True,
             n_evals=len(cache),
         )
-    g_opt, p_max, bracket = numerics.scan_refine(objective, grid, probs, tol)
+    g_opt, p_max, bracket = (
+        float(v[0]) for v in numerics.scan_refine(objective, grid, probs[None, :], tol)
+    )
     return OptimumPoint(
         g_opt=g_opt,
         P_max=p_max,

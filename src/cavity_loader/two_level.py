@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import blas
 
 from . import numerics
 from .numerics import OdeSystem, QuadratureSpec
@@ -136,6 +137,40 @@ def _sinhc(z):
 _FACTORED_THRESHOLD = 0.1
 
 
+@dataclass(frozen=True)
+class _Propagator:
+    """exp(A s) for the drive-free matrix A = -[[kappa + d, i g], [i g, gamma' + d]]
+    of the (beta, c_e) pair, d the extra decay.
+
+    A + mean is traceless and squares to (xi / 2)^2, so exp(A s) = ch I +
+    sh (A + mean) exactly, finite through xi = 0.  The constants are
+    numbers, or (rows, 1) columns (``stack``, one row per propagator) that
+    broadcast against step lengths.
+    """
+
+    kappa: float
+    g_amp: complex
+    xi: complex
+    mean: complex
+    half_diff: complex
+
+    @classmethod
+    def stack(cls, props) -> "_Propagator":
+        consts = [(q.kappa, q.g_amp, q.xi, q.mean, q.half_diff) for q in props]
+        return cls(*(np.array(col)[:, None] for col in zip(*consts)))
+
+    def parts(self, s):
+        """(ch, sh) of exp(A s) = ch I + sh (A + mean)."""
+        half = 0.5 * self.xi * s
+        damp = np.exp(-self.mean * s)
+        return np.cosh(half) * damp, s * _sinhc(half) * damp
+
+    def entries(self, s):
+        """Entries (bb, be, ee) of the symmetric matrix exp(A s)."""
+        ch, sh = self.parts(s)
+        return ch - self.half_diff * sh, -1j * self.g_amp * sh, ch + self.half_diff * sh
+
+
 class _Kernels:
     """Causal response kernels of the linear (beta, c_e) pair.
 
@@ -163,8 +198,13 @@ class _Kernels:
         self.g_amp = complex(g_amp)
         self.rates = _derived_rates_general(kappa, gamma_prime, g_amp**2)
         self.extra_decay = float(extra_decay)
-        self._mean = (kappa + gamma_prime) / 2.0 + extra_decay
-        self._half_diff = (kappa - gamma_prime) / 2.0
+        self.step = _Propagator(
+            self.kappa,
+            self.g_amp,
+            self.rates.xi,
+            (kappa + gamma_prime) / 2.0 + extra_decay,
+            (kappa - gamma_prime) / 2.0,
+        )
 
     def ce_kernel(self, s):
         return self._eval(s, want_beta=False)
@@ -183,9 +223,9 @@ class _Kernels:
             factored = np.abs(half) < _FACTORED_THRESHOLD
             vals = np.empty(sp.shape, dtype=complex)
             if factored.any():
-                ch, sh = self._propagator_parts(sp[factored])
+                ch, sh = self.step.parts(sp[factored])
                 if want_beta:
-                    vals[factored] = ch - self._half_diff * sh
+                    vals[factored] = ch - self.step.half_diff * sh
                 else:
                     vals[factored] = -sh
             direct = ~factored
@@ -201,18 +241,6 @@ class _Kernels:
                     vals[direct] = (ep - em) / xi
             out[pos] = vals
         return out
-
-    def _propagator_parts(self, s):
-        """exp(A s) = ch I + sh (A + mean) exactly, A the drive-free matrix:
-        A + mean is traceless and squares to (xi / 2)^2.  Finite at xi = 0."""
-        half = 0.5 * self.rates.xi * s
-        damp = np.exp(-self._mean * s)
-        return np.cosh(half) * damp, s * _sinhc(half) * damp
-
-    def _propagator(self, s):
-        """Entries (bb, be, ee) of the symmetric matrix exp(A s)."""
-        ch, sh = self._propagator_parts(s)
-        return ch - self._half_diff * sh, -1j * self.g_amp * sh, ch + self._half_diff * sh
 
     def ce_prefactor(self) -> complex:
         return self.g_amp * math.sqrt(2.0 * self.kappa)
@@ -321,84 +349,134 @@ def spectral_amplitude(
     return p.g * math.sqrt(p.kappa / math.pi) * integral
 
 
-def peak_loading(
-    p: TwoLevelParams, pulse: PulseShape, horizon: float
-) -> tuple[float, float]:
+def peak_loading(p, pulse: PulseShape, horizon: float):
     """Global maximum of |c_e(t)|^2 over [0, horizon].
 
-    A scan of (beta, c_e), stepped exactly across a uniform grid (400 steps
-    per pulse width, at least 64), locates the global basin despite Rabi
-    oscillations; golden-section refinement, one partial step from the grid
-    state below, sharpens the peak.  Ties break toward the earliest time.
+    ``p`` is one TwoLevelParams, giving (t_peak, P_peak) as floats, or a
+    sequence of them, giving both as arrays.  A scan of (beta, c_e),
+    stepped exactly across a uniform grid (400 steps per pulse width, at
+    least 64), locates each global basin despite Rabi oscillations: the
+    couplings share the grid and the pulse on every step's Gauss nodes,
+    and each one's march is one banded solve.  Golden-section refinement,
+    in lockstep over the couplings, advances one partial step from the
+    grid state below each trial time.  Ties break toward the earliest time.
     """
+    single = isinstance(p, TwoLevelParams)
+    props = [
+        _Kernels(q.kappa, complex(q.gamma, -q.delta), q.g).step
+        for q in ([p] if single else p)
+    ]
     t_begin = min(0.0, pulse.support[0])
     width = pulse.T if math.isfinite(pulse.T) else (horizon - t_begin)
     n = max(int(np.ceil((horizon - t_begin) / width * 400)), 64)
     grid = np.linspace(t_begin, horizon, n + 1)
-    kern = _Kernels(p.kappa, complex(p.gamma, -p.delta), p.g)
-    states = _march(kern, pulse, grid)
+    h = (grid[-1] - grid[0]) / n
+    starts = grid[:-1, None]
+    phi = np.empty((n, _STEP_NODES.size), dtype=complex)
+    # the pulse in blocks of steps, so that its temporaries stay small
+    for lo in range(0, n, _DRIVE_BLOCK):
+        phi[lo : lo + _DRIVE_BLOCK] = pulse.amplitude(
+            starts[lo : lo + _DRIVE_BLOCK] + h * _STEP_NODES
+        )
+    values = np.empty((len(props), n + 1))
+    # per coupling, the first grid index the refinement reads and the
+    # states there and at the next index: the best scanned point's cells
+    kept = []
+    for row, prop in enumerate(props):
+        states = _march(prop, pulse, grid, phi)
+        values[row] = np.abs(states[:, 1]) ** 2
+        first = max(int(values[row].argmax()) - 1, 0)
+        kept.append((first, states[first : first + 2].copy()))
+    cuts = np.array(sorted({*pulse.support, pulse.t0}))
 
-    def objective(t: float) -> float:
-        i = min(int(np.searchsorted(grid, t, side="right")) - 1, n - 1)
-        return abs(_advance(kern, pulse, states[i], grid[i], t)[1]) ** 2
+    def objective(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
+        i = np.minimum(np.searchsorted(grid, times, side="right") - 1, n - 1)
+        start = grid[i]
+        row_list = rows.tolist()
+        state = np.array([kept[r][1][j - kept[r][0]] for r, j in zip(row_list, i.tolist())])
+        prop = _Propagator.stack([props[r] for r in row_list])
+        s = (times - start)[:, None]
+        (_, be, ee), (_, w_e) = _step(prop, s)
+        drive = pulse.amplitude(start[:, None] + s * _STEP_NODES)
+        c_e = be * state[:, 0] + ee * state[:, 1] + (drive * w_e).sum(axis=1)
+        # a step that holds a pulse edge is split there, one row at a time
+        for k in np.flatnonzero(((cuts > start[:, None]) & (cuts < times[:, None])).any(axis=1)):
+            c_e[k] = _advance(props[rows[k]], pulse, state[k], start[k], times[k])[1]
+        return np.abs(c_e) ** 2
 
-    values = np.abs([c_e for _, c_e in states]) ** 2
     t_peak, p_peak, _ = numerics.scan_refine(
         objective, grid, values, 1e-10 * max(width, 1.0)
     )
+    if single:
+        return float(t_peak[0]), float(p_peak[0])
     return t_peak, p_peak
 
 
 # 8-point Gauss-Legendre rule on [0, 1] for the drive across one step
 _STEP_NODES, _STEP_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _STEP_NODES, _STEP_WEIGHTS = (_STEP_NODES + 1.0) / 2.0, _STEP_WEIGHTS / 2.0
-# steps whose drive ``_march`` evaluates together
+# a step's length and the lags from its Gauss nodes to its end, in units of it
+_STEP_LAGS = np.concatenate(([1.0], 1.0 - _STEP_NODES))
+# steps whose pulse values ``peak_loading`` evaluates together
 _DRIVE_BLOCK = 512
 
 
-def _drive_response(kern: _Kernels, pulse: PulseShape, starts, s: float):
-    """(beta, c_e) reached from rest by driving over [start, start + s]: the
-    Gauss-Legendre integral of exp(A (start + s - tau)) -i sqrt(2 kappa)
-    Phi_b(tau).  Steps in an array of starts share the kernel's 8 values."""
-    bb, eb, _ = kern._propagator(s * (1.0 - _STEP_NODES))
-    phi = pulse.amplitude(np.add.outer(starts, s * _STEP_NODES))
-    phi = phi * (-1j * math.sqrt(2.0 * kern.kappa) * s * _STEP_WEIGHTS)
-    return (phi * bb).sum(axis=-1), (phi * eb).sum(axis=-1)
+def _step(prop: _Propagator, s):
+    """One step of length s: the entries (bb, be, ee) of exp(A s), and the
+    weights (w_b, w_e) on the 8 Gauss nodes start + s x with which driving
+    from rest over [start, start + s] reaches sum_x Phi_b(start + s x) w(x),
+    the Gauss-Legendre integral of exp(A (start + s - tau)) -i sqrt(2 kappa)
+    Phi_b(tau).  ``s`` is a number, or a column matching stacked propagators.
+    """
+    bb, be, ee = prop.entries(s * _STEP_LAGS)
+    scale = -1j * np.sqrt(2.0 * prop.kappa) * s * _STEP_WEIGHTS
+    return (bb[..., 0], be[..., 0], ee[..., 0]), (bb[..., 1:] * scale, be[..., 1:] * scale)
 
 
-def _advance(kern: _Kernels, pulse: PulseShape, state, a: float, b: float):
+def _advance(prop: _Propagator, pulse: PulseShape, state, a: float, b: float):
     """(beta, c_e) at b from ``state`` at a, split at the pulse's edges and
     center so that the rule only integrates a smooth drive."""
     beta, c_e = state
     cuts = [a] + sorted(e for e in {*pulse.support, pulse.t0} if a < e < b) + [b]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        bb, be, ee = kern._propagator(hi - lo)
-        f_b, f_e = _drive_response(kern, pulse, lo, hi - lo)
-        beta, c_e = bb * beta + be * c_e + f_b, be * beta + ee * c_e + f_e
+        (bb, be, ee), (w_b, w_e) = _step(prop, hi - lo)
+        phi = pulse.amplitude(lo + (hi - lo) * _STEP_NODES)
+        beta, c_e = (
+            bb * beta + be * c_e + (phi * w_b).sum(),
+            be * beta + ee * c_e + (phi * w_e).sum(),
+        )
     return complex(beta), complex(c_e)
 
 
-def _march(kern: _Kernels, pulse: PulseShape, grid) -> list[tuple[complex, complex]]:
-    """(beta, c_e) at every point of a uniform grid, from rest at grid[0]."""
+def _march(prop: _Propagator, pulse: PulseShape, grid, phi) -> np.ndarray:
+    """(beta, c_e) at every point of a uniform grid, from rest at grid[0],
+    as a (len(grid), 2) array.
+
+    ``phi`` holds the pulse on every step's Gauss nodes; a step that holds
+    a pulse edge or the center is driven by ``_advance`` instead.  The
+    recursion z[k + 1] = M z[k] + f[k] is one unit lower-triangular system
+    in the interleaved unknowns (beta_1, c_1, beta_2, ...) with three
+    subdiagonals, solved by forward substitution in BLAS ``ztbsv``, a
+    single-threaded level-2 routine.
+    """
     h = (grid[-1] - grid[0]) / (len(grid) - 1)
-    starts = grid[:-1]
-    f_b = np.empty(starts.size, dtype=complex)
-    f_e = np.empty_like(f_b)
-    # the drive in blocks of steps, so that its (steps x 8) temporaries stay small
-    for lo in range(0, starts.size, _DRIVE_BLOCK):
-        block = slice(lo, lo + _DRIVE_BLOCK)
-        f_b[block], f_e[block] = _drive_response(kern, pulse, starts[block], h)
+    (bb, be, ee), (w_b, w_e) = _step(prop, h)
+    z = np.zeros(2 * len(grid), dtype=complex)
+    # plain einsum: a BLAS product would start a thread pool in every worker
+    # of a sweep
+    z[2::2] = np.einsum("sn,n->s", phi, w_b)
+    z[3::2] = np.einsum("sn,n->s", phi, w_e)
     for i in set(np.searchsorted(grid, [*pulse.support, pulse.t0]) - 1):
         if 0 <= i < len(grid) - 1:
-            f_b[i], f_e[i] = _advance(kern, pulse, (0j, 0j), grid[i], grid[i + 1])
-    bb, be, ee = (complex(m) for m in kern._propagator(h))
-    # a plain complex loop: a BLAS product would start a thread pool in
-    # every worker of a sweep
-    states = [(0j, 0j)]
-    for x, y in zip(f_b.tolist(), f_e.tolist()):
-        beta, c_e = states[-1]
-        states.append((bb * beta + be * c_e + x, be * beta + ee * c_e + y))
-    return states
+            z[2 * i + 2 : 2 * i + 4] = _advance(prop, pulse, (0j, 0j), grid[i], grid[i + 1])
+    # column j of the band holds A[j + d, j] in row d; the diagonal is one
+    band = np.zeros((4, z.size - 2), dtype=complex, order="F")
+    band[1, 1::2] = -be
+    band[2, 0::2] = -bb
+    band[2, 1::2] = -ee
+    band[3, 0::2] = -be
+    z[2:] = blas.ztbsv(3, band, z[2:], lower=1, diag=1, overwrite_x=1)
+    return z.reshape(-1, 2)
 
 
 def dimensionless_load(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,24 @@ def test_cee_narrow_window_continuity():
         _, p = el.peak_joint_loading(PK, b, horizon=b.support[1] + 2.0)
         vals.append(p / t0w)
     assert abs(vals[0] - vals[1]) / vals[1] < 0.02
+
+
+def test_narrow_window_scan_state_is_not_kept():
+    # T0 = 0.05 needs a 65 MB pump matrix; the design range keeps <= 10 MB
+    b = el.spdc_biphoton(SpdcParams(T=2.0, T0=0.05))
+    el._scan_state.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        el.peak_joint_loading(PK, b, b.support[1] + 2.0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 2**20
+    # a design-range state stays for the next call of the same optimum
+    wide = el.spdc_biphoton(SpdcParams(T=6.0, T0=6.0))
+    el.peak_joint_loading(PK, wide, wide.support[1] + 2.0)
+    assert el._scan_state.cache_info().currsize == 1
 
 
 def test_cee_bounded(biphoton):

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -395,3 +396,25 @@ def test_optimize_at_control_threshold_is_numeric_failure(tmp_path, capsys, vari
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
     assert not (tmp_path / "opt.csv").exists()
+
+
+def test_optimize_near_control_threshold_stops_at_the_step_budget(tmp_path, capsys):
+    # at kappa T = 4.0001 the control's maximum is ~200, and the stability
+    # bound asks for ~7e6 tpr steps at g' = 10 (several seconds per objective)
+    start = time.perf_counter()
+    rc = cli.main(
+        [
+            "optimize",
+            "--scenario",
+            "lambda_adiabatic_tpr",
+            "--kT",
+            "4.0001",
+            "--out",
+            str(tmp_path / "opt.csv"),
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "budget" in err
+    assert not (tmp_path / "opt.csv").exists()
+    assert time.perf_counter() - start < 30.0

@@ -164,3 +164,53 @@ def test_quadrature_spec_validation():
 def test_ode_system_shape_validation():
     with pytest.raises(ValueError):
         OdeSystem(2, lambda t, y: y, np.zeros(3, dtype=complex), (0.0, 1.0))
+
+
+def _scalar_scan_refine(f, grid, values, tol):
+    """One row's scan and golden-section refinement, one call of f per point."""
+    best = int(np.argmax(values))
+    a = grid[max(best - 1, 0)]
+    b = grid[min(best + 1, len(grid) - 1)]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = a, b
+    c = hi - inv_phi * (hi - lo)
+    d = lo + inv_phi * (hi - lo)
+    fc, fd = f(c), f(d)
+    while (hi - lo) > tol:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv_phi * (hi - lo)
+            fd = f(d)
+    x, fx = (c, fc) if fc >= fd else (d, fd)
+    if values[best] >= fx:
+        x, fx = grid[best], values[best]
+    return float(x), float(fx), min(tol, float(b - a))
+
+
+def test_scan_refine_rows_match_scalar_searches():
+    # uneven cells, so that the rows stop after different numbers of steps
+    grid = np.cumsum(np.linspace(0.05, 0.4, 30))
+    rows = [
+        lambda x: np.cos(3.0 * (x - 2.2)) * np.exp(-0.1 * x),  # an interior peak
+        lambda x: -x,  # the peak at the first grid point
+        lambda x: x,  # the peak at the last grid point
+        lambda x: np.minimum(1.0, 2.0 - abs(x - 3.0)),  # a plateau: ties
+        lambda x: np.sin(5.0 * x) + 0.1 * x,  # Rabi-like: several basins
+    ]
+    values = np.array([f(grid) for f in rows])
+    calls = []
+
+    def batched(r, x):
+        calls.append(len(r))
+        return np.array([rows[i](t) for i, t in zip(r.tolist(), x.tolist())])
+
+    x, fx, width = numerics.scan_refine(batched, grid, values, 1e-9)
+    for i, f in enumerate(rows):
+        assert (x[i], fx[i], width[i]) == _scalar_scan_refine(f, grid, values[i], 1e-9)
+    # the first call holds both interior points of every row, then one per row
+    assert calls[0] == 2 * len(rows)
+    assert max(calls[1:]) == len(rows)

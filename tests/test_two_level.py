@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,73 @@ def test_peak_loading_matches_closed_form(kind, params, horizon):
     t_load, p_max = two_level.peak_loading(params, pulse, horizon)
     _, ce = two_level.amplitude_closed_form(params, pulse, t_load)
     assert abs(p_max - abs(ce) ** 2) <= 1e-10
+
+
+# 40 couplings in one call: 38 lossy and detuned ones, the confluent point,
+# and a strongly damped one whose rectangular-pulse peak lies just after the
+# trailing edge, inside the edge's grid step
+BATCH = [
+    TwoLevelParams(g=g, kappa=1.0, gamma=0.2, delta=0.3) for g in np.geomspace(0.05, 10.0, 38)
+] + [TwoLevelParams(g=0.5, kappa=1.0), TwoLevelParams(g=2.0, kappa=1.0, gamma=4.0, delta=0.3)]
+
+
+@pytest.mark.parametrize("kind", ["sech", "rectangular", "exp_rising", "exp_decaying"])
+def test_batched_peak_loading_matches_closed_form(kind):
+    pulse = pulses.make_named(kind, 2.0, 2.0)
+    # the horizon that puts the rectangular and exponential edges inside a step
+    times, probs = two_level.peak_loading(BATCH, pulse, 10.3713)
+    for params, t_load, p_max in zip(BATCH, times, probs):
+        _, ce = two_level.amplitude_closed_form(params, pulse, t_load)
+        assert abs(p_max - abs(ce) ** 2) <= 1e-10, params
+
+
+def test_batched_peak_loading_matches_single_calls():
+    pulse = pulses.make_named("exp_decaying", 2.0, 2.0)
+    times, probs = two_level.peak_loading(BATCH, pulse, 10.3713)
+    assert isinstance(times, np.ndarray) and times.shape == (len(BATCH),)
+    assert isinstance(probs, np.ndarray) and probs.shape == (len(BATCH),)
+    for params, t_load, p_max in zip(BATCH, times, probs):
+        t1, p1 = two_level.peak_loading(params, pulse, 10.3713)
+        assert type(t1) is float and type(p1) is float
+        t_row, p_row = two_level.peak_loading([params], pulse, 10.3713)
+        assert (t_row[0], p_row[0]) == (t1, p1)
+        assert abs(p_max - p1) <= 1e-14
+        assert abs(t_load - t1) <= 1e-9
+
+
+def test_banded_march_matches_plain_recursion():
+    pulse = pulses.make_named("rectangular", 2.0, 2.0)
+    # the rectangle's edges and center fall inside steps
+    grid = np.linspace(0.0, 10.3713, 2076)
+    phi = pulse.amplitude(grid[:-1, None] + (grid[1] - grid[0]) * two_level._STEP_NODES)
+    for params in (LOSSY_DETUNED, TwoLevelParams(g=0.5, kappa=1.0)):
+        gamma_prime = complex(params.gamma, -params.delta)
+        prop = two_level._Kernels(params.kappa, gamma_prime, params.g).step
+        states = two_level._march(prop, pulse, grid, phi)
+        # the same step map, applied one step at a time in Python
+        expected = [(0j, 0j)]
+        for a, b in zip(grid[:-1].tolist(), grid[1:].tolist()):
+            expected.append(two_level._advance(prop, pulse, expected[-1], a, b))
+        assert np.abs(states - np.array(expected)).max() <= 1e-12
+
+
+def test_batched_peak_loading_memory():
+    # one coarse scan of the two-level optimizer at its longest grid: an
+    # exp_rising pulse starts 15 T before its center, so kT = 7.95 and a
+    # 5 T horizon take 8000 steps
+    T = 7.95
+    pulse = pulses.make_named("exp_rising", T, T)
+    batch = [
+        TwoLevelParams(g=g, kappa=1.0, gamma=0.375 * g) for g in np.geomspace(0.05, 10.0, 40)
+    ]
+    two_level.peak_loading(batch[:2], pulse, 5.0 * T)
+    tracemalloc.start()
+    try:
+        two_level.peak_loading(batch, pulse, 5.0 * T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
 
 
 def test_dimensionless_scaling_invariance():
