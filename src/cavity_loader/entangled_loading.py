@@ -399,7 +399,8 @@ def peak_joint_loading(p, b: BiphotonAmplitude, horizon: float):
     sequence of them, giving both as arrays.  The batch shares one Gauss
     rule, at the narrowest panel width its kernels ask for, and the pump
     on the scan grid x nodes; the scan of every coupling is one product,
-    and one golden-section search refines every peak in lockstep.
+    and one Brent search refines every peak in lockstep, each peak time to
+    about sqrt(eps) |t|.
     """
     if not b.separable_structure:
         raise ValueError("peak_joint_loading needs a downconverter-structured amplitude")

@@ -249,54 +249,110 @@ class _OnePassKronrod:
 
 
 def scan_refine(f: Callable[[np.ndarray, np.ndarray], np.ndarray], grid, values, tol: float):
-    """Maxima of the rows of a scan, each refined by golden section.
+    """Maxima of the rows of a scan, each refined by Brent's method.
 
     ``values`` holds one row per function, sampled on the increasing
     ``grid``; ``f(rows, x)`` takes two arrays of equal length and returns
-    the value of row rows[k] at x[k] for every k.  Per row, the
-    golden-section search runs over the two grid cells around the best
-    scanned point, and that point is kept unless the refinement beats it
-    strictly.  The rows search in lockstep, so each golden step is one call
-    of ``f`` for the rows still searching.  Returns arrays (argmax,
-    maximum, width within which the argmax is known), one entry per row.
+    the value of row rows[k] at x[k] for every k.  Per row, Brent's search
+    runs over the two grid cells around the best scanned point, and that
+    point is kept unless the refinement beats it strictly.  The rows
+    search in lockstep, so each step is one call of ``f`` for the rows
+    still searching.  A row stops once its bracket is within 4 (sqrt(eps)
+    |x| + tol / 4) of the argmax: ``tol`` plus the float resolution of a
+    flat maximum, so a refined peak is known to about sqrt(eps) |x| even
+    when ``tol`` is far smaller.  Returns arrays (argmax, maximum, width of
+    the final bracket, within which the argmax lies), one entry per row.
     """
     values = np.asarray(values, dtype=float)
     best = values.argmax(axis=1).tolist()
     last = len(grid) - 1
-    a = [float(grid[max(i - 1, 0)]) for i in best]
-    b = [float(grid[min(i + 1, last)]) for i in best]
-    x, fx = _golden_max(f, a, b, tol)
+    searches = [
+        _BrentMax(float(grid[max(i - 1, 0)]), float(grid[min(i + 1, last)]), tol)
+        for i in best
+    ]
+    rows, trial = list(range(len(searches))), [s.x for s in searches]
+    while rows:
+        values_at = f(np.array(rows), np.array(trial)).tolist()
+        nxt = [searches[r].update(u, fu) for r, u, fu in zip(rows, trial, values_at)]
+        rows = [r for r, u in zip(rows, nxt) if u is not None]
+        trial = [u for u in nxt if u is not None]
+    x, fx = [s.x for s in searches], [s.fx for s in searches]
     for row, i in enumerate(best):
         if values[row, i] >= fx[row]:
             x[row], fx[row] = float(grid[i]), float(values[row, i])
-    return np.array(x), np.array(fx), np.array([min(tol, hi - lo) for lo, hi in zip(a, b)])
+    return np.array(x), np.array(fx), np.array([s.b - s.a for s in searches])
 
 
-def _golden_max(f, a: list, b: list, tol: float) -> tuple[list, list]:
-    """Golden-section maxima of the rows of f, row r on [a[r], b[r]] (unimodal
-    on the bracket), in lockstep; each row's bookkeeping is Python floats."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b, rows = list(a), list(b), list(range(len(a)))
-    c = [hi - inv_phi * (hi - lo) for lo, hi in zip(a, b)]
-    d = [lo + inv_phi * (hi - lo) for lo, hi in zip(a, b)]
-    both = f(np.array(rows + rows), np.array(c + d)).tolist()
-    fc, fd = both[: len(rows)], both[len(rows) :]
-    active = [r for r in rows if b[r] - a[r] > tol]
-    while active:
-        left = [fc[r] >= fd[r] for r in active]
-        for r, to_left in zip(active, left):
-            if to_left:
-                b[r], d[r], fd[r] = d[r], c[r], fc[r]
-                c[r] = b[r] - inv_phi * (b[r] - a[r])
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+
+class _BrentMax:
+    """One row of Brent's maximization on [a, b] (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5; the scheme of
+    ``scipy.optimize.fminbound``), in Python floats.
+
+    The search starts at the golden point of the bracket, x.  Each
+    ``update`` takes the value at the point asked for and returns the point
+    to evaluate next, or None once the bracket is within tolerance: a
+    parabola through the three best points (x, w, v) when its vertex falls
+    well inside the bracket and the step shrinks, a golden-section step
+    into the larger part otherwise, and never a step below tol1.
+    """
+
+    def __init__(self, a: float, b: float, tol: float):
+        self.a, self.b, self.tol = a, b, tol
+        self.x = self.w = self.v = a + _GOLDEN * (b - a)
+        self.d = self.e = 0.0
+        self.fx = None
+
+    def update(self, u: float, fu: float):
+        if self.fx is None:  # the starting point
+            self.fx = self.fw = self.fv = fu
+        elif fu >= self.fx:
+            if u >= self.x:
+                self.a = self.x
             else:
-                a[r], c[r], fc[r] = c[r], d[r], fd[r]
-                d[r] = a[r] + inv_phi * (b[r] - a[r])
-        trial = [c[r] if to_left else d[r] for r, to_left in zip(active, left)]
-        for r, to_left, v in zip(active, left, f(np.array(active), np.array(trial)).tolist()):
-            if to_left:
-                fc[r] = v
+                self.b = self.x
+            self.v, self.fv, self.w, self.fw = self.w, self.fw, self.x, self.fx
+            self.x, self.fx = u, fu
+        else:
+            if u < self.x:
+                self.a = u
             else:
-                fd[r] = v
-        active = [r for r in active if b[r] - a[r] > tol]
-    x = [c[r] if fc[r] >= fd[r] else d[r] for r in rows]
-    return x, [max(fc[r], fd[r]) for r in rows]
+                self.b = u
+            if fu >= self.fw or self.w == self.x:
+                self.v, self.fv, self.w, self.fw = self.w, self.fw, u, fu
+            elif fu >= self.fv or self.v == self.x or self.v == self.w:
+                self.v, self.fv = u, fu
+        return self._trial()
+
+    def _trial(self):
+        a, b, x = self.a, self.b, self.x
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + self.tol / 4.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            return None
+        golden = True
+        if abs(self.e) > tol1:
+            r = (x - self.w) * (self.fx - self.fv)
+            q = (x - self.v) * (self.fx - self.fw)
+            p = (x - self.v) * q - (x - self.w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, self.e = self.e, self.d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                self.d = p / q
+                u = x + self.d
+                if u - a < tol2 or b - u < tol2:
+                    self.d = tol1 if xm >= x else -tol1
+        if golden:
+            self.e = a - x if x >= xm else b - x
+            self.d = _GOLDEN * self.e
+        if abs(self.d) >= tol1:
+            return x + self.d
+        return x + tol1 if self.d >= 0.0 else x - tol1

@@ -6,9 +6,9 @@ fields its ``simulate`` and ``optimize`` commands read, its objective
 in units of kappa, evaluated on an array of couplings) and its
 trajectory.  The coupling dependence is tame once the global basin is
 isolated, so the search is a coarse log-spaced scan, evaluated in one
-objective call, followed by golden-section refinement at single
-couplings.  Sweeps evaluate grids of bandwidth points (optionally
-optimizing the coupling per cell) on a small process pool.
+objective call, followed by Brent refinement at single couplings.
+Sweeps evaluate grids of bandwidth points (optionally optimizing the
+coupling per cell) on a small process pool.
 """
 
 from __future__ import annotations
@@ -337,8 +337,9 @@ def optimize_coupling(
     """Maximize the loading probability over the coupling rate.
 
     Coarse scan on a 40-point log-spaced grid, evaluated in one objective
-    call, followed by golden-section refinement of the best grid cell at
-    single couplings; ties break toward the smaller coupling.
+    call, followed by Brent refinement of the best grid cell at single
+    couplings (parabolic steps, golden-section fallback; see
+    ``numerics.scan_refine``); ties break toward the smaller coupling.
     """
     lo, hi = float(g_range[0]), float(g_range[1])
     if not (0 < lo < hi):

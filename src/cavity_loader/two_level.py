@@ -160,10 +160,21 @@ class _Propagator:
         return cls(*(np.array(col)[:, None] for col in zip(*consts)))
 
     def parts(self, s):
-        """(ch, sh) of exp(A s) = ch I + sh (A + mean)."""
+        """(ch, sh) of exp(A s) = ch I + sh (A + mean).
+
+        Factored near the confluent point; from |xi s / 2| =
+        ``_FACTORED_THRESHOLD`` on, the two exponentials e^{(+-xi/2 - mean) s}
+        directly, since cosh and sinh overflow long before their damped
+        products do (gamma >> kappa).
+        """
         half = 0.5 * self.xi * s
+        near = np.abs(half) < _FACTORED_THRESHOLD
         damp = np.exp(-self.mean * s)
-        return np.cosh(half) * damp, s * _sinhc(half) * damp
+        half_near = np.where(near, half, 0.0)
+        ch, sh = np.cosh(half_near) * damp, s * _sinhc(half_near) * damp
+        up, down = np.exp(half - self.mean * s), np.exp(-half - self.mean * s)
+        xi = np.where(near, 1.0, self.xi)
+        return np.where(near, ch, 0.5 * (up + down)), np.where(near, sh, (up - down) / xi)
 
     def entries(self, s):
         """Entries (bb, be, ee) of the symmetric matrix exp(A s)."""
@@ -357,9 +368,10 @@ def peak_loading(p, pulse: PulseShape, horizon: float):
     stepped exactly across a uniform grid (400 steps per pulse width, at
     least 64), locates each global basin despite Rabi oscillations: the
     couplings share the grid and the pulse on every step's Gauss nodes,
-    and each one's march is one banded solve.  Golden-section refinement,
-    in lockstep over the couplings, advances one partial step from the
-    grid state below each trial time.  Ties break toward the earliest time.
+    and each one's march is one banded solve.  Brent refinement, in
+    lockstep over the couplings, advances one partial step from the grid
+    state below each trial time; a refined peak time is known to about
+    sqrt(eps) |t|.  Ties break toward the earliest time.
     """
     single = isinstance(p, TwoLevelParams)
     props = [

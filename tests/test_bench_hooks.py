@@ -95,7 +95,7 @@ def test_tracer_sees_every_hooked_layer(tmp_path):
 
 
 def test_tracer_sees_the_optimizer_route():
-    # the batched coarse scan and the golden calls must both go through the
+    # the batched coarse scan and the Brent calls must both go through the
     # module attributes the tracer wraps
     optimize._mitnu_biphoton.cache_clear()
     tracer = Tracer()

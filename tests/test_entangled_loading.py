@@ -161,7 +161,7 @@ def test_batched_peak_matches_single_calls(biphoton):
 
 
 def test_mitnu_couplings_share_one_panel_width():
-    # so the coarse scan and the golden calls of one optimum hit one scan state
+    # so the coarse scan and the Brent calls of one optimum hit one scan state
     for kT, kT0 in ((2.0, 6.0), (6.0, 2.0), (3.0, 4.0)):
         b = el.spdc_biphoton(SpdcParams(T=kT, T0=kT0))
         widths = {

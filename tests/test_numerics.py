@@ -167,50 +167,122 @@ def test_ode_system_shape_validation():
 
 
 def _scalar_scan_refine(f, grid, values, tol):
-    """One row's scan and golden-section refinement, one call of f per point."""
+    """One row's scan and Brent refinement, one call of f per point, written
+    as the procedural loop of Brent (1973, ch. 5) that scipy's fminbound
+    follows, with tol1 = sqrt(eps) |x| + tol / 4."""
     best = int(np.argmax(values))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = a, b
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while (hi - lo) > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = f(c)
+    a = lo = float(grid[max(best - 1, 0)])
+    b = hi = float(grid[min(best + 1, len(grid) - 1)])
+    gold = (3.0 - math.sqrt(5.0)) / 2.0
+    sqrt_eps = math.sqrt(np.finfo(float).eps)
+    x = w = v = a + gold * (b - a)
+    fx = fw = fv = float(f(x))
+    d = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + tol / 4.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - x) and p < q * (b - x):
+                golden = False
+                d = p / q
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if xm - x >= 0.0 else -tol1
+        if golden:
+            e = (a - x) if x >= xm else (b - x)
+            d = gold * e
+        u = x + (1.0 if d >= 0.0 else -1.0) * max(abs(d), tol1)
+        fu = float(f(u))
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = f(d)
-    x, fx = (c, fc) if fc >= fd else (d, fd)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    assert lo <= a <= x <= b <= hi
     if values[best] >= fx:
         x, fx = grid[best], values[best]
-    return float(x), float(fx), min(tol, float(b - a))
+    return float(x), float(fx), b - a
 
 
-def test_scan_refine_rows_match_scalar_searches():
-    # uneven cells, so that the rows stop after different numbers of steps
-    grid = np.cumsum(np.linspace(0.05, 0.4, 30))
-    rows = [
-        lambda x: np.cos(3.0 * (x - 2.2)) * np.exp(-0.1 * x),  # an interior peak
-        lambda x: -x,  # the peak at the first grid point
-        lambda x: x,  # the peak at the last grid point
-        lambda x: np.minimum(1.0, 2.0 - abs(x - 3.0)),  # a plateau: ties
-        lambda x: np.sin(5.0 * x) + 0.1 * x,  # Rabi-like: several basins
-    ]
-    values = np.array([f(grid) for f in rows])
-    calls = []
+_REFINE_ROWS = [
+    lambda x: np.cos(3.0 * (x - 2.2)) * np.exp(-0.1 * x),  # an interior peak
+    lambda x: -x,  # the peak at the first grid point
+    lambda x: x,  # the peak at the last grid point
+    lambda x: np.minimum(1.0, 2.0 - abs(x - 3.0)),  # a plateau: ties
+    lambda x: np.sin(5.0 * x) + 0.1 * x,  # Rabi-like: several basins
+]
+# uneven cells, so that the rows stop after different numbers of steps
+_REFINE_GRID = np.cumsum(np.linspace(0.05, 0.4, 30))
 
-    def batched(r, x):
+
+def _batched(rows, calls):
+    def f(r, x):
         calls.append(len(r))
         return np.array([rows[i](t) for i, t in zip(r.tolist(), x.tolist())])
 
-    x, fx, width = numerics.scan_refine(batched, grid, values, 1e-9)
+    return f
+
+
+def test_scan_refine_rows_match_scalar_searches():
+    grid, rows = _REFINE_GRID, _REFINE_ROWS
+    values = np.array([f(grid) for f in rows])
+    calls = []
+    x, fx, width = numerics.scan_refine(_batched(rows, calls), grid, values, 1e-9)
     for i, f in enumerate(rows):
         assert (x[i], fx[i], width[i]) == _scalar_scan_refine(f, grid, values[i], 1e-9)
-    # the first call holds both interior points of every row, then one per row
-    assert calls[0] == 2 * len(rows)
-    assert max(calls[1:]) == len(rows)
+    # the first call holds the starting point of every row, then at most one
+    # point per row still searching
+    assert calls[0] == len(rows)
+    assert max(calls[1:]) <= len(rows)
+    assert calls == sorted(calls, reverse=True)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_scan_refine_agrees_with_scipy_bounded(tol):
+    # an independent Brent: scipy's bounded minimize_scalar on the same
+    # two-cell bracket; on smooth rows with an interior maximum the two
+    # argmaxes lie within each other's tolerance
+    from scipy.optimize import minimize_scalar
+
+    grid = _REFINE_GRID
+    rows = [
+        _REFINE_ROWS[0],
+        lambda x: 1.0 / (1.0 + (x - 4.321) ** 2),
+        lambda x: np.exp(-((x - 1.7) ** 2) / 0.02),
+    ]
+    values = np.array([f(grid) for f in rows])
+    x, fx, width = numerics.scan_refine(_batched(rows, []), grid, values, tol)
+    for i, f in enumerate(rows):
+        best = int(values[i].argmax())
+        assert 0 < best < len(grid) - 1
+        ref = minimize_scalar(
+            lambda t: -f(t),
+            bounds=(grid[best - 1], grid[best + 1]),
+            method="bounded",
+            options={"xatol": tol},
+        )
+        resolution = 4.0 * math.sqrt(np.finfo(float).eps) * abs(ref.x)
+        assert abs(x[i] - ref.x) <= tol + resolution
+        assert width[i] <= tol + resolution
+        assert fx[i] >= -ref.fun - 1e-12

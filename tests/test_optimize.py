@@ -211,6 +211,13 @@ def test_optimum_counts_distinct_evaluations(monkeypatch):
     assert opt.n_evals == 40 + calls["single"]
 
 
+def test_optimum_refines_in_few_couplings():
+    # Brent's method: 40 scanned couplings plus 6 refinement calls here; the
+    # golden-section search it replaced made 13
+    opt = optimize.optimize_coupling("two_level", {"kT": 2.0}, (0.3, 4.0))
+    assert opt.n_evals <= 48
+
+
 def test_degenerate_optimum_counts_the_scan(monkeypatch):
     calls = _count_single_calls(monkeypatch)
     opt = optimize.optimize_coupling("two_level", {"kT": 2.0}, (1.0, 1.0 + 1e-9), tol=1e-4)

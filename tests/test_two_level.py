@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,36 @@ def test_peak_loading_matches_closed_form(kind, params, horizon):
     pulse = pulses.make_named(kind, 2.0, 2.0)
     t_load, p_max = two_level.peak_loading(params, pulse, horizon)
     _, ce = two_level.amplitude_closed_form(params, pulse, t_load)
+    assert abs(p_max - abs(ce) ** 2) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["sech", "rectangular", "exp_rising", "exp_decaying"])
+def test_peak_loading_refines_in_few_calls(kind, monkeypatch):
+    # Brent's method settles every peak time in 7-8 objective calls here;
+    # the golden-section search it replaced took 38
+    calls = []
+    scan_refine = two_level.numerics.scan_refine
+
+    def counting(f, grid, values, tol):
+        return scan_refine(lambda r, x: calls.append(len(r)) or f(r, x), grid, values, tol)
+
+    monkeypatch.setattr(two_level.numerics, "scan_refine", counting)
+    two_level.peak_loading(FIG3_PARAMS, pulses.make_named(kind, 2.0, 2.0), 10.0)
+    assert 0 < len(calls) <= 12
+
+
+@pytest.mark.parametrize("kind", ["sech", "rectangular", "exp_rising", "exp_decaying"])
+@pytest.mark.parametrize("gamma_over_g", [3e4, 1e6])
+def test_peak_loading_finite_for_heavy_loss(kind, gamma_over_g):
+    # gamma >> kappa makes |xi s / 2| so large that cosh and sinh overflow
+    # on their own; the propagator must stay finite and warning-free
+    params = TwoLevelParams(g=10.0, kappa=1.0, gamma=gamma_over_g * 10.0)
+    pulse = pulses.make_named(kind, 2.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        t_load, p_max = two_level.peak_loading(params, pulse, 10.0)
+        _, ce = two_level.amplitude_closed_form(params, pulse, t_load)
+    assert math.isfinite(t_load) and math.isfinite(p_max)
     assert abs(p_max - abs(ce) ** 2) <= 1e-10
 
 
