@@ -235,9 +235,13 @@ def _figure_fig7(outdir: Path, workers=None) -> dict:
 
 def _figure_fig8(outdir: Path, workers=None) -> dict:
     offsets = np.linspace(-1.0, 1.0, 17)
+    # P off the peak is not stationary in g, so the curves would follow the
+    # optimizer's tolerance at first order: both couplings are found to
+    # near Brent's floor of sqrt(eps) g
+    tol = 1e-7
     # non-adiabatic at kT = 1, its optimum coupling
     kT_n = 1.0
-    opt_n = optimize.optimize_coupling("two_level", {"kT": kT_n}, (0.5, 4.0))
+    opt_n = optimize.optimize_coupling("two_level", {"kT": kT_n}, (0.5, 4.0), tol)
     probs_n = lambda_memory.timing_offset_scan(
         "nonadiabatic",
         {"kappa": 1.0, "T": kT_n, "g": opt_n.g_opt, "t_load": opt_n.T_load},
@@ -250,9 +254,7 @@ def _figure_fig8(outdir: Path, workers=None) -> dict:
     )
     # adiabatic (zero effective detuning) at kT = 4.5, its optimum coupling
     kT_a = 4.5
-    opt_a = optimize.optimize_coupling(
-        "lambda_adiabatic_zed", {"kT": kT_a}, (0.4, 2.5)
-    )
+    opt_a = optimize.optimize_coupling("lambda_adiabatic_zed", {"kT": kT_a}, (0.4, 2.5), tol)
     probs_a = lambda_memory.timing_offset_scan(
         "adiabatic",
         {"kappa": 1.0, "T": kT_a, "g_prime": opt_a.g_opt, "variant": "zed"},

@@ -1,13 +1,14 @@
-"""Shared numerical engines: complex linear ODE integration, quadrature
-and peak finding.
+"""Shared numerical engines: complex linear ODE integration, quadrature,
+the stepped (beta, c_e) recursion and peak finding.
 
 The ODE path is the brute-force reference for every model in the
 package; the quadrature routine evaluates the convolution kernels of the
 closed-form solutions on arrays of nodes.  Both wrap scipy (Dormand-Prince
 RK45 and adaptive Gauss-Kronrod cubature) behind small, deterministic
-interfaces with explicit failure signalling.  ``scan_refine`` is the one
-peak finder: the loading peak over time and the optimum over the coupling
-both use it.
+interfaces with explicit failure signalling.  ``affine_march`` is the one
+solver of the stepping engines, exact (two-level) and RK4 (adiabatic
+Lambda) alike.  ``scan_refine`` is the one peak finder: the loading peak
+over time and the optimum over the coupling both use it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import cubature, solve_ivp
 from scipy.integrate._rules import GaussKronrodQuadrature
+from scipy.linalg import blas
 
 __all__ = [
     "OdeSystem",
@@ -27,6 +29,7 @@ __all__ = [
     "QuadratureFailure",
     "integrate",
     "quad1",
+    "affine_march",
     "scan_refine",
 ]
 
@@ -246,6 +249,39 @@ class _OnePassKronrod:
         if self._region[0] is not a or self._region[1] is not b:
             self.estimate(f, a, b, args)
         return self._error
+
+
+def affine_march(maps, force, start=None) -> np.ndarray:
+    """States z[0], ..., z[n] of the recursion z[k + 1] = M_k z[k] + f[k] of
+    (beta, c_e) pairs, from z[0] = ``start`` (rest when None).
+
+    ``maps`` is (M_bb, M_be, M_eb, M_ee): numbers, one map for every step,
+    or arrays of length n, the map of each step; ``force`` is (f_b, f_e),
+    two arrays of length n.  Returns an (n + 1, 2) complex array.  The
+    recursion is one unit lower-triangular system in the interleaved
+    unknowns (beta_1, c_1, beta_2, ...) with three subdiagonals, solved by
+    forward substitution in BLAS ``ztbsv``, a single-threaded level-2
+    routine.  Map 0 acts only on z[0], so it enters through f[0]; the map
+    of step k >= 1 fills band columns 2 (k - 1) and 2 k - 1.
+    """
+    n = len(force[0])
+    z = np.empty((n + 1, 2), dtype=complex)
+    z[0] = 0.0 if start is None else start
+    z[1:, 0], z[1:, 1] = force
+    if start is not None:
+        m_bb, m_be, m_eb, m_ee = (m[0] if np.ndim(m) else m for m in maps)
+        z[1, 0] += m_bb * start[0] + m_be * start[1]
+        z[1, 1] += m_eb * start[0] + m_ee * start[1]
+    m_bb, m_be, m_eb, m_ee = (m[1:] if np.ndim(m) else m for m in maps)
+    # column j of the band holds A[j + d, j] in row d; the diagonal is one
+    band = np.zeros((4, 2 * n), dtype=complex, order="F")
+    band[2, 0:-2:2] = -m_bb
+    band[3, 0:-2:2] = -m_eb
+    band[1, 1:-2:2] = -m_be
+    band[2, 1:-2:2] = -m_ee
+    x = z[1:].reshape(-1)
+    x[:] = blas.ztbsv(3, band, x, lower=1, diag=1, overwrite_x=1)
+    return z
 
 
 def scan_refine(f: Callable[[np.ndarray, np.ndarray], np.ndarray], grid, values, tol: float):

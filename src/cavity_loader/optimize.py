@@ -4,7 +4,10 @@ Each loading configuration is one ``Scenario`` in ``SCENARIOS``: the
 fields its ``simulate`` and ``optimize`` commands read, its objective
 (the time-peak loading probability as a function of the coupling rate,
 in units of kappa, evaluated on an array of couplings) and its
-trajectory.  The coupling dependence is tame once the global basin is
+trajectory.  Every objective is array-native: the two-level family, the
+adiabatic Lambda schemes and the biphoton pair each evaluate all the
+couplings of a call in one batched engine call, not one call per
+coupling.  The coupling dependence is tame once the global basin is
 isolated, so the search is a coarse log-spaced scan, evaluated in one
 objective call, followed by Brent refinement at single couplings.
 Sweeps evaluate grids of bandwidth points (optionally optimizing the
@@ -86,16 +89,6 @@ def _table(traj, T: float, columns) -> tuple[list[str], list[np.ndarray]]:
 _LAMBDA_COLUMNS = (("pop_beta", "beta"), ("pop_cr", "c_r"), ("pop_ce", "c_e"))
 
 
-def _looped(point: Callable[[float, dict], tuple[float, float]]):
-    """An array objective that calls the one-coupling ``point`` per coupling."""
-
-    def probability(g_over_k: np.ndarray, fixed: dict) -> tuple[np.ndarray, np.ndarray]:
-        out = np.array([point(g, fixed) for g in g_over_k.tolist()], dtype=float)
-        return out[:, 0], out[:, 1]
-
-    return probability
-
-
 def _two_level_probability(g_over_k: np.ndarray, fixed: dict) -> tuple[np.ndarray, np.ndarray]:
     T = float(fixed["kT"])
     gamma_over_g = float(fixed.get("gamma_over_g", 0.0))
@@ -160,10 +153,10 @@ def _adiabatic(detuned: bool) -> Scenario:
     """Adiabatic passage at two-photon resonance (``detuned``) or with zero
     effective detuning; only g' = g_c^2/Delta1 matters for the populations."""
 
-    def point(g_over_k: float, fixed: dict) -> tuple[float, float]:
+    def probability(g_over_k: np.ndarray, fixed: dict) -> tuple[np.ndarray, np.ndarray]:
         T = float(fixed["kT"])
         traj = lambda_memory._adiabatic_reduced_run(g_over_k, 1.0, T, detuned=detuned)
-        return float(traj.population("c_e")[-1]), float(traj.times[-1])
+        return traj.population("c_e")[:, -1], np.full(g_over_k.shape, traj.times[-1])
 
     def trajectory(cfg: dict, points: int):
         T = cfg["kT"]
@@ -181,7 +174,7 @@ def _adiabatic(detuned: bool) -> Scenario:
     return Scenario(
         simulate=Fields({"kT": float, "g_prime_over_k": float}),
         optimize=Fields({"kT": float}),
-        probability=_looped(point),
+        probability=probability,
         trajectory=trajectory,
     )
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import blas
 
 from . import numerics
 from .numerics import OdeSystem, QuadratureSpec
@@ -394,8 +393,7 @@ def peak_loading(p, pulse: PulseShape, horizon: float):
     # per coupling, the first grid index the refinement reads and the
     # states there and at the next index: the best scanned point's cells
     kept = []
-    for row, prop in enumerate(props):
-        states = _march(prop, pulse, grid, phi)
+    for row, states in enumerate(_marches(_Propagator.stack(props), pulse, grid, phi)):
         values[row] = np.abs(states[:, 1]) ** 2
         first = max(int(values[row].argmax()) - 1, 0)
         kept.append((first, states[first : first + 2].copy()))
@@ -447,48 +445,49 @@ def _step(prop: _Propagator, s):
 
 def _advance(prop: _Propagator, pulse: PulseShape, state, a: float, b: float):
     """(beta, c_e) at b from ``state`` at a, split at the pulse's edges and
-    center so that the rule only integrates a smooth drive."""
+    center so that the rule only integrates a smooth drive; numbers, or
+    one entry per row of a stacked propagator."""
     beta, c_e = state
     cuts = [a] + sorted(e for e in {*pulse.support, pulse.t0} if a < e < b) + [b]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         (bb, be, ee), (w_b, w_e) = _step(prop, hi - lo)
         phi = pulse.amplitude(lo + (hi - lo) * _STEP_NODES)
         beta, c_e = (
-            bb * beta + be * c_e + (phi * w_b).sum(),
-            be * beta + ee * c_e + (phi * w_e).sum(),
+            bb * beta + be * c_e + (phi * w_b).sum(axis=-1),
+            be * beta + ee * c_e + (phi * w_e).sum(axis=-1),
         )
-    return complex(beta), complex(c_e)
+    return beta, c_e
 
 
-def _march(prop: _Propagator, pulse: PulseShape, grid, phi) -> np.ndarray:
-    """(beta, c_e) at every point of a uniform grid, from rest at grid[0],
-    as a (len(grid), 2) array.
+def _marches(prop: _Propagator, pulse: PulseShape, grid, phi):
+    """(beta, c_e) at every point of a uniform grid, from rest at grid[0]:
+    one (len(grid), 2) array per row of the stacked propagator ``prop``.
 
     ``phi`` holds the pulse on every step's Gauss nodes; a step that holds
-    a pulse edge or the center is driven by ``_advance`` instead.  The
-    recursion z[k + 1] = M z[k] + f[k] is one unit lower-triangular system
-    in the interleaved unknowns (beta_1, c_1, beta_2, ...) with three
-    subdiagonals, solved by forward substitution in BLAS ``ztbsv``, a
-    single-threaded level-2 routine.
+    a pulse edge or the center is driven by ``_advance`` instead.  The rows
+    share the step's entries and weights and those edge steps; each row's
+    forcing and recursion (``numerics.affine_march``) are its own.
     """
     h = (grid[-1] - grid[0]) / (len(grid) - 1)
     (bb, be, ee), (w_b, w_e) = _step(prop, h)
-    z = np.zeros(2 * len(grid), dtype=complex)
-    # plain einsum: a BLAS product would start a thread pool in every worker
-    # of a sweep
-    z[2::2] = np.einsum("sn,n->s", phi, w_b)
-    z[3::2] = np.einsum("sn,n->s", phi, w_e)
-    for i in set(np.searchsorted(grid, [*pulse.support, pulse.t0]) - 1):
-        if 0 <= i < len(grid) - 1:
-            z[2 * i + 2 : 2 * i + 4] = _advance(prop, pulse, (0j, 0j), grid[i], grid[i + 1])
-    # column j of the band holds A[j + d, j] in row d; the diagonal is one
-    band = np.zeros((4, z.size - 2), dtype=complex, order="F")
-    band[1, 1::2] = -be
-    band[2, 0::2] = -bb
-    band[2, 1::2] = -ee
-    band[3, 0::2] = -be
-    z[2:] = blas.ztbsv(3, band, z[2:], lower=1, diag=1, overwrite_x=1)
-    return z.reshape(-1, 2)
+    edges = [
+        i for i in set(np.searchsorted(grid, [*pulse.support, pulse.t0]) - 1)
+        if 0 <= i < len(grid) - 1
+    ]
+    driven = [_advance(prop, pulse, (0j, 0j), grid[i], grid[i + 1]) for i in edges]
+    for row in range(len(bb)):
+        # plain einsum: a BLAS product would start a thread pool in every
+        # worker of a sweep
+        f_b = np.einsum("sn,n->s", phi, w_b[row])
+        f_e = np.einsum("sn,n->s", phi, w_e[row])
+        for i, (beta, c_e) in zip(edges, driven):
+            f_b[i], f_e[i] = beta[row], c_e[row]
+        yield numerics.affine_march((bb[row], be[row], be[row], ee[row]), (f_b, f_e))
+
+
+def _march(prop: _Propagator, pulse: PulseShape, grid, phi) -> np.ndarray:
+    """``_marches`` for the one propagator ``prop``."""
+    return next(_marches(_Propagator.stack([prop]), pulse, grid, phi))
 
 
 def dimensionless_load(

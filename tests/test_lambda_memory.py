@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cavity_loader import lambda_memory as lm
-from cavity_loader import cli, pulses, two_level
+from cavity_loader import cli, numerics, pulses, two_level
 from cavity_loader.lambda_memory import LambdaParams
 from cavity_loader.two_level import TwoLevelParams
 
@@ -291,6 +292,18 @@ def test_timing_offset_early_stop_kills_loading():
     assert probs[0] < 1e-6
 
 
+@pytest.mark.parametrize("variant", ["zed", "tpr"])
+def test_adiabatic_offset_array_is_bit_identical(variant):
+    # each offset has its own default grid, so the batch runs one group per
+    # offset; its results are those of one-offset calls
+    cfg = {"kappa": 1.0, "T": 4.5, "g_prime": 1.0, "variant": variant}
+    offsets = np.linspace(-4.5, 4.5, 5)
+    probs = lm.timing_offset_scan("adiabatic", cfg, offsets)
+    assert probs.shape == offsets.shape
+    singles = [float(lm.timing_offset_scan("adiabatic", cfg, off)) for off in offsets]
+    assert probs.tolist() == singles
+
+
 def test_timing_offset_unknown_scheme():
     with pytest.raises(ValueError):
         lm.timing_offset_scan("sudden", {}, [0.0])
@@ -377,6 +390,70 @@ def test_adiabatic_rk4_step_converged(detuned):
             fine = lm._adiabatic_reduced_run(g_prime, 1.0, kT, detuned, grid=grid)
             gap = abs(coarse.population("c_e")[-1] - fine.population("c_e")[-1])
             assert gap <= 1e-9, (kT, g_prime)
+
+
+def _plain_rk4_recursion(g_prime, kT, detuned, grid, n_sub):
+    """The RK4 maps of one run on ``grid`` with ``n_sub`` sub-steps per
+    interval, and the states after every sub-step, stepped one at a time."""
+    dt = np.diff(grid)
+    frac = np.arange(2 * n_sub) / (2 * n_sub)
+    nodes = np.append((grid[:-1, None] + dt[:, None] * frac).ravel(), grid[-1])
+    om = lm.adiabatic_control_pulse(1.0, 1.0, kT, nodes - kT)
+    force = -1j * math.sqrt(2.0) * pulses.make_sech(kT, kT).amplitude(nodes)
+    (m_bb, m_be, m_eb, m_ee), (v_b, v_e) = lm._rk4_maps(
+        np.repeat(dt / n_sub, n_sub),
+        -1.0 - 1j * g_prime if detuned else -1.0,
+        -1j * g_prime * om,
+        -1j * g_prime * om**2 if detuned else None,
+        force,
+    )
+    states = [(0j, 0j)]
+    for k in range(len(v_b)):
+        beta, c_e = states[-1]
+        states.append(
+            (m_bb[k] * beta + m_be[k] * c_e + v_b[k], m_eb[k] * beta + m_ee[k] * c_e + v_e[k])
+        )
+    return ((m_bb, m_be, m_eb, m_ee), (v_b, v_e)), np.array(states)
+
+
+@pytest.mark.parametrize(
+    "detuned, g_prime, points, n_sub",
+    [
+        # zed on a fine grid: one sub-step per interval, 4800 of them, so
+        # the run carries its state across two blocks of maps
+        (False, 1.0, 4801, 1),
+        # tpr at g' = 20: the stiff light shift sets h <= 2 / rho, five
+        # sub-steps per interval of the default grid, again two blocks
+        (True, 20.0, 1201, 5),
+    ],
+    ids=["zed", "tpr"],
+)
+def test_affine_march_matches_plain_recursion(detuned, g_prime, points, n_sub):
+    kT = 4.5
+    grid = np.linspace(-4.0 * kT, 5.0 * kT, points)
+    (matrix, vector), want = _plain_rk4_recursion(g_prime, kT, detuned, grid, n_sub)
+    # the time-varying maps: map k >= 1 in band column 2 (k - 1)
+    solved = numerics.affine_march(matrix, vector)
+    assert np.abs(solved - want).max() <= 1e-12
+    # the production run takes the same sub-steps and keeps every n_sub-th
+    traj = lm._adiabatic_reduced_run(g_prime, 1.0, kT, detuned, grid=grid)
+    got = np.stack((traj.amplitudes["beta"], traj.amplitudes["c_e"]), axis=1)
+    assert np.abs(got - want[::n_sub]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("detuned", [False, True], ids=["zed", "tpr"])
+def test_batched_adiabatic_run_memory(detuned):
+    # the coarse scan of an adiabatic optimum: 40 couplings, the maps of at
+    # most _RK4_BLOCK runs x sub-steps alive at a time
+    g_prime = np.geomspace(0.2, 5.0, 40)
+    lm._adiabatic_reduced_run(g_prime[:2], 1.0, 10.0, detuned)
+    tracemalloc.start()
+    try:
+        lm._adiabatic_reduced_run(g_prime, 1.0, 10.0, detuned)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
 
 
 @pytest.mark.parametrize("variant", ["zed", "tpr"])

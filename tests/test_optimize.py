@@ -181,9 +181,13 @@ def test_mitnu_array_call_matches_float_calls():
         ("two_level", {"kT": 2.0, "gamma_over_g": 0.1, "pulse": "exp_rising"},
          np.geomspace(0.3, 4.0, 5)),
         ("lambda_adiabatic_zed", {"kT": 4.5}, np.geomspace(0.2, 5.0, 3)),
+        ("lambda_adiabatic_tpr", {"kT": 4.5}, np.geomspace(0.2, 5.0, 3)),
+        # the RK4 stability bound gives these couplings 2 and 3 sub-steps per
+        # output interval, so the array call runs two groups
+        ("lambda_adiabatic_zed", {"kT": 4.5}, np.geomspace(0.2, 50.0, 6)),
     ],
 )
-def test_looped_array_call_is_bit_identical(scenario, fixed, grid):
+def test_array_call_is_bit_identical(scenario, fixed, grid):
     probs, times = optimize.scenario_probability(scenario, grid, fixed)
     singles = [optimize.scenario_probability(scenario, float(g), fixed) for g in grid]
     assert probs.tolist() == [p for p, _ in singles]
