@@ -22,11 +22,12 @@ is what makes both loading schemes analyzable:
 The non-adiabatic scheme has the effective two-level closed form.  The
 adiabatic schemes' reduced equations have time-varying coefficients and
 run on fixed-step classic Runge-Kutta (RK4, ``_adiabatic_reduced_run``):
-each sub-step is an affine map of (beta, c_e), built as arrays for many
-couplings or timing offsets at once, and each run's maps go through the
-banded solver ``numerics.affine_march`` that the exact two-level
-stepping uses too.  An adaptive DOP853 run of the same equations in the
-tests and ``full_ode``, which eliminates nothing, are the oracles.
+each sub-step is an affine map of (beta, c_e), the couplings of a batch
+share the control and the pulse on the sub-step nodes, and each run's
+maps go through the banded solver ``numerics.affine_march`` that the
+exact two-level stepping uses too.  An adaptive DOP853 run of the same
+equations in the tests and ``full_ode``, which eliminates nothing, are
+the oracles.
 
 Throughout, the constant light shift imprinted on the cavity leg is
 assumed compensated by pre-shifting the input photon's carrier by
@@ -310,7 +311,7 @@ def zed_phase_rate(
 
 
 # the adiabatic runs' RK4 sub-steps: at most this many per pulse width, and
-# at most this many (runs x sub-steps) whose maps are built together
+# at most this many whose maps are built together
 _RK4_STEPS_PER_WIDTH = 200
 _RK4_BLOCK = 4096
 # at most this many stability-limited steps across a run (~0.1 s): the
@@ -326,7 +327,7 @@ def _adiabatic_reduced_run(
     T: float,
     detuned: bool,
     grid=None,
-    control_offset=0.0,
+    control_offset: float = 0.0,
 ) -> Trajectory:
     """Reduced-model adiabatic run for a sech input of width T centered at T.
 
@@ -337,132 +338,113 @@ def _adiabatic_reduced_run(
     phase ramp and assumes the drive carrier has been pre-shifted to
     match, leaving a resonant two-level pair.
 
-    ``g_prime`` and ``control_offset`` are numbers, for one run, or 1-D
-    arrays that broadcast together, one run per entry: the amplitudes then
-    have a leading run axis, and so do the times when the offsets differ,
-    since the default grid runs until four widths past the pulse center or
-    the shifted control.
+    ``g_prime`` is a number, for one run, or an array of couplings, one run
+    each: the amplitudes then carry its shape ahead of the time axis.
 
     The production route: classic fourth-order Runge-Kutta with fixed
     steps, each output interval split into n_sub equal sub-steps no longer
     than T/200 and inside the scheme's stability interval for the fastest
-    rate of the pair.  Runs with the same offset and n_sub go together:
-    the control and the pulse on the sub-step nodes once, the affine maps
-    of the sub-steps (``_rk4_maps``) for at most ``_RK4_BLOCK`` runs x
-    sub-steps at a time, then each run's states in one
-    ``numerics.affine_march`` per block of output intervals, the state
-    carried from block to block.  The blocks depend on n_sub alone, so a
-    run gives the same bits in any batch.  The oracles are an adaptive
-    DOP853 run of the same equations (in the tests) and ``full_ode``
-    without the elimination.
+    rate of the pair.  Each sub-step is an affine map of (beta, c_e)
+    (``_rk4_maps``).  Runs with the same n_sub share the control and the
+    pulse on the sub-step nodes, taken ``_RK4_BLOCK`` sub-steps at a time;
+    each run builds its maps of a block and solves them in one
+    ``numerics.affine_march``, its state carried into the next block.  No
+    block depends on the other runs, so a run gives the same bits in any
+    batch.  The oracles are an adaptive DOP853 run of the same equations
+    (in the tests) and ``full_ode`` without the elimination.
     """
     pulse = make_sech(T, T)
-    g_prime, offsets = np.broadcast_arrays(
-        np.asarray(g_prime, dtype=float), np.asarray(control_offset, dtype=float)
-    )
-    single = g_prime.ndim == 0
-    g_prime, offsets = g_prime.ravel(), offsets.ravel()
-    if grid is not None:
+    if grid is None:
+        # until four widths past the pulse center (or the shifted control)
+        grid = np.linspace(pulse.support[0], T + 4.0 * T + max(control_offset, 0.0), 1201)
+    else:
         grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-            raise ValueError("output grid must be strictly increasing, with two points or more")
-    points = 1201 if grid is None else grid.size
-    # one output grid per distinct offset, by default until four widths
-    # past the pulse center (or the shifted control)
-    shifts, which = np.unique(offsets, return_inverse=True)
-    grids = [
-        np.linspace(pulse.support[0], T + 4.0 * T + max(off, 0.0), points) if grid is None else grid
-        for off in shifts.tolist()
-    ]
+    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+        raise ValueError("output grid must be strictly increasing, with two points or more")
+    dt = np.diff(grid)
+    g_prime = np.asarray(g_prime, dtype=float)
 
-    def omega_unit(t, offset: float):
+    def omega_unit(t):
         # control amplitude in units of g_c, shifted to the pulse frame
-        return adiabatic_control_pulse(1.0, kappa, T, t - T - offset)
+        return adiabatic_control_pulse(1.0, kappa, T, t - T - control_offset)
 
     # the control falls with t: its largest value, and the fastest rate
     # rho of the pair, are at the first grid point
-    om_max, span, widest = (
-        np.array([(omega_unit(g[0], off), g[-1] - g[0], np.diff(g).max())
-                  for g, off in zip(grids, shifts.tolist())]).reshape(-1, 3)[which].T
-    )
+    om_max = omega_unit(grid[0])
     rho = kappa + g_prime * om_max + (g_prime * (1.0 + om_max**2) if detuned else 0.0)
-    start = float(pulse.support[0] if grid is None else grid[0])
     if not np.isfinite(rho).all():
-        raise numerics.OdeFailure("the adiabatic control is not finite", start)
+        raise numerics.OdeFailure("the adiabatic control is not finite", float(grid[0]))
     # RK4 is stable on the imaginary axis up to |h lambda| = 2.8
     h_max = np.minimum(T / _RK4_STEPS_PER_WIDTH, 2.0 / rho)
-    n_stable = np.ceil(span / h_max)
+    n_stable = np.ceil(float(grid[-1] - grid[0]) / h_max)
     if np.any(n_stable > _RK4_STEP_BUDGET):
         raise numerics.OdeFailure(
             f"the adiabatic run needs {int(n_stable.max())} RK4 steps to stay stable, "
             f"more than the budget of {_RK4_STEP_BUDGET}",
-            start,
+            float(grid[0]),
         )
-    n_sub = np.ceil(widest / h_max).astype(int)
+    n_sub = np.ceil(float(dt.max()) / h_max).astype(int).ravel().tolist()
+    couplings = g_prime.ravel().tolist()
     drive = -1j * math.sqrt(2.0 * kappa)
-    amps = np.zeros((2, offsets.size, points), dtype=complex)
-    for index, steps in sorted(set(zip(which.tolist(), n_sub.tolist()))):
-        runs = np.flatnonzero((which == index) & (n_sub == steps))
-        grid_run, offset = grids[index], float(shifts[index])
-        dt = np.diff(grid_run)
-        # the drive and the coupling at t, t + h/2 and t + h of every sub-step
+    amps = np.zeros((2, len(couplings), grid.size), dtype=complex)
+    state = np.zeros((len(couplings), 2), dtype=complex)
+    width = np.append(dt, 0.0)
+    for steps in sorted(set(n_sub)):
+        runs = [run for run, n in enumerate(n_sub) if n == steps]
         frac = np.arange(2 * steps) / (2 * steps)
-        block = max(1, _RK4_BLOCK // steps)
-        for lo in range(0, dt.size, block):
-            hi = min(lo + block, dt.size)
-            nodes = grid_run[lo:hi, None] + dt[lo:hi, None] * frac
-            nodes = np.append(nodes.ravel(), grid_run[hi])
-            # the coupling and the light shift of the target per unit g'
-            om = omega_unit(nodes, offset)
-            a_be, a_ee = -1j * om, (-1j * om**2 if detuned else None)
+        for lo in range(0, dt.size * steps, _RK4_BLOCK):
+            hi = min(lo + _RK4_BLOCK, dt.size * steps)
+            # the drive and the coupling at t, t + h/2 and t + h of sub-steps
+            # lo .. hi - 1, as (output interval, fraction) pairs
+            interval, part = np.divmod(np.arange(2 * lo, 2 * hi + 1), 2 * steps)
+            nodes = grid[interval] + width[interval] * frac[part]
+            h = dt[interval[:-1:2]] / steps
+            om = omega_unit(nodes)
+            om2 = om**2 if detuned else None
             force = drive * pulse.amplitude(nodes)
-            h = np.repeat(dt[lo:hi] / steps, steps)
-            per_pass = max(1, _RK4_BLOCK // h.size)
-            for part in np.split(runs, range(per_pass, runs.size, per_pass)):
-                g_col = g_prime[part, None]
-                matrix, vector = _rk4_maps(
+            # states[first] is the block's first state at an output point,
+            # grid index ``point``
+            first = steps - lo % steps
+            point = (lo + first) // steps
+            for run in runs:
+                g = couplings[run]
+                maps, vector = _rk4_maps(
                     h,
-                    -kappa - 1j * g_col if detuned else -kappa,
-                    g_col * a_be,
-                    g_col * a_ee if detuned else None,
+                    -kappa - 1j * g if detuned else -kappa,
+                    -1j * g * om,
+                    -1j * g * om2 if detuned else None,
                     force,
                 )
-                for k, run in enumerate(part.tolist()):
-                    states = numerics.affine_march(
-                        [m[k] for m in matrix], [v[k] for v in vector],
-                        amps[:, run, lo] if lo else None,
-                    )
-                    amps[:, run, lo + 1 : hi + 1] = states[steps::steps].T
-    times = grids[0] if len(grids) == 1 else np.array([grids[k] for k in which.tolist()])
-    if single:
-        return Trajectory(times=times, amplitudes={"beta": amps[0, 0], "c_e": amps[1, 0]})
-    return Trajectory(times=times, amplitudes={"beta": amps[0], "c_e": amps[1]})
+                states = numerics.affine_march(maps, vector, state[run])
+                state[run] = states[-1]
+                kept = states[first::steps]
+                amps[:, run, point : point + len(kept)] = kept.T
+    shape = (2,) + g_prime.shape + grid.shape
+    beta, c_e = amps.reshape(shape)
+    return Trajectory(times=grid, amplitudes={"beta": beta, "c_e": c_e})
 
 
-def _rk4_maps(h, a_bb, a_be, a_ee, force):
+def _rk4_maps(h, a_bb: complex, a_be, a_ee, force):
     """One classic RK4 step of d(beta, c_e)/dt = A(t) (beta, c_e) + (force, 0)
     as the affine map y -> M y + v, for each step length in ``h``.
 
-    A = [[a_bb, a_be], [a_be, a_ee]], with a_ee = None for zero.  The last
-    axis of ``h`` runs over n steps; the last axes of ``a_be``, ``a_ee`` and
-    ``force`` hold 2 n + 1 values, at the start, middle and end of each
-    step (an end is the next step's start).  Leading axes broadcast, one
-    row per run.  Returns ((M_bb, M_be, M_eb, M_ee), (v_b, v_e)).
+    A = [[a_bb, a_be], [a_be, a_ee]], with a_ee = None for zero; ``a_be``,
+    ``a_ee`` and ``force`` hold 2 len(h) + 1 values, at the start, middle
+    and end of each step (an end is the next step's start).  Returns
+    ((M_bb, M_be, M_eb, M_ee), (v_b, v_e)).
     """
     # three steps side by side, whose results are the map's columns: from
     # (1, 0) and from (0, 1) undriven, and from rest driven
-    column = (3,) + (1,) * np.ndim(a_be)
-    y_b = np.array([1.0, 0.0, 0.0]).reshape(column)
-    y_e = np.array([0.0, 1.0, 0.0]).reshape(column)
-    n = h.shape[-1]
+    y_b = np.array([[1.0], [0.0], [0.0]])
+    y_e = np.array([[0.0], [1.0], [0.0]])
 
     def slope(k, yb, ye):
-        s = slice(k, k + 2 * n, 2)
-        k_b = a_bb * yb + a_be[..., s] * ye
-        k_b[2] += force[..., s]
-        k_e = a_be[..., s] * yb
+        s = slice(k, k + 2 * h.size, 2)
+        k_b = a_bb * yb + a_be[s] * ye
+        k_b[2] += force[s]
+        k_e = a_be[s] * yb
         if a_ee is not None:
-            k_e += a_ee[..., s] * ye
+            k_e += a_ee[s] * ye
         return k_b, k_e
 
     def moved(step, k_b, k_e):
@@ -581,8 +563,12 @@ def timing_offset_scan(scheme: str, config: dict, offsets) -> np.ndarray:
                 _, c_e = kern.amplitudes_at(pulse, float(t_stop))
                 out[i] = abs(c_e) ** 2
         return out
+    g_prime = float(config["g_prime"])
     detuned = config.get("variant", "zed") == "tpr"
-    traj = _adiabatic_reduced_run(
-        float(config["g_prime"]), kappa, T, detuned=detuned, control_offset=offsets
-    )
-    return np.asarray(traj.population("c_e")[..., -1])
+    out = np.empty(offsets.shape)
+    for i, off in enumerate(offsets):
+        traj = _adiabatic_reduced_run(
+            g_prime, kappa, T, detuned=detuned, control_offset=float(off)
+        )
+        out[i] = float(traj.population("c_e")[-1])
+    return out

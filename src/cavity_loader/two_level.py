@@ -485,11 +485,6 @@ def _marches(prop: _Propagator, pulse: PulseShape, grid, phi):
         yield numerics.affine_march((bb[row], be[row], be[row], ee[row]), (f_b, f_e))
 
 
-def _march(prop: _Propagator, pulse: PulseShape, grid, phi) -> np.ndarray:
-    """``_marches`` for the one propagator ``prop``."""
-    return next(_marches(_Propagator.stack([prop]), pulse, grid, phi))
-
-
 def dimensionless_load(
     kT: float,
     g_over_k: float,

@@ -294,13 +294,12 @@ def test_timing_offset_early_stop_kills_loading():
 
 @pytest.mark.parametrize("variant", ["zed", "tpr"])
 def test_adiabatic_offset_array_is_bit_identical(variant):
-    # each offset has its own default grid, so the batch runs one group per
-    # offset; its results are those of one-offset calls
+    # an array of offsets gives the results of one-offset calls
     cfg = {"kappa": 1.0, "T": 4.5, "g_prime": 1.0, "variant": variant}
     offsets = np.linspace(-4.5, 4.5, 5)
     probs = lm.timing_offset_scan("adiabatic", cfg, offsets)
     assert probs.shape == offsets.shape
-    singles = [float(lm.timing_offset_scan("adiabatic", cfg, off)) for off in offsets]
+    singles = [float(lm.timing_offset_scan("adiabatic", cfg, [off])[0]) for off in offsets]
     assert probs.tolist() == singles
 
 
@@ -441,15 +440,24 @@ def test_affine_march_matches_plain_recursion(detuned, g_prime, points, n_sub):
     assert np.abs(got - want[::n_sub]).max() <= 1e-12
 
 
-@pytest.mark.parametrize("detuned", [False, True], ids=["zed", "tpr"])
-def test_batched_adiabatic_run_memory(detuned):
-    # the coarse scan of an adiabatic optimum: 40 couplings, the maps of at
-    # most _RK4_BLOCK runs x sub-steps alive at a time
-    g_prime = np.geomspace(0.2, 5.0, 40)
-    lm._adiabatic_reduced_run(g_prime[:2], 1.0, 10.0, detuned)
+@pytest.mark.parametrize(
+    "detuned, g_prime, kT, grid",
+    [
+        # the coarse scan of an adiabatic optimum: 40 couplings
+        (False, np.geomspace(0.2, 5.0, 40), 10.0, None),
+        (True, np.geomspace(0.2, 5.0, 40), 10.0, None),
+        # tpr near the kappa T = 4 threshold on a two-point grid: one
+        # output interval of ~16 000 sub-steps
+        (True, 10.0, 4.05, np.array([-4.0 * 4.05, 5.0 * 4.05])),
+    ],
+    ids=["zed", "tpr", "tpr-one-long-interval"],
+)
+def test_batched_adiabatic_run_memory(detuned, g_prime, kT, grid):
+    # the maps of at most _RK4_BLOCK sub-steps alive at a time
+    lm._adiabatic_reduced_run(np.atleast_1d(g_prime)[:2], 1.0, kT, detuned, grid=grid)
     tracemalloc.start()
     try:
-        lm._adiabatic_reduced_run(g_prime, 1.0, 10.0, detuned)
+        lm._adiabatic_reduced_run(g_prime, 1.0, kT, detuned, grid=grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -264,7 +264,7 @@ def test_banded_march_matches_plain_recursion():
     for params in (LOSSY_DETUNED, TwoLevelParams(g=0.5, kappa=1.0)):
         gamma_prime = complex(params.gamma, -params.delta)
         prop = two_level._Kernels(params.kappa, gamma_prime, params.g).step
-        states = two_level._march(prop, pulse, grid, phi)
+        states = next(two_level._marches(two_level._Propagator.stack([prop]), pulse, grid, phi))
         # the same step map, applied one step at a time in Python
         expected = [(0j, 0j)]
         for a, b in zip(grid[:-1].tolist(), grid[1:].tolist()):
