@@ -5,7 +5,10 @@ The ODE path is the brute-force reference for every model in the
 package; the quadrature routine evaluates the convolution kernels of the
 closed-form solutions on arrays of nodes.  Both wrap scipy (Dormand-Prince
 RK45 and adaptive Gauss-Kronrod cubature) behind small, deterministic
-interfaces with explicit failure signalling.  ``affine_march`` is the one
+interfaces with explicit failure signalling.  These oracle routes import
+``scipy.integrate`` on first use; the fast paths (``affine_march``,
+``scan_refine`` and the engines built on them) never load it, so a
+command that needs no oracle starts without it.  ``affine_march`` is the one
 solver of the stepping engines, exact (two-level) and RK4 (adiabatic
 Lambda) alike.  ``scan_refine`` is the one peak finder: the loading peak
 over time and the optimum over the coupling both use it.
@@ -13,13 +16,12 @@ over time and the optimum over the coupling both use it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cubature, solve_ivp
-from scipy.integrate._rules import GaussKronrodQuadrature
 from scipy.linalg import blas
 
 __all__ = [
@@ -112,6 +114,8 @@ def integrate(
     states : ndarray, shape (len(grid), dimension)
         complex state at each grid time.
     """
+    from scipy.integrate import solve_ivp
+
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("output grid must be a nonempty 1-D array")
@@ -177,6 +181,8 @@ def quad1(
     number or an array of m.  Real and imaginary parts are integrated in
     one adaptive pass, refined until each meets the tolerance.
     """
+    from scipy.integrate import cubature
+
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("quad1 requires a finite interval")
@@ -207,17 +213,17 @@ def quad1(
     return complex(est) if est.ndim == 0 else est
 
 
+@functools.cache
 def _kronrod_nodes():
     """scipy's 21-point Kronrod nodes and weights on [-1, 1], the positions of
     its 10 Gauss nodes among them (the odd ones) and their Gauss weights."""
+    from scipy.integrate._rules import GaussKronrodQuadrature
+
     gk = GaussKronrodQuadrature(21)
     nodes, weights = (np.asarray(x) for x in gk.nodes_and_weights)
     g_nodes, g_weights = (np.asarray(x) for x in gk.lower_nodes_and_weights)
     g_index = np.abs(nodes[:, None] - g_nodes).argmin(axis=0)
     return nodes[:, None], weights, g_index, g_weights
-
-
-_KRONROD = _kronrod_nodes()
 
 
 class _OnePassKronrod:
@@ -235,7 +241,7 @@ class _OnePassKronrod:
         self._error = None
 
     def estimate(self, f, a, b, args=()):
-        nodes, weights, g_index, g_weights = _KRONROD
+        nodes, weights, g_index, g_weights = _kronrod_nodes()
         lengths = b - a
         scale = np.prod(lengths) / 2
         values = f((nodes + 1) * (lengths * 0.5) + a, *args)

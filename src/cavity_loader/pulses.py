@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import numerics
+
 __all__ = [
     "PulseShape",
     "make_sech",
@@ -75,8 +77,6 @@ class PulseShape:
 
     def norm_squared(self) -> float:
         """Adaptive quadrature of |Phi_b|^2 over the support."""
-        from . import numerics
-
         lo, hi = self.support
         if not hi > lo:
             return 0.0

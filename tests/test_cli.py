@@ -1,4 +1,9 @@
 import csv
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,3 +380,37 @@ def test_usage_error_returns_status(capsys):
     rc = run(["simulate", "--scenario", "two_level", "--kT", "2", "--g_over_k", "-inf"])
     assert rc == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+def test_optimize_cold_start_leaves_scipy_integrate_unloaded(tmp_path):
+    # a fresh interpreter runs one optimum per scenario; none of them may
+    # load scipy.integrate, which only the oracle routes need
+    script = textwrap.dedent(
+        """
+        import sys
+
+        from cavity_loader import cli, pulses
+
+        runs = [
+            ["--scenario", "two_level", "--kT", "2"],
+            ["--scenario", "lambda_nonadiabatic", "--kT", "3"],
+            ["--scenario", "mitnu", "--kT", "3", "--kT0", "4"],
+            ["--scenario", "lambda_adiabatic_tpr", "--kT", "6"],
+            ["--scenario", "lambda_adiabatic_zed", "--kT", "7"],
+        ]
+        for i, argv in enumerate(runs):
+            rc = cli.main(["optimize", *argv, "--out", f"opt{i}.csv"])
+            assert rc == 0, (argv, rc)
+        assert "scipy.integrate" not in sys.modules
+        # the oracle quadrature still loads it on first use
+        norm = pulses.make_sech(2.0, 2.0).norm_squared()
+        assert abs(norm - 1.0) < 1e-8, norm
+        assert "scipy.integrate" in sys.modules
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

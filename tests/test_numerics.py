@@ -148,6 +148,41 @@ def test_quad1_vector_valued_matches_separate_calls():
         assert abs(value - exact) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "f, interval, breakpoints",
+    [
+        (lambda t: np.exp(-0.5 * t**2 + 2j * t), (-5.0, 5.0), ()),
+        (lambda t: np.cosh(2.0 * (t - 1.5)) ** -2 + 0j, (-8.5, 11.5), (1.5,)),
+        (lambda t: np.where(t >= 1.0, np.exp(-2.0 * (t - 1.0)), 0.0) + 0j, (0.0, 8.0), (1.0,)),
+    ],
+    ids=["complex_gaussian", "sech_squared", "one_sided_exponential"],
+)
+def test_quad1_is_cubature_gk21_bit_for_bit(f, interval, breakpoints):
+    # the one-pass Kronrod rule evaluates each subregion once, but its sums
+    # and error estimates must be scipy's gk21 exactly
+    from scipy.integrate import cubature
+
+    spec = numerics.DEFAULT_QUAD
+
+    def pair(x):
+        v = np.asarray(f(x[:, 0]), dtype=complex)
+        return np.stack((v.real, v.imag), axis=-1)
+
+    res = cubature(
+        pair,
+        [interval[0]],
+        [interval[1]],
+        rule="gk21",
+        rtol=spec.rtol,
+        atol=spec.atol,
+        max_subdivisions=spec.max_subdivisions,
+        points=[[p] for p in breakpoints],
+    )
+    assert res.status == "converged"
+    expected = complex(res.estimate[0], res.estimate[1])
+    assert numerics.quad1(f, interval, breakpoints=breakpoints) == expected
+
+
 def test_quad1_subdivision_limit():
     spec = QuadratureSpec(rtol=1e-13, atol=1e-300, max_subdivisions=3)
     with pytest.raises(numerics.QuadratureFailure):
