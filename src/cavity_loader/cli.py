@@ -153,15 +153,12 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _trajectory(scenario: str, cfg: dict, points: int):
-    return optimize.get_scenario(scenario).trajectory(cfg, points)
-
-
 def _family_csv(path, scenario: str, cfg: dict, field: str, values, prefix: str) -> None:
     """t/T, then the last trajectory column for each value of ``field``."""
+    trajectory = optimize.get_scenario(scenario).trajectory
     cols = []
     for value in values:
-        _, columns = _trajectory(scenario, {**cfg, field: value}, 501)
+        _, columns = trajectory({**cfg, field: value}, 501)
         cols.append(columns[-1])
     write_csv(path, ["t_over_T"] + [f"{prefix}{v}" for v in values], zip(columns[0], *cols))
 
@@ -196,8 +193,9 @@ def _figure_fig4(outdir: Path, workers=None) -> dict:
 def _figure_fig5(outdir: Path, workers=None) -> dict:
     kT, g = 2.0, 1.0
     kinds = ("sech", "rectangular", "exp_rising", "exp_decaying")
+    trajectory = optimize.get_scenario("two_level").trajectory
     for kind in kinds:
-        header, columns = _trajectory("two_level", {"kT": kT, "g_over_k": g, "pulse": kind}, 501)
+        header, columns = trajectory({"kT": kT, "g_over_k": g, "pulse": kind}, 501)
         write_csv(outdir / f"fig5_{kind}.csv", header, zip(*columns))
     return {"kT": kT, "g_over_k": g, "pulses": list(kinds)}
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import numerics
 from .lambda_memory import LambdaParams, effective_two_level
 from .pulses import PulseShape, make_sech
-from .two_level import TwoLevelParams, Trajectory, _Kernels
+from .two_level import TwoLevelParams, Trajectory, _Propagator
 
 __all__ = [
     "PolarizationQubit",
@@ -117,8 +117,7 @@ def v_level_load(
     recombined; the result equals the single-leg loading probability for
     every qubit (the identity this operation also verifies).
     """
-    kern = _Kernels(leg.kappa, complex(leg.gamma, -leg.delta), leg.g)
-    _, c_e = kern.amplitudes_at(pulse, t)
+    _, c_e = _Propagator.of(leg).amplitudes_at(pulse, t)
     c_plus = q.alpha * c_e
     c_minus = q.beta * c_e
     amp = np.conj(q.alpha) * c_plus + np.conj(q.beta) * c_minus
@@ -182,18 +181,18 @@ def c_ee(
     "quad2" to force the direct route, or "reduced" to force the fast
     one.
     """
-    kern = _Kernels(p.kappa, complex(p.gamma, -p.delta), p.g)
+    prop = _Propagator.of(p)
     if method == "quad2" or (method == "auto" and not b.separable_structure):
-        return _cee_quad2(kern, b, t, spec)
+        return _cee_quad2(prop, b, t, spec)
     if method in ("auto", "reduced"):
         if not b.separable_structure:
             raise ValueError("reduced evaluation needs a downconverter-structured amplitude")
-        return complex(_cee_reduced(kern, b, t)(np.array([t]))[0])
+        return complex(_cee_reduced(prop, b, t)(np.array([t]))[0])
     raise ValueError(f"unknown method {method!r}")
 
 
 def _cee_quad2(
-    kern: _Kernels,
+    prop: _Propagator,
     b: BiphotonAmplitude,
     t: float,
     spec: numerics.QuadratureSpec = numerics.DEFAULT_QUAD,
@@ -211,7 +210,7 @@ def _cee_quad2(
     y1 = min(y1, t)
     if x1 <= x0 or y1 <= y0:
         return 0.0 + 0.0j
-    pref = 2.0 * kern.kappa * kern.g_amp**2
+    pref = 2.0 * prop.kappa * prop.g_amp**2
     band = b.t0_window if b.separable_structure else math.inf
     # the inner integral is smooth in tau' away from the breakpoints, so a
     # tenfold tighter inner tolerance keeps the outer estimate honest
@@ -225,20 +224,21 @@ def _cee_quad2(
 
         def inner(u: np.ndarray) -> np.ndarray:
             tau = lo + u[:, None] * width
-            return b.joint(tau, tau2) * kern.ce_kernel(t - tau) * width
+            return b.joint(tau, tau2) * prop.ce_kernel(t - tau) * width
 
-        return numerics.quad1(inner, (0.0, 1.0), inner_spec) * kern.ce_kernel(t - tau2)
+        return numerics.quad1(inner, (0.0, 1.0), inner_spec) * prop.ce_kernel(t - tau2)
 
     # the clipped inner limits have kinks where tau' -+ T0 meets the support
     return pref * numerics.quad1(outer, (y0, y1), spec, breakpoints=(x0 + band, x1 - band))
 
 
-def _difference_integral(kern: _Kernels, w: np.ndarray, window: float) -> np.ndarray:
+def _difference_integral(prop: _Propagator, w: np.ndarray, window: float) -> np.ndarray:
     """int_{-S}^{S} Ktil(w - s/2) Ktil(w + s/2) ds with S = min(window, 2w).
 
     Uses the closed form
-        4 S e^{-(kappa + gamma' + 2 d) w} [cosh(xi w) - sinhc(xi S / 2)] / xi^2
-    with a series branch where the bracket cancels.
+        4 S e^{-2 mean w} [cosh(xi w) - sinhc(xi S / 2)] / xi^2
+    with a series branch where the bracket cancels; kappa_pm + d, the
+    kernel's decay rates, are mean +- xi/2.
     """
     w = np.asarray(w, dtype=float)
     out = np.zeros(w.shape, dtype=complex)
@@ -247,9 +247,7 @@ def _difference_integral(kern: _Kernels, w: np.ndarray, window: float) -> np.nda
         return out
     wp = w[pos]
     S = np.minimum(window, 2.0 * wp)
-    xi = kern.rates.xi
-    d = kern.extra_decay
-    mean2 = kern.kappa + kern.gamma_prime + 2.0 * d
+    xi, mean = prop.xi, prop.mean
     vals = np.empty(wp.shape, dtype=complex)
     small = np.abs(xi) * np.maximum(wp, S) < 0.1
     if np.any(small):
@@ -257,26 +255,30 @@ def _difference_integral(kern: _Kernels, w: np.ndarray, window: float) -> np.nda
         bracket = (ws**2 / 2.0 - Ss**2 / 24.0) + xi**2 * (
             ws**4 / 24.0 - Ss**4 / 1920.0
         )
-        vals[small] = 4.0 * Ss * np.exp(-mean2 * ws) * bracket
+        vals[small] = 4.0 * Ss * np.exp(-2.0 * mean * ws) * bracket
     big = ~small
     if np.any(big):
         wb, Sb = wp[big], S[big]
-        a_plus = np.exp(-2.0 * (kern.rates.kappa_plus + d) * wb)
-        a_minus = np.exp(-2.0 * (kern.rates.kappa_minus + d) * wb)
-        cross = np.exp(-mean2 * wb) * 2.0 * np.sinh(0.5 * xi * Sb) / (0.5 * xi)
+        a_plus = np.exp(-2.0 * (mean + xi / 2.0) * wb)
+        a_minus = np.exp(-2.0 * (mean - xi / 2.0) * wb)
+        cross = np.exp(-2.0 * mean * wb) * 2.0 * np.sinh(0.5 * xi * Sb) / (0.5 * xi)
         vals[big] = (2.0 * Sb * (a_plus + a_minus) - 2.0 * cross) / xi**2
     out[pos] = vals
     return out
 
 
-def _panel_width(kern: _Kernels, b: BiphotonAmplitude) -> float:
+def _panel_width(prop: _Propagator, b: BiphotonAmplitude) -> float:
     """Gauss panel width that resolves the pump, the window and the kernel."""
-    rate = max(
-        kern.rates.kappa_plus.real + kern.extra_decay,
-        kern.rates.kappa_minus.real + kern.extra_decay,
-        kern.kappa,
-    )
+    # the kernel's faster decay rate is Re(mean + xi/2): xi is a principal root
+    rate = max(prop.mean.real + prop.xi.real / 2.0, prop.kappa)
     return min(b.pump.T / 2.0, b.t0_window / 2.0, 0.5 / rate)
+
+
+# at most this many nodes in the pair's reduced rule, a pump matrix of
+# 401 x 25 000 complex values (160 MB) in a peak search: the tests, figure
+# presets and benchmark requests build at most 21 144 (T = 2, T0 = 0.025),
+# while a window or pump width near zero asks for billions
+_RULE_NODE_BUDGET = 25_000
 
 
 def _reduced_rule(b: BiphotonAmplitude, t_max: float, h: float):
@@ -288,15 +290,15 @@ def _reduced_rule(b: BiphotonAmplitude, t_max: float, h: float):
     return _composite_gauss(0.0, w_max, h, fixed=(b.t0_window / 2.0,))
 
 
-def _reduced_weight(kern: _Kernels, b: BiphotonAmplitude, nodes, weights):
+def _reduced_weight(prop: _Propagator, b: BiphotonAmplitude, nodes, weights):
     """(prefactor, per-node weight) of the reduced integral for one kernel."""
     # the quad2 route reads the normalization from b.joint; here the pump is
     # used bare, so norm_constant enters once through the prefactor
-    pref = 2.0 * kern.kappa * kern.g_amp**2 * b.norm_constant
-    return pref, weights * _difference_integral(kern, nodes, b.t0_window)
+    pref = 2.0 * prop.kappa * prop.g_amp**2 * b.norm_constant
+    return pref, weights * _difference_integral(prop, nodes, b.t0_window)
 
 
-def _cee_reduced(kern: _Kernels, b: BiphotonAmplitude, t_max: float):
+def _cee_reduced(prop: _Propagator, b: BiphotonAmplitude, t_max: float):
     """c_ee(times) for times up to t_max, by the mean/difference reduction.
 
     Writing the double convolution in the mean time a = (tau + tau')/2
@@ -306,11 +308,11 @@ def _cee_reduced(kern: _Kernels, b: BiphotonAmplitude, t_max: float):
     split at the w = T0/2 kink, built once up to t_max; at earlier times
     the nodes past t - (pump start) see pump = 0.
     """
-    rule = _reduced_rule(b, t_max, _panel_width(kern, b))
+    rule = _reduced_rule(b, t_max, _panel_width(prop, b))
     if rule is None:
         return lambda times: np.zeros(times.shape, dtype=complex)
     nodes = rule[0]
-    pref, weight = _reduced_weight(kern, b, *rule)
+    pref, weight = _reduced_weight(prop, b, *rule)
 
     def evaluate(times: np.ndarray) -> np.ndarray:
         pump_vals = b.pump.amplitude(times[:, None] - nodes[None, :])
@@ -322,16 +324,24 @@ def _cee_reduced(kern: _Kernels, b: BiphotonAmplitude, t_max: float):
 
 
 def _composite_gauss(a: float, b: float, h: float, fixed=(), order: int = 12):
-    """Nodes/weights of composite Gauss-Legendre panels of width <= h."""
+    """Nodes/weights of composite Gauss-Legendre panels of width <= h;
+    QuadratureFailure, before anything is built, past ``_RULE_NODE_BUDGET``
+    nodes."""
     x, w = _gauss_legendre(order)
     edges = np.unique(
         np.concatenate(
             [np.array([a, b]), np.asarray([f for f in fixed if a < f < b])]
         )
     )
+    panels = np.maximum(np.ceil(np.diff(edges) / h), 1.0)
+    if order * panels.sum() > _RULE_NODE_BUDGET:
+        raise numerics.QuadratureFailure(
+            f"the Gauss rule needs {order * panels.sum():.3g} nodes (panels of "
+            f"width {h:.3g} over [{a:.3g}, {b:.3g}]), more than the budget of "
+            f"{_RULE_NODE_BUDGET}"
+        )
     mids, halves = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        n_panel = max(1, int(np.ceil((hi - lo) / h)))
+    for lo, hi, n_panel in zip(edges[:-1], edges[1:], panels.astype(int).tolist()):
         bounds = np.linspace(lo, hi, n_panel + 1)
         mids.append(0.5 * (bounds[:-1] + bounds[1:]))
         halves.append(0.5 * (bounds[1:] - bounds[:-1]))
@@ -355,8 +365,7 @@ def joint_trajectory(
     if not b.separable_structure:
         raise ValueError("joint_trajectory needs a downconverter-structured amplitude")
     grid = np.asarray(grid, dtype=float)
-    kern = _Kernels(p.kappa, complex(p.gamma, -p.delta), p.g)
-    vals = _cee_reduced(kern, b, float(np.max(grid)))(grid)
+    vals = _cee_reduced(_Propagator.of(p), b, float(np.max(grid)))(grid)
     return Trajectory(
         times=grid,
         amplitudes={"c_ee": vals},
@@ -405,19 +414,17 @@ def peak_joint_loading(p, b: BiphotonAmplitude, horizon: float):
     if not b.separable_structure:
         raise ValueError("peak_joint_loading needs a downconverter-structured amplitude")
     single = isinstance(p, TwoLevelParams)
-    kerns = [
-        _Kernels(q.kappa, complex(q.gamma, -q.delta), q.g) for q in ([p] if single else p)
-    ]
-    h = min(_panel_width(kern, b) for kern in kerns)
+    props = [_Propagator.of(q) for q in ([p] if single else p)]
+    h = min(_panel_width(prop, b) for prop in props)
     state = _scan_state(b, float(horizon), h)
-    t_peaks, p_peaks = np.zeros(len(kerns)), np.zeros(len(kerns))
+    t_peaks, p_peaks = np.zeros(len(props)), np.zeros(len(props))
     # with no lag reaching the pump, c_ee vanishes on [0, horizon]
     if state is not None:
         grid, rule, pump_matrix = state
         if pump_matrix.nbytes > _SCAN_STATE_KEEP_BYTES:
             _scan_state.cache_clear()
         nodes = rule[0]
-        prefs, weights = zip(*(_reduced_weight(kern, b, *rule) for kern in kerns))
+        prefs, weights = zip(*(_reduced_weight(prop, b, *rule) for prop in props))
         prefs, weights = np.array(prefs), np.array(weights)
         # plain einsum: no BLAS thread pool in the workers of a sweep
         scans = prefs[:, None] * np.einsum("tn,gn->gt", pump_matrix, weights)
@@ -447,8 +454,6 @@ def mitnu_load(
     """
     if not callable(memory.omega) and memory.omega == 0.0:
         return 0.0
-    g_tilde, gamma_e, delta_e, d = effective_two_level(memory)
-    kern = _Kernels(memory.kappa, complex(gamma_e, -delta_e), g_tilde, extra_decay=d)
     b = spdc_biphoton(sp)
-    val = _cee_reduced(kern, b, t_load)(np.array([t_load]))[0]
+    val = _cee_reduced(effective_two_level(memory), b, t_load)(np.array([t_load]))[0]
     return float(abs(val) ** 2)

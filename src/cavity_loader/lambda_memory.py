@@ -47,7 +47,7 @@ import numpy as np
 from . import numerics, two_level
 from .numerics import OdeSystem
 from .pulses import PulseShape, frequency_shifted, make_sech
-from .two_level import Trajectory, _drive_max_step, _Kernels, TwoLevelParams
+from .two_level import Trajectory, _drive_max_step, _Propagator, TwoLevelParams
 
 __all__ = [
     "LambdaParams",
@@ -237,11 +237,14 @@ def compensated_pulse(pulse: PulseShape, p: LambdaParams) -> PulseShape:
     return frequency_shifted(pulse, p.g_c**2 / p.delta1)
 
 
-def effective_two_level(p: LambdaParams) -> tuple[complex, float, float, float]:
-    """(complex coupling, gamma_eff, delta_eff, drive decay) for constant control."""
+def effective_two_level(p: LambdaParams) -> _Propagator:
+    """The (beta, c_e) propagator after eliminating |r> under a constant
+    control: complex coupling g_eff / Gamma_r, rates gamma_eff and
+    delta_eff, and the drive decay as extra damping."""
     red = reduce(p)
-    g_tilde = complex(red.g_eff) / red.Gamma_r
-    return g_tilde, float(red.gamma_eff), float(red.delta_eff), red.drive_decay_rate
+    gamma_prime = complex(red.gamma_eff, -red.delta_eff)
+    g_amp = complex(red.g_eff) / red.Gamma_r
+    return _Propagator.from_rates(p.kappa, gamma_prime, g_amp, red.drive_decay_rate)
 
 
 def nonadiabatic_amplitude(p: LambdaParams, pulse: PulseShape, t: float) -> complex:
@@ -252,10 +255,7 @@ def nonadiabatic_amplitude(p: LambdaParams, pulse: PulseShape, t: float) -> comp
     """
     if p.omega_const <= 0:
         return 0.0 + 0.0j
-    g_tilde, gamma_e, delta_e, d = effective_two_level(p)
-    kern = _Kernels(p.kappa, complex(gamma_e, -delta_e), g_tilde, extra_decay=d)
-    _, c_e = kern.amplitudes_at(pulse, t)
-    return c_e
+    return effective_two_level(p).amplitudes_at(pulse, t)[1]
 
 
 def nonadiabatic_load(
@@ -369,9 +369,11 @@ def _adiabatic_reduced_run(
         return adiabatic_control_pulse(1.0, kappa, T, t - T - control_offset)
 
     # the control falls with t: its largest value, and the fastest rate
-    # rho of the pair, are at the first grid point
+    # rho of the pair, are at the first grid point; the sign of g' is only
+    # the sign of c_e
     om_max = omega_unit(grid[0])
-    rho = kappa + g_prime * om_max + (g_prime * (1.0 + om_max**2) if detuned else 0.0)
+    g_abs = np.abs(g_prime)
+    rho = kappa + g_abs * om_max + (g_abs * (1.0 + om_max**2) if detuned else 0.0)
     if not np.isfinite(rho).all():
         raise numerics.OdeFailure("the adiabatic control is not finite", float(grid[0]))
     # RK4 is stable on the imaginary axis up to |h lambda| = 2.8
@@ -553,14 +555,14 @@ def timing_offset_scan(scheme: str, config: dict, offsets) -> np.ndarray:
         t_load = config.get("t_load")
         if t_load is None:
             t_load, _ = two_level.peak_loading(params, pulse, 5.0 * T)
-        kern = _Kernels(kappa, 0.0 + 0.0j, g)
+        prop = _Propagator.of(params)
         out = np.empty(offsets.shape)
         for i, off in enumerate(offsets):
             t_stop = t_load + off
             if t_stop <= pulse.support[0]:
                 out[i] = 0.0
             else:
-                _, c_e = kern.amplitudes_at(pulse, float(t_stop))
+                _, c_e = prop.amplitudes_at(pulse, float(t_stop))
                 out[i] = abs(c_e) ** 2
         return out
     g_prime = float(config["g_prime"])

@@ -48,7 +48,8 @@ class OdeFailure(RuntimeError):
 
 
 class QuadratureFailure(RuntimeError):
-    """Adaptive quadrature did not converge within the subdivision limit."""
+    """Adaptive quadrature did not converge within the subdivision limit, or
+    a fixed rule would exceed its node budget."""
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,14 @@ DEFAULT_G_RANGE = (0.05, 10.0)
 DEFAULT_G_TOL = 1e-3
 
 
+def _nonnegative(raw) -> float:
+    """A float of at least zero."""
+    value = float(raw)
+    if not value >= 0:
+        raise ValueError(f"must be nonnegative, got {raw!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Fields:
     """The fields one command reads, each mapped to its parser.
@@ -172,7 +180,7 @@ def _adiabatic(detuned: bool) -> Scenario:
         return _table(traj, T, _LAMBDA_COLUMNS)
 
     return Scenario(
-        simulate=Fields({"kT": float, "g_prime_over_k": float}),
+        simulate=Fields({"kT": float, "g_prime_over_k": _nonnegative}),
         optimize=Fields({"kT": float}),
         probability=probability,
         trajectory=trajectory,

@@ -21,6 +21,7 @@ units of kappa).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -101,24 +102,34 @@ class Trajectory:
 
 def derived_rates(p: TwoLevelParams) -> DerivedRates:
     """Decay constants kappa_pm, kappa'_pm, xi, gamma' for the closed form."""
-    return _derived_rates_general(p.kappa, complex(p.gamma, -p.delta), p.g**2)
-
-
-def _derived_rates_general(
-    kappa: float, gamma_prime: complex, g_squared: complex
-) -> DerivedRates:
-    xi = np.sqrt(complex((kappa - gamma_prime) ** 2 - 4.0 * g_squared))
-    kp = (kappa + gamma_prime + xi) / 2.0
-    km = (kappa + gamma_prime - xi) / 2.0
+    gamma_prime = complex(p.gamma, -p.delta)
+    xi = _xi(p.kappa, gamma_prime, p.g)
+    kp = (p.kappa + gamma_prime + xi) / 2.0
+    km = (p.kappa + gamma_prime - xi) / 2.0
     return DerivedRates(
-        gamma_prime=complex(gamma_prime),
-        xi=complex(xi),
-        kappa_plus=complex(kp),
-        kappa_minus=complex(km),
-        kappa_p_plus=complex(kp - gamma_prime),
-        kappa_p_minus=complex(km - gamma_prime),
-        degenerate=bool(abs(xi) < DEGENERATE_XI_FRACTION * kappa),
+        gamma_prime=gamma_prime,
+        xi=xi,
+        kappa_plus=kp,
+        kappa_minus=km,
+        kappa_p_plus=kp - gamma_prime,
+        kappa_p_minus=km - gamma_prime,
+        degenerate=bool(abs(xi) < DEGENERATE_XI_FRACTION * p.kappa),
     )
+
+
+def _xi(kappa: float, gamma_prime: complex, g_amp: complex) -> complex:
+    """sqrt((kappa - gamma')^2 - 4 g^2), principal branch; ValueError when
+    the rates are too large for it to be finite."""
+    # powers, not products: float g**2 and g*g can differ in the last bit
+    try:
+        radicand = complex((kappa - gamma_prime) ** 2 - 4.0 * g_amp**2)
+    except OverflowError:  # a Python power past the float range
+        radicand = complex(math.inf)
+    if not cmath.isfinite(radicand):
+        raise ValueError(
+            f"xi is not finite for kappa = {kappa!r}, gamma' = {gamma_prime!r}, g = {g_amp!r}"
+        )
+    return complex(np.sqrt(radicand))
 
 
 def _sinhc(z):
@@ -139,12 +150,15 @@ _FACTORED_THRESHOLD = 0.1
 @dataclass(frozen=True)
 class _Propagator:
     """exp(A s) for the drive-free matrix A = -[[kappa + d, i g], [i g, gamma' + d]]
-    of the (beta, c_e) pair, d the extra decay.
+    of the (beta, c_e) pair, d the extra decay: the one object behind the
+    exact stepping and the causal response kernels of the closed form.
 
-    A + mean is traceless and squares to (xi / 2)^2, so exp(A s) = ch I +
-    sh (A + mean) exactly, finite through xi = 0.  The constants are
-    numbers, or (rows, 1) columns (``stack``, one row per propagator) that
-    broadcast against step lengths.
+    g may be complex and d positive, so that the Lambda reduction (complex
+    effective coupling, extra drive damping) reuses it.  A + mean is
+    traceless and squares to (xi / 2)^2, so exp(A s) = ch I + sh (A + mean)
+    exactly, finite through xi = 0.  The constants are numbers, or (rows, 1)
+    columns (``stack``, one row per propagator) that broadcast against step
+    lengths.
     """
 
     kappa: float
@@ -152,6 +166,22 @@ class _Propagator:
     xi: complex
     mean: complex
     half_diff: complex
+
+    @classmethod
+    def of(cls, p: TwoLevelParams) -> "_Propagator":
+        return cls.from_rates(p.kappa, complex(p.gamma, -p.delta), p.g)
+
+    @classmethod
+    def from_rates(
+        cls, kappa: float, gamma_prime: complex, g_amp: complex, extra_decay: float = 0.0
+    ) -> "_Propagator":
+        return cls(
+            float(kappa),
+            complex(g_amp),
+            _xi(kappa, gamma_prime, g_amp),
+            (kappa + gamma_prime) / 2.0 + extra_decay,
+            (kappa - gamma_prime) / 2.0,
+        )
 
     @classmethod
     def stack(cls, props) -> "_Propagator":
@@ -180,80 +210,20 @@ class _Propagator:
         ch, sh = self.parts(s)
         return ch - self.half_diff * sh, -1j * self.g_amp * sh, ch + self.half_diff * sh
 
-
-class _Kernels:
-    """Causal response kernels of the linear (beta, c_e) pair.
-
-    Parameterized by complex gamma' and complex g^2 so the lambda-system
-    reduction (complex effective coupling, extra drive damping) can reuse
-    the same closed form.  For s >= 0:
-
-        ce_kernel(s)   = (e^{-kappa_+ s} - e^{-kappa_- s}) / xi * e^{-d s}
-        beta_kernel(s) = (kappa'_+ e^{-kappa_+ s} - kappa'_- e^{-kappa_- s})
-                         / xi * e^{-d s}
-
-    evaluated in a factored form that is exact and cancellation-free
-    through the confluent point xi = 0.
-    """
-
-    def __init__(
-        self,
-        kappa: float,
-        gamma_prime: complex,
-        g_amp: complex,
-        extra_decay: float = 0.0,
-    ):
-        self.kappa = float(kappa)
-        self.gamma_prime = complex(gamma_prime)
-        self.g_amp = complex(g_amp)
-        self.rates = _derived_rates_general(kappa, gamma_prime, g_amp**2)
-        self.extra_decay = float(extra_decay)
-        self.step = _Propagator(
-            self.kappa,
-            self.g_amp,
-            self.rates.xi,
-            (kappa + gamma_prime) / 2.0 + extra_decay,
-            (kappa - gamma_prime) / 2.0,
-        )
-
     def ce_kernel(self, s):
-        return self._eval(s, want_beta=False)
+        """Causal kernel of c_e: -sh(s), i.e. (e^{-kappa_+ s} - e^{-kappa_- s})
+        / xi e^{-d s}, for s > 0 and zero before."""
+        s = np.asarray(s, dtype=float)
+        _, sh = self.parts(np.where(s > 0, s, 0.0))
+        return np.where(s > 0, -sh, 0.0)
 
     def beta_kernel(self, s):
-        return self._eval(s, want_beta=True)
-
-    def _eval(self, s, want_beta: bool):
-        s_arr = np.asarray(s, dtype=float)
-        out = np.zeros(s_arr.shape, dtype=complex)
-        pos = s_arr >= 0 if want_beta else s_arr > 0
-        if pos.any():
-            sp = s_arr[pos]
-            xi = self.rates.xi
-            half = 0.5 * xi * sp
-            factored = np.abs(half) < _FACTORED_THRESHOLD
-            vals = np.empty(sp.shape, dtype=complex)
-            if factored.any():
-                ch, sh = self.step.parts(sp[factored])
-                if want_beta:
-                    vals[factored] = ch - self.step.half_diff * sh
-                else:
-                    vals[factored] = -sh
-            direct = ~factored
-            if direct.any():
-                sd = sp[direct]
-                ep = np.exp(-(self.rates.kappa_plus + self.extra_decay) * sd)
-                em = np.exp(-(self.rates.kappa_minus + self.extra_decay) * sd)
-                if want_beta:
-                    vals[direct] = (
-                        self.rates.kappa_p_plus * ep - self.rates.kappa_p_minus * em
-                    ) / xi
-                else:
-                    vals[direct] = (ep - em) / xi
-            out[pos] = vals
-        return out
-
-    def ce_prefactor(self) -> complex:
-        return self.g_amp * math.sqrt(2.0 * self.kappa)
+        """Causal kernel of beta: the bb entry of exp(A s), i.e.
+        (kappa'_+ e^{-kappa_+ s} - kappa'_- e^{-kappa_- s}) / xi e^{-d s},
+        for s >= 0 and zero before."""
+        s = np.asarray(s, dtype=float)
+        ch, sh = self.parts(np.where(s >= 0, s, 0.0))
+        return np.where(s >= 0, ch - self.half_diff * sh, 0.0)
 
     def amplitudes_at(self, pulse: PulseShape, t: float) -> tuple[complex, complex]:
         """(beta, c_e) at time t by convolution over the pulse support."""
@@ -269,8 +239,8 @@ class _Kernels:
         beta_conv, ce_conv = numerics.quad1(
             integrand, (lo, upper), breakpoints=(pulse.t0,)
         )
-        beta = -1j * math.sqrt(2.0 * self.kappa) * beta_conv
-        return complex(beta), complex(self.ce_prefactor() * ce_conv)
+        drive = math.sqrt(2.0 * self.kappa)
+        return complex(-1j * drive * beta_conv), complex(self.g_amp * drive * ce_conv)
 
 
 def amplitude_closed_form(
@@ -281,8 +251,7 @@ def amplitude_closed_form(
     The convolution runs from the pulse support start, which generalizes
     the textbook lower limit 0 to pulses that begin before t = 0.
     """
-    kern = _Kernels(p.kappa, complex(p.gamma, -p.delta), p.g)
-    return kern.amplitudes_at(pulse, t)
+    return _Propagator.of(p).amplitudes_at(pulse, t)
 
 
 def amplitude_ode(p: TwoLevelParams, pulse: PulseShape, grid) -> Trajectory:
@@ -338,7 +307,7 @@ def spectral_amplitude(
     the pulse; quadratic cost, so intended for validation rather than
     production runs.
     """
-    kern = _Kernels(p.kappa, complex(p.gamma, -p.delta), p.g)
+    prop = _Propagator.of(p)
     if t <= origin:
         return 0.0 + 0.0j
     spec = numerics.DEFAULT_QUAD
@@ -349,7 +318,7 @@ def spectral_amplitude(
     def per_frequency(nu: np.ndarray) -> np.ndarray:
         # one vector-valued time integral for the whole batch of frequencies
         conv = numerics.quad1(
-            lambda tau: np.exp(-1j * np.outer(tau, nu)) * kern.ce_kernel(t - tau)[:, None],
+            lambda tau: np.exp(-1j * np.outer(tau, nu)) * prop.ce_kernel(t - tau)[:, None],
             (origin, t),
             inner_spec,
         )
@@ -373,10 +342,7 @@ def peak_loading(p, pulse: PulseShape, horizon: float):
     sqrt(eps) |t|.  Ties break toward the earliest time.
     """
     single = isinstance(p, TwoLevelParams)
-    props = [
-        _Kernels(q.kappa, complex(q.gamma, -q.delta), q.g).step
-        for q in ([p] if single else p)
-    ]
+    props = [_Propagator.of(q) for q in ([p] if single else p)]
     t_begin = min(0.0, pulse.support[0])
     width = pulse.T if math.isfinite(pulse.T) else (horizon - t_begin)
     n = max(int(np.ceil((horizon - t_begin) / width * 400)), 64)

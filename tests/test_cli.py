@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -414,3 +415,43 @@ def test_optimize_cold_start_leaves_scipy_integrate_unloaded(tmp_path):
         [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["optimize", "--scenario", "two_level", "--kT", "2", "--delta_over_k", "1e300"], 2),
+        (["optimize", "--scenario", "two_level", "--kT", "2", "--gamma_over_g", "1e300"], 2),
+        (
+            ["optimize", "--scenario", "lambda_nonadiabatic", "--kT", "2", "--delta_over_k", "1e160"],
+            2,
+        ),
+        (["optimize", "--scenario", "mitnu", "--kT", "2", "--kT0", "1e-9"], 3),
+        (["optimize", "--scenario", "mitnu", "--kT", "1e-9", "--kT0", "2"], 3),
+        (["simulate", "--scenario", "mitnu", "--kT", "2", "--kT0", "1e-9", "--g_over_k", "1"], 3),
+        (
+            ["simulate", "--scenario", "lambda_adiabatic_zed", "--kT", "5", "--g_prime_over_k", "-1"],
+            2,
+        ),
+    ],
+    ids=[
+        "two_level-delta",
+        "two_level-gamma",
+        "lambda_nonadiabatic-delta",
+        "mitnu-narrow-window",
+        "mitnu-narrow-pump",
+        "mitnu-simulate",
+        "zed-negative-g_prime",
+    ],
+)
+def test_contract_for_extreme_inputs(tmp_path, capsys, argv, code):
+    # overflowing rates and a negative g' are configuration errors; a pair
+    # rule past its node budget is a numeric failure, raised before the rule
+    # is allocated; none of them may leak a traceback or a warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(argv + ["--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []

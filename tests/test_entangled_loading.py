@@ -165,7 +165,7 @@ def test_mitnu_couplings_share_one_panel_width():
     for kT, kT0 in ((2.0, 6.0), (6.0, 2.0), (3.0, 4.0)):
         b = el.spdc_biphoton(SpdcParams(T=kT, T0=kT0))
         widths = {
-            el._panel_width(two_level._Kernels(1.0, 0.0, g), b)
+            el._panel_width(two_level._Propagator.of(TwoLevelParams(g=g, kappa=1.0)), b)
             for g in np.geomspace(0.1, 5.0, 40)
         }
         assert widths == {min(kT / 2.0, kT0 / 2.0, 0.5)}

@@ -360,12 +360,24 @@ def _reduced_reference(g_prime, kT, detuned, offset):
 def test_adiabatic_rk4_matches_dop853(detuned, kT):
     # the fixed-step RK4 production route against an adaptive DOP853 run of
     # the same equations, including tpr at kT = 4.5 and g' = 5, where the
-    # step is set by the stiff light shift g' Omega^2
-    for g_prime in (0.2, 1.0, 5.0):
+    # step is set by the stiff light shift g' Omega^2, and a negative g'
+    for g_prime in (0.2, 1.0, 5.0, -1.0):
         for offset in (-kT / 2.0, 0.0, kT / 2.0):
             traj = lm._adiabatic_reduced_run(g_prime, 1.0, kT, detuned, control_offset=offset)
             want = _reduced_reference(g_prime, kT, detuned, offset)
             assert abs(traj.population("c_e")[-1] - want) <= 1e-8, (g_prime, offset)
+
+
+@pytest.mark.parametrize("kT", [4.5, 10.0])
+def test_zed_sign_of_g_prime_flips_only_c_e(kT):
+    # without light shifts g' enters only through the coupling g' Omega, so
+    # flipping its sign flips c_e and leaves beta and the step count alone
+    g_prime = np.array([0.2, 1.0, 5.0])
+    plus = lm._adiabatic_reduced_run(g_prime, 1.0, kT, False)
+    minus = lm._adiabatic_reduced_run(-g_prime, 1.0, kT, False)
+    assert np.array_equal(minus.amplitudes["c_e"], -plus.amplitudes["c_e"])
+    assert np.array_equal(minus.amplitudes["beta"], plus.amplitudes["beta"])
+    assert np.array_equal(minus.population("c_e")[:, -1], plus.population("c_e")[:, -1])
 
 
 def test_adiabatic_rk4_step_stable_for_stiff_light_shift():

@@ -60,6 +60,24 @@ def test_derived_rates_algebraic_identities():
         assert r.kappa_plus.real >= r.kappa_minus.real - 1e-15
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        TwoLevelParams(g=1.0, kappa=1.0, delta=1e160),
+        TwoLevelParams(g=1.0, kappa=1.0, gamma=1e300),
+        TwoLevelParams(g=1e200, kappa=1.0),
+    ],
+    ids=["delta", "gamma", "g"],
+)
+def test_overflowing_rates_are_rejected(params):
+    # (kappa - gamma')^2 - 4 g^2 overflows: a ValueError naming the rates,
+    # not an OverflowError from complex exponentiation
+    with pytest.raises(ValueError, match="kappa = 1.0"):
+        two_level.derived_rates(params)
+    with pytest.raises(ValueError, match="kappa = 1.0"):
+        two_level._Propagator.of(params)
+
+
 def test_closed_form_zero_pulse():
     beta, ce = two_level.amplitude_closed_form(FIG3_PARAMS, pulses.make_zero(), 3.0)
     assert beta == 0.0 and ce == 0.0
@@ -262,8 +280,7 @@ def test_banded_march_matches_plain_recursion():
     grid = np.linspace(0.0, 10.3713, 2076)
     phi = pulse.amplitude(grid[:-1, None] + (grid[1] - grid[0]) * two_level._STEP_NODES)
     for params in (LOSSY_DETUNED, TwoLevelParams(g=0.5, kappa=1.0)):
-        gamma_prime = complex(params.gamma, -params.delta)
-        prop = two_level._Kernels(params.kappa, gamma_prime, params.g).step
+        prop = two_level._Propagator.of(params)
         states = next(two_level._marches(two_level._Propagator.stack([prop]), pulse, grid, phi))
         # the same step map, applied one step at a time in Python
         expected = [(0j, 0j)]
