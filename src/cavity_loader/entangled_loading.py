@@ -274,10 +274,10 @@ def _panel_width(prop: _Propagator, b: BiphotonAmplitude) -> float:
     return min(b.pump.T / 2.0, b.t0_window / 2.0, 0.5 / rate)
 
 
-# at most this many nodes in the pair's reduced rule, a pump matrix of
-# 401 x 25 000 complex values (160 MB) in a peak search: the tests, figure
-# presets and benchmark requests build at most 21 144 (T = 2, T0 = 0.025),
-# while a window or pump width near zero asks for billions
+# at most this many nodes in the pair's reduced rule, real pump blocks of at
+# most 401 x 25 000 values (80 MB) in a peak search: the tests, figure
+# presets and benchmark requests build at most 21 144 (T = 2, T0 = 0.025,
+# 45 MB of blocks), while a window or pump width near zero asks for billions
 _RULE_NODE_BUDGET = 25_000
 
 
@@ -373,16 +373,26 @@ def joint_trajectory(
 
 
 # a scan state larger than this is dropped after the call that built it: the
-# mitnu design range needs at most ~10 MB (kT = kT0 = 6), while a narrow
+# mitnu design range needs at most ~3 MB (kT = kT0 = 6), while a narrow
 # phase-matching window asks for hundreds of rule nodes per unit time
 _SCAN_STATE_KEEP_BYTES = 16 * 2**20
+
+# scan rows per block of the stored pump
+_SCAN_BLOCK = 32
 
 
 @functools.lru_cache(maxsize=1)
 def _scan_state(b: BiphotonAmplitude, horizon: float, h: float):
     """The coupling-independent part of a peak search: the 401-point time
-    scan, the reduced rule and pump(t_i - w_j) on scan x nodes, or None
-    when no lag reaches the pump.
+    scan, the reduced rule and the pump on the scan, or None when no lag
+    reaches the pump.
+
+    The pump is kept as blocks (rows, lags, pump(t_i - w_j)) of
+    ``_SCAN_BLOCK`` scan rows, each over only the lag nodes with t_i - w_j
+    in the pump's support for some row of the block (one node of padding
+    on each side against rounding in t_i - w_j), since the pump is exactly
+    zero outside it.  The blocks
+    hold the real part: ValueError when the pump is not real there.
 
     One entry: the calls of one coupling optimum share amplitude, horizon
     and panel width, so every call after the first is a hit.
@@ -390,15 +400,38 @@ def _scan_state(b: BiphotonAmplitude, horizon: float, h: float):
     rule = _reduced_rule(b, horizon, h)
     if rule is None:
         return None
+    nodes = rule[0]
     grid = np.linspace(0.0, horizon, 401)
-    pump_matrix = np.empty((grid.size, rule[0].size), dtype=complex)
-    # in blocks of rows: the build's temporaries stay small next to the
-    # matrix, which the previous entry still holds until this one returns
-    for i in range(0, grid.size, 32):
-        pump_matrix[i : i + 32] = b.pump.amplitude(grid[i : i + 32, None] - rule[0][None, :])
-    for arr in (grid, *rule, pump_matrix):
+    lo, hi = b.pump.support
+    blocks = []
+    for i in range(0, grid.size, _SCAN_BLOCK):
+        times = grid[i : i + _SCAN_BLOCK]
+        j0 = max(int(np.searchsorted(nodes, times[0] - hi)) - 1, 0)
+        j1 = min(int(np.searchsorted(nodes, times[-1] - lo, side="right")) + 1, nodes.size)
+        pump = b.pump.amplitude(times[:, None] - nodes[j0:j1])
+        if np.any(pump.imag):
+            raise ValueError("the pair peak search needs a real pump envelope")
+        real = pump.real.copy()
+        real.flags.writeable = False
+        blocks.append((slice(i, i + times.size), slice(j0, j1), real))
+    for arr in (grid, *rule):
         arr.flags.writeable = False
-    return grid, rule, pump_matrix
+    return grid, rule, blocks
+
+
+def _block_scan(grid, blocks, weights: np.ndarray) -> np.ndarray:
+    """sum_j pump(t_i - w_j) weights[g, j] on the scan grid, one row per
+    coupling, from the real pump blocks of ``_scan_state``."""
+    n = weights.shape[0]
+    # real and imaginary weights side by side: one real product per block,
+    # a plain einsum, so no BLAS thread pool in the workers of a sweep
+    stacked = np.concatenate((weights.real, weights.imag))
+    out = np.empty((n, grid.size), dtype=complex)
+    for rows, lags, pump in blocks:
+        part = np.einsum("tn,kn->kt", pump, stacked[:, lags])
+        out.real[:, rows] = part[:n]
+        out.imag[:, rows] = part[n:]
+    return out
 
 
 def peak_joint_loading(p, b: BiphotonAmplitude, horizon: float):
@@ -407,9 +440,11 @@ def peak_joint_loading(p, b: BiphotonAmplitude, horizon: float):
     ``p`` is one TwoLevelParams, giving (t_peak, P_peak) as floats, or a
     sequence of them, giving both as arrays.  The batch shares one Gauss
     rule, at the narrowest panel width its kernels ask for, and the pump
-    on the scan grid x nodes; the scan of every coupling is one product,
+    on the scan grid x the lag nodes it reaches, stored real in blocks of
+    scan rows; the scan of every coupling is one real product per block,
     and one Brent search refines every peak in lockstep, each peak time to
-    about sqrt(eps) |t|.
+    about sqrt(eps) |t|.  The pump envelope must be real, as
+    ``spdc_biphoton``'s is: ValueError otherwise.
     """
     if not b.separable_structure:
         raise ValueError("peak_joint_loading needs a downconverter-structured amplitude")
@@ -420,14 +455,13 @@ def peak_joint_loading(p, b: BiphotonAmplitude, horizon: float):
     t_peaks, p_peaks = np.zeros(len(props)), np.zeros(len(props))
     # with no lag reaching the pump, c_ee vanishes on [0, horizon]
     if state is not None:
-        grid, rule, pump_matrix = state
-        if pump_matrix.nbytes > _SCAN_STATE_KEEP_BYTES:
+        grid, rule, blocks = state
+        if sum(block.nbytes for _, _, block in blocks) > _SCAN_STATE_KEEP_BYTES:
             _scan_state.cache_clear()
         nodes = rule[0]
         prefs, weights = zip(*(_reduced_weight(prop, b, *rule) for prop in props))
         prefs, weights = np.array(prefs), np.array(weights)
-        # plain einsum: no BLAS thread pool in the workers of a sweep
-        scans = prefs[:, None] * np.einsum("tn,gn->gt", pump_matrix, weights)
+        scans = prefs[:, None] * _block_scan(grid, blocks, weights)
 
         def objective(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
             pump = b.pump.amplitude(times[:, None] - nodes)

@@ -381,7 +381,7 @@ def _adiabatic_reduced_run(
     n_stable = np.ceil(float(grid[-1] - grid[0]) / h_max)
     if np.any(n_stable > _RK4_STEP_BUDGET):
         raise numerics.OdeFailure(
-            f"the adiabatic run needs {int(n_stable.max())} RK4 steps to stay stable, "
+            f"the adiabatic run needs {n_stable.max():.3g} RK4 steps to stay stable, "
             f"more than the budget of {_RK4_STEP_BUDGET}",
             float(grid[0]),
         )

@@ -127,6 +127,10 @@ def integrate(
         raise ValueError(f"integration span [{t0:.6g}, {t1:.6g}] has zero length")
     if grid[0] < t0 - 1e-12 or grid[-1] > t1 + 1e-12:
         raise ValueError("output grid extends beyond the system time span")
+    if max_step < np.spacing(max(abs(t0), abs(t1))):
+        # no such step advances t: RK45 would fail anyway, but only after
+        # evaluating a right-hand side whose rates are large enough to overflow
+        raise OdeFailure(f"the step cap {max_step:.3g} is below the float resolution", t0)
 
     cuts = [t0]
     for b in sorted(set(float(b) for b in breakpoints)):

@@ -73,6 +73,8 @@ class TwoLevelParams:
             raise ValueError("g must be nonnegative")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
+        # rates whose xi overflows are rejected here, before any route runs
+        _xi(self.kappa, complex(self.gamma, -self.delta), self.g)
 
 
 @dataclass(frozen=True)

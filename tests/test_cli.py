@@ -417,6 +417,9 @@ def test_optimize_cold_start_leaves_scipy_integrate_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+_TWO_LEVEL_SIMULATE = ["simulate", "--scenario", "two_level", "--kT", "2"]
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -433,6 +436,14 @@ def test_optimize_cold_start_leaves_scipy_integrate_unloaded(tmp_path):
             ["simulate", "--scenario", "lambda_adiabatic_zed", "--kT", "5", "--g_prime_over_k", "-1"],
             2,
         ),
+        (_TWO_LEVEL_SIMULATE + ["--g_over_k", "1", "--delta_over_k", "1e300"], 2),
+        (_TWO_LEVEL_SIMULATE + ["--g_over_k", "1e300"], 2),
+        (_TWO_LEVEL_SIMULATE + ["--g_over_k", "1", "--gamma_over_k", "1e300"], 2),
+        (
+            ["simulate", "--scenario", "lambda_nonadiabatic", "--kT", "2", "--gc_over_k", "1"]
+            + ["--omega_over_k", "1", "--delta1_over_k", "1e300"],
+            3,
+        ),
     ],
     ids=[
         "two_level-delta",
@@ -442,6 +453,10 @@ def test_optimize_cold_start_leaves_scipy_integrate_unloaded(tmp_path):
         "mitnu-narrow-pump",
         "mitnu-simulate",
         "zed-negative-g_prime",
+        "two_level-simulate-delta",
+        "two_level-simulate-g",
+        "two_level-simulate-gamma",
+        "lambda_nonadiabatic-simulate-delta1",
     ],
 )
 def test_contract_for_extreme_inputs(tmp_path, capsys, argv, code):
@@ -455,3 +470,14 @@ def test_contract_for_extreme_inputs(tmp_path, capsys, argv, code):
     assert rc == code, err
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_step_budget_error_is_one_line(tmp_path, capsys):
+    # the step count of an overflowing stability bound is printed to three
+    # digits, not as a ~300-digit integer
+    argv = ["simulate", "--scenario", "lambda_adiabatic_tpr", "--kT", "5"]
+    rc = run(argv + ["--g_prime_over_k", "1e300", "--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200, err

@@ -184,7 +184,7 @@ def test_cee_narrow_window_continuity():
 
 
 def test_narrow_window_scan_state_is_not_kept():
-    # T0 = 0.05 needs a 65 MB pump matrix; the design range keeps <= 10 MB
+    # T0 = 0.05 needs 22 MB of real pump blocks; the design range keeps <= 3.1 MB
     b = el.spdc_biphoton(SpdcParams(T=2.0, T0=0.05))
     el._scan_state.cache_clear()
     tracemalloc.start()
@@ -199,6 +199,76 @@ def test_narrow_window_scan_state_is_not_kept():
     wide = el.spdc_biphoton(SpdcParams(T=6.0, T0=6.0))
     el.peak_joint_loading(PK, wide, wide.support[1] + 2.0)
     assert el._scan_state.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "kT, kT0, delta",
+    [(2.0, 6.0, 0.0), (6.0, 2.0, 0.0), (4.0, 4.0, 0.0), (1.0, 6.0, 0.0), (2.0, 0.05, 0.0)]
+    + [(4.0, 4.0, 0.5)],
+)
+def test_block_scan_matches_reduced(kT, kT0, delta):
+    # the blocks keep only the lags that reach the pump, so the scan is the
+    # reduced integral over every node; a detuning makes the weights complex
+    b = el.spdc_biphoton(SpdcParams(T=kT, T0=kT0))
+    horizon = b.support[1] + 2.0
+    props = [
+        two_level._Propagator.of(TwoLevelParams(g=g, kappa=1.0, delta=delta))
+        for g in np.geomspace(0.1, 5.0, 40)
+    ]
+    h = min(el._panel_width(prop, b) for prop in props)
+    el._scan_state.cache_clear()
+    grid, rule, blocks = el._scan_state(b, horizon, h)
+    el._scan_state.cache_clear()
+    if kT == 1.0:
+        # the pump starts at t = 3: the first block of rows reaches no lag
+        assert grid[31] < b.pump.support[0] and not blocks[0][2].any()
+    prefs, weights = zip(*(el._reduced_weight(prop, b, *rule) for prop in props))
+    weights = np.array(weights)
+    assert np.any(weights.imag) or delta == 0.0
+    scans = np.array(prefs)[:, None] * el._block_scan(grid, blocks, weights)
+    del blocks
+    for prop, scan in zip(props, scans):
+        evaluate = el._cee_reduced(prop, b, horizon)
+        # in slices of rows, so the reference's pump matrix stays small
+        ref = np.concatenate([evaluate(grid[i : i + 32]) for i in range(0, grid.size, 32)])
+        assert np.max(np.abs(scan - ref)) <= 1e-12 * np.max(np.abs(scans))
+
+
+def test_peak_search_needs_a_real_pump():
+    real = el.spdc_biphoton(SP)
+    pump = pulses.frequency_shifted(real.pump, 0.7)
+
+    def joint(tau, tau2):
+        tau, tau2 = np.asarray(tau, dtype=float), np.asarray(tau2, dtype=float)
+        box = (np.abs(tau - tau2) <= SP.T0).astype(float)
+        return real.norm_constant * pump.amplitude((tau + tau2) / 2.0) * box
+
+    b = el.BiphotonAmplitude(
+        joint=joint,
+        support=real.support,
+        norm_constant=real.norm_constant,
+        pump=pump,
+        t0_window=SP.T0,
+    )
+    with pytest.raises(ValueError, match="real pump envelope"):
+        el.peak_joint_loading(PK, b, b.support[1] + 2.0)
+    # the single-time routes take a complex pump
+    slow = el.c_ee(PK, b, 7.0, method="quad2")
+    assert abs(slow) > 1e-3
+    assert abs(slow - el.c_ee(PK, b, 7.0, method="reduced")) < 1e-8
+
+
+def test_narrow_window_search_peak_memory():
+    b = el.spdc_biphoton(SpdcParams(T=2.0, T0=0.05))
+    params = [TwoLevelParams(g=g, kappa=1.0) for g in np.geomspace(0.1, 5.0, 40)]
+    el._scan_state.cache_clear()
+    tracemalloc.start()
+    try:
+        el.peak_joint_loading(params, b, b.support[1] + 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
 
 
 def test_cee_bounded(biphoton):
