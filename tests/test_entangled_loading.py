@@ -226,7 +226,6 @@ def test_block_scan_matches_reduced(kT, kT0, delta):
     weights = np.array(weights)
     assert np.any(weights.imag) or delta == 0.0
     scans = np.array(prefs)[:, None] * el._block_scan(grid, blocks, weights)
-    del blocks
     for prop, scan in zip(props, scans):
         evaluate = el._cee_reduced(prop, b, horizon)
         # in slices of rows, so the reference's pump matrix stays small
