@@ -185,9 +185,7 @@ def c_ee(
     if method == "quad2" or (method == "auto" and not b.separable_structure):
         return _cee_quad2(prop, b, t, spec)
     if method in ("auto", "reduced"):
-        if not b.separable_structure:
-            raise ValueError("reduced evaluation needs a downconverter-structured amplitude")
-        return complex(_cee_reduced(prop, b, t)(np.array([t]))[0])
+        return complex(_cee_reduced(prop, b, np.array([t]))[0])
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -268,26 +266,51 @@ def _difference_integral(prop: _Propagator, w: np.ndarray, window: float) -> np.
 
 
 def _panel_width(prop: _Propagator, b: BiphotonAmplitude) -> float:
-    """Gauss panel width that resolves the pump, the window and the kernel."""
+    """Gauss panel width that resolves the pump, the window and the kernel;
+    ValueError when ``b`` has no downconverter structure."""
+    if not b.separable_structure:
+        raise ValueError("reduced evaluation needs a downconverter-structured amplitude")
     # the kernel's faster decay rate is Re(mean + xi/2): xi is a principal root
     rate = max(prop.mean.real + prop.xi.real / 2.0, prop.kappa)
     return min(b.pump.T / 2.0, b.t0_window / 2.0, 0.5 / rate)
 
 
-# at most this many nodes in the pair's reduced rule, real pump blocks of at
-# most 401 x 25 000 values (80 MB) in a peak search: the tests, figure
-# presets and benchmark requests build at most 21 144 (T = 2, T0 = 0.025,
-# 45 MB of blocks), while a window or pump width near zero asks for billions
+# at most this many nodes in the pair's reduced rule: a block of pump values
+# then holds at most 32 x 25 000 values (12.8 MB complex), and a peak
+# search's stored blocks at most 401 x 25 000 (80 MB real); the tests,
+# figure presets and benchmark requests build at most 21 144 (T = 2,
+# T0 = 0.025), while a window or pump width near zero asks for billions
 _RULE_NODE_BUDGET = 25_000
+
+# 12-point Gauss-Legendre rule on [-1, 1] for each panel of the reduced rule
+_PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 def _reduced_rule(b: BiphotonAmplitude, t_max: float, h: float):
     """Composite Gauss nodes/weights in the lag w over [0, t_max - pump start],
-    split at the w = T0/2 kink; None when no lag reaches the pump."""
+    in panels of width <= h split at the w = T0/2 kink; None when no lag
+    reaches the pump.  QuadratureFailure, before anything is built, past
+    ``_RULE_NODE_BUDGET`` nodes."""
     w_max = t_max - b.pump.support[0]
     if w_max <= 0:
         return None
-    return _composite_gauss(0.0, w_max, h, fixed=(b.t0_window / 2.0,))
+    kink = b.t0_window / 2.0
+    edges = np.array([0.0, kink, w_max] if kink < w_max else [0.0, w_max])
+    panels = np.maximum(np.ceil(np.diff(edges) / h), 1.0)
+    n_nodes = _PANEL_NODES.size * panels.sum()
+    if n_nodes > _RULE_NODE_BUDGET:
+        raise numerics.QuadratureFailure(
+            f"the Gauss rule needs {n_nodes:.3g} nodes (panels of width {h:.3g} "
+            f"over [0, {w_max:.3g}]), more than the budget of {_RULE_NODE_BUDGET}"
+        )
+    mids, halves = [], []
+    for lo, hi, n_panel in zip(edges[:-1], edges[1:], panels.astype(int).tolist()):
+        bounds = np.linspace(lo, hi, n_panel + 1)
+        mids.append(0.5 * (bounds[:-1] + bounds[1:]))
+        halves.append(0.5 * (bounds[1:] - bounds[:-1]))
+    mid = np.concatenate(mids)[:, None]
+    half = np.concatenate(halves)[:, None]
+    return (mid + half * _PANEL_NODES).ravel(), (half * _PANEL_WEIGHTS).ravel()
 
 
 def _reduced_weight(prop: _Propagator, b: BiphotonAmplitude, nodes, weights):
@@ -298,78 +321,56 @@ def _reduced_weight(prop: _Propagator, b: BiphotonAmplitude, nodes, weights):
     return pref, weights * _difference_integral(prop, nodes, b.t0_window)
 
 
-def _cee_reduced(prop: _Propagator, b: BiphotonAmplitude, t_max: float):
-    """c_ee(times) for times up to t_max, by the mean/difference reduction.
+# times per block of pump values
+_SCAN_BLOCK = 32
+
+
+def _pump_blocks(b: BiphotonAmplitude, nodes: np.ndarray, times: np.ndarray):
+    """The pump at t_i - w_j, as blocks (rows, lags, values) of
+    ``_SCAN_BLOCK`` times (rows slices ``times``, lags the sorted rule
+    ``nodes``).
+
+    A block holds only the lags with t_i - w_j in the pump's support for
+    some time of the block (one node of padding on each side against
+    rounding in t_i - w_j), since the pump is exactly zero outside it.  Its
+    values are real when the pump's imaginary part is zero there, complex
+    otherwise.  The times need not be sorted.
+    """
+    lo, hi = b.pump.support
+    for i in range(0, times.size, _SCAN_BLOCK):
+        t = times[i : i + _SCAN_BLOCK]
+        j0 = max(int(np.searchsorted(nodes, t.min() - hi)) - 1, 0)
+        j1 = min(int(np.searchsorted(nodes, t.max() - lo, side="right")) + 1, nodes.size)
+        pump = b.pump.amplitude(t[:, None] - nodes[j0:j1])
+        # a contiguous copy: the strided view of the real part slows the products
+        yield slice(i, i + t.size), slice(j0, j1), (pump if pump.imag.any() else pump.real.copy())
+
+
+def _cee_reduced(prop: _Propagator, b: BiphotonAmplitude, times: np.ndarray) -> np.ndarray:
+    """c_ee at each of ``times`` by the mean/difference reduction.
 
     Writing the double convolution in the mean time a = (tau + tau')/2
     and lag w = t - a, the difference coordinate integrates analytically
     (``_difference_integral``), leaving one integral of pump(t - w)
     against a t-independent weight.  Sampled with composite Gauss panels
-    split at the w = T0/2 kink, built once up to t_max; at earlier times
-    the nodes past t - (pump start) see pump = 0.
+    split at the w = T0/2 kink, built once up to the latest time; at
+    earlier times the nodes past t - (pump start) see pump = 0.  The pump
+    is evaluated in ``_pump_blocks``, so memory does not grow with the
+    number of times.
     """
-    rule = _reduced_rule(b, t_max, _panel_width(prop, b))
+    rule = _reduced_rule(b, float(times.max()), _panel_width(prop, b))
     if rule is None:
-        return lambda times: np.zeros(times.shape, dtype=complex)
-    nodes = rule[0]
+        return np.zeros(times.shape, dtype=complex)
     pref, weight = _reduced_weight(prop, b, *rule)
-
-    def evaluate(times: np.ndarray) -> np.ndarray:
-        pump_vals = b.pump.amplitude(times[:, None] - nodes[None, :])
-        # an elementwise reduction: a BLAS product would start a thread pool
-        # in every worker of a sweep
-        return pref * (pump_vals * weight).sum(axis=1)
-
-    return evaluate
-
-
-def _composite_gauss(a: float, b: float, h: float, fixed=(), order: int = 12):
-    """Nodes/weights of composite Gauss-Legendre panels of width <= h;
-    QuadratureFailure, before anything is built, past ``_RULE_NODE_BUDGET``
-    nodes."""
-    x, w = _gauss_legendre(order)
-    edges = np.unique(
-        np.concatenate(
-            [np.array([a, b]), np.asarray([f for f in fixed if a < f < b])]
-        )
-    )
-    panels = np.maximum(np.ceil(np.diff(edges) / h), 1.0)
-    if order * panels.sum() > _RULE_NODE_BUDGET:
-        raise numerics.QuadratureFailure(
-            f"the Gauss rule needs {order * panels.sum():.3g} nodes (panels of "
-            f"width {h:.3g} over [{a:.3g}, {b:.3g}]), more than the budget of "
-            f"{_RULE_NODE_BUDGET}"
-        )
-    mids, halves = [], []
-    for lo, hi, n_panel in zip(edges[:-1], edges[1:], panels.astype(int).tolist()):
-        bounds = np.linspace(lo, hi, n_panel + 1)
-        mids.append(0.5 * (bounds[:-1] + bounds[1:]))
-        halves.append(0.5 * (bounds[1:] - bounds[:-1]))
-    mid = np.concatenate(mids)[:, None]
-    half = np.concatenate(halves)[:, None]
-    return (mid + half * x).ravel(), (half * w).ravel()
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    return pref * _block_scan(_pump_blocks(b, rule[0], times), weight[None], times.size)[0]
 
 
 def joint_trajectory(
     p: TwoLevelParams, b: BiphotonAmplitude, grid
 ) -> Trajectory:
     """|c_ee| series on a time grid (fast route; needs SPDC structure)."""
-    if not b.separable_structure:
-        raise ValueError("joint_trajectory needs a downconverter-structured amplitude")
     grid = np.asarray(grid, dtype=float)
-    vals = _cee_reduced(_Propagator.of(p), b, float(np.max(grid)))(grid)
-    return Trajectory(
-        times=grid,
-        amplitudes={"c_ee": vals},
-    )
+    return Trajectory(times=grid, amplitudes={"c_ee": _cee_reduced(_Propagator.of(p), b, grid)})
 
 
 # a scan state larger than this is dropped after the call that built it: the
@@ -377,22 +378,12 @@ def joint_trajectory(
 # phase-matching window asks for hundreds of rule nodes per unit time
 _SCAN_STATE_KEEP_BYTES = 16 * 2**20
 
-# scan rows per block of the stored pump
-_SCAN_BLOCK = 32
-
 
 @functools.lru_cache(maxsize=1)
 def _scan_state(b: BiphotonAmplitude, horizon: float, h: float):
     """The coupling-independent part of a peak search: the 401-point time
-    scan, the reduced rule and the pump on the scan, or None when no lag
-    reaches the pump.
-
-    The pump is kept as blocks (rows, lags, pump(t_i - w_j)) of
-    ``_SCAN_BLOCK`` scan rows, each over only the lag nodes with t_i - w_j
-    in the pump's support for some row of the block (one node of padding
-    on each side against rounding in t_i - w_j), since the pump is exactly
-    zero outside it.  The blocks
-    hold the real part: ValueError when the pump is not real there.
+    scan, the reduced rule and the ``_pump_blocks`` of the scan, or None
+    when no lag reaches the pump.
 
     One entry: the calls of one coupling optimum share amplitude, horizon
     and panel width, so every call after the first is a hit.
@@ -400,37 +391,25 @@ def _scan_state(b: BiphotonAmplitude, horizon: float, h: float):
     rule = _reduced_rule(b, horizon, h)
     if rule is None:
         return None
-    nodes = rule[0]
     grid = np.linspace(0.0, horizon, 401)
-    lo, hi = b.pump.support
-    blocks = []
-    for i in range(0, grid.size, _SCAN_BLOCK):
-        times = grid[i : i + _SCAN_BLOCK]
-        j0 = max(int(np.searchsorted(nodes, times[0] - hi)) - 1, 0)
-        j1 = min(int(np.searchsorted(nodes, times[-1] - lo, side="right")) + 1, nodes.size)
-        pump = b.pump.amplitude(times[:, None] - nodes[j0:j1])
-        if np.any(pump.imag):
-            raise ValueError("the pair peak search needs a real pump envelope")
-        real = pump.real.copy()
-        real.flags.writeable = False
-        blocks.append((slice(i, i + times.size), slice(j0, j1), real))
-    for arr in (grid, *rule):
+    blocks = list(_pump_blocks(b, rule[0], grid))
+    for arr in (grid, *rule, *(pump for _, _, pump in blocks)):
         arr.flags.writeable = False
     return grid, rule, blocks
 
 
-def _block_scan(grid, blocks, weights: np.ndarray) -> np.ndarray:
-    """sum_j pump(t_i - w_j) weights[g, j] on the scan grid, one row per
-    coupling, from the real pump blocks of ``_scan_state``."""
+def _block_scan(blocks, weights: np.ndarray, n_times: int) -> np.ndarray:
+    """sum_j pump(t_i - w_j) weights[g, j] for the ``n_times`` times of the
+    ``_pump_blocks``, one row per coupling."""
     n = weights.shape[0]
-    # real and imaginary weights side by side: one real product per block,
-    # a plain einsum, so no BLAS thread pool in the workers of a sweep
+    # real and imaginary weights side by side: one product per block, real
+    # for a real pump, a plain einsum, so no BLAS thread pool in the
+    # workers of a sweep
     stacked = np.concatenate((weights.real, weights.imag))
-    out = np.empty((n, grid.size), dtype=complex)
+    out = np.empty((n, n_times), dtype=complex)
     for rows, lags, pump in blocks:
         part = np.einsum("tn,kn->kt", pump, stacked[:, lags])
-        out.real[:, rows] = part[:n]
-        out.imag[:, rows] = part[n:]
+        out[:, rows] = part[:n] + 1j * part[n:]
     return out
 
 
@@ -439,15 +418,14 @@ def peak_joint_loading(p, b: BiphotonAmplitude, horizon: float):
 
     ``p`` is one TwoLevelParams, giving (t_peak, P_peak) as floats, or a
     sequence of them, giving both as arrays.  The batch shares one Gauss
-    rule, at the narrowest panel width its kernels ask for, and the pump
-    on the scan grid x the lag nodes it reaches, stored real in blocks of
-    scan rows; the scan of every coupling is one real product per block,
-    and one Brent search refines every peak in lockstep, each peak time to
-    about sqrt(eps) |t|.  The pump envelope must be real, as
-    ``spdc_biphoton``'s is: ValueError otherwise.
+    rule, at the narrowest panel width its kernels ask for, and the
+    ``_pump_blocks`` of the scan grid; the scan of every coupling is one
+    product per block, and one Brent search refines every peak in
+    lockstep, each peak time to about sqrt(eps) |t|, through the blocks of
+    its trial times.  ValueError unless ``horizon`` is finite and positive.
     """
-    if not b.separable_structure:
-        raise ValueError("peak_joint_loading needs a downconverter-structured amplitude")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and after t = 0, got {horizon!r}")
     single = isinstance(p, TwoLevelParams)
     props = [_Propagator.of(q) for q in ([p] if single else p)]
     h = min(_panel_width(prop, b) for prop in props)
@@ -456,16 +434,17 @@ def peak_joint_loading(p, b: BiphotonAmplitude, horizon: float):
     # with no lag reaching the pump, c_ee vanishes on [0, horizon]
     if state is not None:
         grid, rule, blocks = state
-        if sum(block.nbytes for _, _, block in blocks) > _SCAN_STATE_KEEP_BYTES:
+        if sum(pump.nbytes for _, _, pump in blocks) > _SCAN_STATE_KEEP_BYTES:
             _scan_state.cache_clear()
-        nodes = rule[0]
         prefs, weights = zip(*(_reduced_weight(prop, b, *rule) for prop in props))
         prefs, weights = np.array(prefs), np.array(weights)
-        scans = prefs[:, None] * _block_scan(grid, blocks, weights)
+        scans = prefs[:, None] * _block_scan(blocks, weights, grid.size)
 
         def objective(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
-            pump = b.pump.amplitude(times[:, None] - nodes)
-            return np.abs(prefs[rows] * (pump * weights[rows]).sum(axis=1)) ** 2
+            out = np.empty(times.size, dtype=complex)
+            for i, lags, pump in _pump_blocks(b, rule[0], times):
+                out[i] = np.einsum("tn,tn->t", pump, weights[rows[i], lags])
+            return np.abs(prefs[rows] * out) ** 2
 
         t_peaks, p_peaks, _ = numerics.scan_refine(
             objective, grid, np.abs(scans) ** 2, 1e-10 * max(horizon, 1.0)
@@ -489,5 +468,5 @@ def mitnu_load(
     if not callable(memory.omega) and memory.omega == 0.0:
         return 0.0
     b = spdc_biphoton(sp)
-    val = _cee_reduced(effective_two_level(memory), b, t_load)(np.array([t_load]))[0]
+    val = _cee_reduced(effective_two_level(memory), b, np.array([t_load]))[0]
     return float(abs(val) ** 2)

@@ -341,11 +341,18 @@ def peak_loading(p, pulse: PulseShape, horizon: float):
     and each one's march is one banded solve.  Brent refinement, in
     lockstep over the couplings, advances one partial step from the grid
     state below each trial time; a refined peak time is known to about
-    sqrt(eps) |t|.  Ties break toward the earliest time.
+    sqrt(eps) |t|.  Ties break toward the earliest time.  The scan starts
+    at min(0, pulse start): ValueError unless ``horizon`` is finite and
+    later.
     """
+    t_begin = min(0.0, pulse.support[0])
+    if not t_begin < horizon < math.inf:
+        raise ValueError(
+            f"horizon must be finite and after the scan start t = {t_begin:.6g}, "
+            f"got {horizon!r}"
+        )
     single = isinstance(p, TwoLevelParams)
     props = [_Propagator.of(q) for q in ([p] if single else p)]
-    t_begin = min(0.0, pulse.support[0])
     width = pulse.T if math.isfinite(pulse.T) else (horizon - t_begin)
     n = max(int(np.ceil((horizon - t_begin) / width * 400)), 64)
     grid = np.linspace(t_begin, horizon, n + 1)

@@ -225,15 +225,18 @@ def test_block_scan_matches_reduced(kT, kT0, delta):
     prefs, weights = zip(*(el._reduced_weight(prop, b, *rule) for prop in props))
     weights = np.array(weights)
     assert np.any(weights.imag) or delta == 0.0
-    scans = np.array(prefs)[:, None] * el._block_scan(grid, blocks, weights)
-    for prop, scan in zip(props, scans):
-        evaluate = el._cee_reduced(prop, b, horizon)
-        # in slices of rows, so the reference's pump matrix stays small
-        ref = np.concatenate([evaluate(grid[i : i + 32]) for i in range(0, grid.size, 32)])
-        assert np.max(np.abs(scan - ref)) <= 1e-12 * np.max(np.abs(scans))
+    scans = np.array(prefs)[:, None] * el._block_scan(blocks, weights, grid.size)
+    nodes = rule[0]
+    refs = np.empty_like(scans)
+    # the pump over every node, in slices of rows so the matrix stays small
+    for i in range(0, grid.size, 32):
+        pump = b.pump.amplitude(grid[i : i + 32, None] - nodes)
+        for ref, pref, weight in zip(refs, prefs, weights):
+            ref[i : i + 32] = pref * (pump * weight).sum(axis=1)
+    assert np.max(np.abs(scans - refs)) <= 1e-12 * np.max(np.abs(scans))
 
 
-def test_peak_search_needs_a_real_pump():
+def test_peak_search_takes_a_complex_pump():
     real = el.spdc_biphoton(SP)
     pump = pulses.frequency_shifted(real.pump, 0.7)
 
@@ -249,12 +252,59 @@ def test_peak_search_needs_a_real_pump():
         pump=pump,
         t0_window=SP.T0,
     )
-    with pytest.raises(ValueError, match="real pump envelope"):
-        el.peak_joint_loading(PK, b, b.support[1] + 2.0)
-    # the single-time routes take a complex pump
+    t, p = el.peak_joint_loading(PK, b, b.support[1] + 2.0)
+    assert abs(math.sqrt(p) - abs(el.c_ee(PK, b, t, method="quad2"))) < 1e-8
+    for dt in (-0.1, 0.1):
+        assert abs(el.c_ee(PK, b, t + dt, method="reduced")) ** 2 < p
     slow = el.c_ee(PK, b, 7.0, method="quad2")
     assert abs(slow) > 1e-3
     assert abs(slow - el.c_ee(PK, b, 7.0, method="reduced")) < 1e-8
+
+
+def test_narrow_window_trajectory_peak_memory():
+    # the pump is evaluated in blocks of 32 times, so memory does not grow
+    # with the number of points (the dense pump matrix peaked at ~274 MiB)
+    b = el.spdc_biphoton(SpdcParams(T=2.0, T0=0.05))
+    grid = np.linspace(0.0, b.support[1] + 2.0, 600)
+    tracemalloc.start()
+    try:
+        el.joint_trajectory(PK, b, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: el.c_ee(PK, b, 5.0, method="reduced"),
+        lambda b: el.joint_trajectory(PK, b, np.linspace(0.0, 10.0, 5)),
+        lambda b: el.peak_joint_loading(PK, b, 10.0),
+    ],
+    ids=["c_ee", "joint_trajectory", "peak_joint_loading"],
+)
+def test_reduced_routes_need_downconverter_structure(call):
+    sech = pulses.make_sech(2.0, 4.0)
+    with pytest.raises(ValueError, match="downconverter-structured"):
+        call(el.separable_biphoton(sech, sech))
+
+
+# make_sech(2, 2) starts at t = -8, so the two-level scan starts there
+_PEAK_SEARCHES = {
+    "two_level": lambda h: two_level.peak_loading(PK, pulses.make_sech(2.0, 2.0), h),
+    "pair": lambda h: el.peak_joint_loading(PK, el.spdc_biphoton(SP), h),
+}
+
+
+@pytest.mark.parametrize(
+    "search, horizon",
+    [("two_level", h) for h in (-30.0, -8.0, math.inf, math.nan)]
+    + [("pair", h) for h in (-1.0, 0.0, math.inf, math.nan)],
+)
+def test_peak_searches_reject_a_bad_horizon(search, horizon):
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        _PEAK_SEARCHES[search](horizon)
 
 
 def test_narrow_window_search_peak_memory():
