@@ -153,20 +153,27 @@ def full_ode(
     """
     grid = np.asarray(grid, dtype=float)
     t_start = min(float(grid[0]), pulse.support[0])
-    g_c, kappa, gamma_r = p.g_c, p.kappa, p.gamma_r
     d1, d2 = p.delta1, p.delta2
-    drive = math.sqrt(2.0 * kappa)
-    omega = p.omega if callable(p.omega) else lambda t: p.omega
-    phi_z_dot = p.phi_z_dot or (lambda t: 0.0)
+    kappa, gamma_r = p.kappa, p.gamma_r
+    c_g, c_d1 = -1j * p.g_c, 1j * d1
+    c_drive = 1j * math.sqrt(2.0 * kappa)
+    # the control and the target's rotation; a callable control or phase
+    # ramp is evaluated at every call, a constant one once here
+    omega, phi_z_dot = p.omega, p.phi_z_dot
+    c_om = None if callable(omega) else 1j * omega
+    c_rot = None if phi_z_dot else 1j * (d2 - d1)
 
     def rhs(t, y):
-        beta, cr, ce = y
-        om = omega(t)
+        # as in two_level.amplitude_ode: precomputed coefficients applied
+        # term by term, in the equations' order, on Python complex numbers
+        beta, cr, ce = y.tolist()
+        om = c_om if c_om is not None else 1j * omega(t)
+        rot = c_rot if c_rot is not None else 1j * (d2 - d1 + phi_z_dot(t))
         return np.array(
             [
-                -1j * g_c * cr - 1j * drive * pulse.amplitude(t) - kappa * beta,
-                -1j * g_c * beta + 1j * d1 * cr - 1j * om * ce - gamma_r * cr,
-                -1j * om * cr - 1j * (d2 - d1 + phi_z_dot(t)) * ce,
+                c_g * cr - c_drive * pulse.amplitude(t) - kappa * beta,
+                c_g * beta + c_d1 * cr - om * ce - gamma_r * cr,
+                -om * cr - rot * ce,
             ]
         )
 

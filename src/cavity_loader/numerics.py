@@ -2,16 +2,20 @@
 the stepped (beta, c_e) recursion and peak finding.
 
 The ODE path is the brute-force reference for every model in the
-package; the quadrature routine evaluates the convolution kernels of the
-closed-form solutions on arrays of nodes.  Both wrap scipy (Dormand-Prince
-RK45 and adaptive Gauss-Kronrod cubature) behind small, deterministic
-interfaces with explicit failure signalling.  These oracle routes import
-``scipy.integrate`` on first use; the fast paths (``affine_march``,
-``scan_refine`` and the engines built on them) never load it, so a
-command that needs no oracle starts without it.  ``affine_march`` is the one
-solver of the stepping engines, exact (two-level) and RK4 (adiabatic
-Lambda) alike.  ``scan_refine`` is the one peak finder: the loading peak
-over time and the optimum over the coupling both use it.
+package: RK45 asked only for the output times, without dense output,
+each segment between breakpoints started from the state at the end of
+the one before.  The quadrature routine integrates on arrays of nodes:
+the convolution kernels of the closed-form solutions over time, and the
+per-frequency responses of the spectral route over frequency.  Both
+wrap scipy (Dormand-Prince RK45 and adaptive Gauss-Kronrod cubature)
+behind small, deterministic interfaces with explicit failure
+signalling.  These oracle routes import ``scipy.integrate`` on first
+use; the fast paths (``affine_march``, ``scan_refine`` and the engines
+built on them) never load it, so a command that needs no oracle starts
+without it.  ``affine_march`` is the one solver of the stepping engines,
+exact (two-level) and RK4 (adiabatic Lambda) alike.  ``scan_refine`` is
+the one peak finder: the loading peak over time and the optimum over
+the coupling both use it.
 """
 
 from __future__ import annotations
@@ -108,12 +112,16 @@ def integrate(
         width so a pulse cannot be stepped over from a quiescent state.
     breakpoints : sequence of float
         Times where the right-hand side is discontinuous; integration is
-        split there instead of stepping across.
+        split there instead of stepping across, and each segment starts
+        from the state the one before reached at its end.
 
     Returns
     -------
     states : ndarray, shape (len(grid), dimension)
         complex state at each grid time.
+
+    Raises ``OdeFailure`` with the time of the last step taken when the
+    solver gives up.
     """
     from scipy.integrate import solve_ivp
 
@@ -147,27 +155,18 @@ def integrate(
         if filled == 0 and grid.size and grid[0] <= a:
             n_here += 1
         t_eval = grid[filled : filled + n_here]
-        sol = solve_ivp(
-            system.rhs,
-            (a, b),
-            y,
-            method="RK45",
-            t_eval=t_eval if t_eval.size else None,
-            rtol=rtol,
-            atol=atol,
-            max_step=max_step,
-            dense_output=True,
-        )
+        # the segment's end is evaluated last: its state starts the next one
+        t_out = t_eval if t_eval.size and t_eval[-1] == b else np.append(t_eval, b)
+        options = dict(method="RK45", rtol=rtol, atol=atol, max_step=max_step)
+        sol = solve_ivp(system.rhs, (a, b), y, t_eval=t_out, **options)
         if not sol.success:
-            if sol.sol is not None:
-                t_fail = float(sol.sol.t_max)
-            else:
-                t_fail = float(sol.t[-1]) if len(sol.t) else a
-            raise OdeFailure(sol.message, t_fail)
-        if t_eval.size:
-            states[filled : filled + t_eval.size] = sol.y.T
-            filled += t_eval.size
-        y = np.asarray(sol.sol(b), dtype=complex)
+            # where the solver stopped: the last step of a rerun of this
+            # segment that keeps every step
+            rerun = solve_ivp(system.rhs, (a, b), y, **options)
+            raise OdeFailure(sol.message, float(rerun.t[-1]))
+        states[filled : filled + t_eval.size] = sol.y.T[: t_eval.size]
+        filled += t_eval.size
+        y = sol.y[:, -1]
     if filled != grid.size:  # pragma: no cover - guarded by the span check
         raise OdeFailure("output grid not fully covered", float(grid[filled]))
     return states

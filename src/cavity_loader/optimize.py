@@ -56,6 +56,14 @@ def _nonnegative(raw) -> float:
     return value
 
 
+def _finite(raw) -> float:
+    """A float other than NaN or an infinity."""
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Fields:
     """The fields one command reads, each mapped to its parser.
@@ -143,12 +151,14 @@ def _lambda_nonadiabatic_trajectory(cfg: dict, points: int):
     if "t_load_over_T" in cfg:
         t_load = cfg["t_load_over_T"] * T
     else:
+        # the sign of Delta1 is only the sign of the effective coupling
         fixed = {"kT": T, "pulse": cfg.get("pulse", "sech")}
-        _, times = _two_level_probability(np.array([g_c * om / d1]), fixed)
+        _, times = _two_level_probability(np.array([abs(g_c * om / d1)]), fixed)
         t_load = float(times[0])
 
     def omega_step(t):
-        return np.where(np.asarray(t) <= t_load, om, 0.0)
+        # full_ode evaluates the control at one time per call
+        return om if t <= t_load else 0.0
 
     params = replace(base, delta2=d2, omega=omega_step)
     drive = lambda_memory.compensated_pulse(pulse, params)
@@ -229,7 +239,7 @@ SCENARIOS = {
             {
                 "delta2_over_k": float,
                 "gamma_r_over_k": float,
-                "t_load_over_T": float,
+                "t_load_over_T": _finite,
                 "pulse": str,
             },
         ),

@@ -59,13 +59,14 @@ class PulseShape:
 
     def amplitude(self, t):
         """Evaluate Phi_b(t); accepts scalars or arrays, zero off support."""
-        t_arr = np.asarray(t, dtype=float)
         lo, hi = self.support
-        if t_arr.ndim == 0:
+        if isinstance(t, float):  # numpy's float64 too
             # the ODE right-hand sides call this at every step; skip the
-            # masking and evaluate on a numpy scalar
-            t_val = t_arr[()]
-            return complex(self._func(t_val)) if lo <= t_val <= hi else 0.0 + 0.0j
+            # array conversion and the masking
+            return complex(self._func(t)) if lo <= t <= hi else 0.0 + 0.0j
+        t_arr = np.asarray(t, dtype=float)
+        if t_arr.ndim == 0:
+            return self.amplitude(float(t_arr))
         inside = (t_arr >= lo) & (t_arr <= hi)
         out = np.zeros(t_arr.shape, dtype=complex)
         if inside.any():
@@ -173,7 +174,8 @@ def frequency_shifted(pulse: PulseShape, delta_omega: float) -> PulseShape:
     base = pulse._func
 
     def func(t):
-        return base(t) * np.exp(-1j * delta_omega * np.asarray(t, dtype=float))
+        # t is a float or a float array (``PulseShape.amplitude``)
+        return base(t) * np.exp(-1j * delta_omega * t)
 
     return PulseShape(
         kind=pulse.kind + "+carrier",

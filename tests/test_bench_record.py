@@ -30,3 +30,43 @@ def test_spec_parsing():
     assert bench_record.parse_spec("design_points:1:10") == ("design_points", 1, 10)
     with pytest.raises(Exception, match="WORKLOAD:SEED:PAIRS"):
         bench_record.parse_spec("design_points:1")
+
+
+def test_compare_takes_the_direction_of_better():
+    sides = {"parent": [2.0, 4.0, 6.0], "change": [1.0, 5.0, 3.0]}
+    lower = bench_record.compare(sides, "lower")
+    assert (lower["parent_q1"], lower["parent_median"], lower["parent_q3"]) == (3.0, 4.0, 5.0)
+    assert lower["change_median"] == 3.0
+    assert lower["change_runs"] == [1.0, 5.0, 3.0]
+    assert lower["change_better_pairs"] == 2
+    assert bench_record.compare(sides, "higher")["change_better_pairs"] == 1
+
+
+def test_cli_timings_alternate_sides_and_summarize(monkeypatch):
+    calls = []
+
+    def fake_time_cli(checkout, argv, scratch):
+        calls.append((checkout, argv[0]))
+        return 2.0 if checkout == "parent-dir" else 1.0
+
+    monkeypatch.setattr(bench_record, "time_cli", fake_time_cli)
+    monkeypatch.setattr(bench_record, "CLI_COMMANDS", {"figure_fig3": ["figure", "--preset", "fig3"]})
+    order = []
+    out = bench_record.cli_timings({"parent": "parent-dir", "change": "change-dir"}, 3, order)
+    # even pairs run the parent first, odd pairs the change first
+    assert [side for *_, side in order] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert [c for c, _ in calls] == ["parent-dir", "change-dir", "change-dir", "parent-dir",
+                                     "parent-dir", "change-dir"]
+    fig3 = out["figure_fig3"]
+    assert fig3["argv"] == ["figure", "--preset", "fig3"]
+    assert (fig3["parent_median"], fig3["change_median"]) == (2.0, 1.0)
+    assert fig3["change_better_pairs"] == 3
+
+
+def test_every_figure_preset_is_timed():
+    from cavity_loader import cli
+
+    timed = [argv[2] for name, argv in bench_record.CLI_COMMANDS.items() if argv[0] == "figure"]
+    assert timed == list(cli.FIGURE_PRESETS)
+    assert all(argv[-2:] == ["--workers", "1"] for argv in bench_record.CLI_COMMANDS.values()
+               if argv[0] == "figure")

@@ -136,6 +136,20 @@ def test_simulate_lambda_nonadiabatic(tmp_path):
     assert np.max(tail) - np.min(tail) < 1e-6
 
 
+def test_simulate_lambda_nonadiabatic_sign_of_delta1(tmp_path):
+    # the load-time search runs on |g_c Omega / Delta1|: a red-detuned
+    # control loads as the blue-detuned one does
+    pops = []
+    for delta1 in ("20", "-20"):
+        out = tmp_path / f"lam{delta1}.csv"
+        argv = ["simulate", "--scenario", "lambda_nonadiabatic", "--kT", "2", "--gc_over_k", "1"]
+        rc = run(argv + ["--omega_over_k", "1", f"--delta1_over_k={delta1}", "--out", str(out)])
+        assert rc == 0
+        pops.append(np.asarray(read_csv(out)[1]))
+    assert np.max(np.abs(pops[0] - pops[1])) <= 1e-12
+    assert pops[0][:, 3].max() > 0.01
+
+
 def test_simulate_mitnu(tmp_path):
     out = tmp_path / "mitnu.csv"
     rc = run(
@@ -418,6 +432,10 @@ def test_optimize_cold_start_leaves_scipy_integrate_unloaded(tmp_path):
 
 
 _TWO_LEVEL_SIMULATE = ["simulate", "--scenario", "two_level", "--kT", "2"]
+_LAMBDA_NONADIABATIC_SIMULATE = [
+    "simulate", "--scenario", "lambda_nonadiabatic", "--kT", "2",
+    "--gc_over_k", "1", "--omega_over_k", "1", "--delta1_over_k", "20",
+]
 
 
 @pytest.mark.parametrize(
@@ -444,6 +462,9 @@ _TWO_LEVEL_SIMULATE = ["simulate", "--scenario", "two_level", "--kT", "2"]
             + ["--omega_over_k", "1", "--delta1_over_k", "1e300"],
             3,
         ),
+        (_LAMBDA_NONADIABATIC_SIMULATE + ["--t_load_over_T", "nan"], 2),
+        (_LAMBDA_NONADIABATIC_SIMULATE + ["--t_load_over_T", "inf"], 2),
+        (_LAMBDA_NONADIABATIC_SIMULATE + ["--t_load_over_T=-inf"], 2),
     ],
     ids=[
         "two_level-delta",
@@ -457,6 +478,9 @@ _TWO_LEVEL_SIMULATE = ["simulate", "--scenario", "two_level", "--kT", "2"]
         "two_level-simulate-g",
         "two_level-simulate-gamma",
         "lambda_nonadiabatic-simulate-delta1",
+        "lambda_nonadiabatic-t_load-nan",
+        "lambda_nonadiabatic-t_load-inf",
+        "lambda_nonadiabatic-t_load-minus-inf",
     ],
 )
 def test_contract_for_extreme_inputs(tmp_path, capsys, argv, code):

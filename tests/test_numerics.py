@@ -72,6 +72,26 @@ def test_integrate_breakpoint_discontinuity():
     assert states[0, 0].real == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [[0.0, 0.4, 1.0, 1.3, 2.0], [0.2, 0.9, 1.1, 1.7]],
+    ids=["point-at-breakpoint", "breakpoint-between-points"],
+)
+def test_integrate_across_breakpoint_matches_analytic(grid):
+    # decay at rate 1 until t = 1, then growth and rotation at 0.5 + 2i;
+    # each segment starts from the state the previous one ended with
+    rate = 0.5 + 2.0j
+
+    def rhs(t, y):
+        return (-1.0 if t <= 1.0 else rate) * y
+
+    sys_ = OdeSystem(1, rhs, np.array([1.0 + 0j]), (0.0, 2.0))
+    states = numerics.integrate(sys_, grid, breakpoints=[1.0], rtol=1e-10, atol=1e-12)
+    t = np.asarray(grid)
+    exact = np.where(t <= 1.0, np.exp(-t), math.exp(-1.0) * np.exp(rate * (t - 1.0)))
+    np.testing.assert_allclose(states[:, 0], exact, rtol=1e-8)
+
+
 def test_integrate_grid_validation():
     sys_ = OdeSystem(1, lambda t, y: -y, np.array([1.0 + 0j]), (0.0, 1.0))
     with pytest.raises(ValueError):
@@ -92,6 +112,15 @@ def test_integrate_failure_reports_time():
     with pytest.raises(numerics.OdeFailure) as err:
         numerics.integrate(sys_, [2.0])
     assert 0.9 < err.value.t_fail <= 2.0
+
+
+@pytest.mark.parametrize("breakpoints", [(), (0.5,)], ids=["one-segment", "second-segment"])
+def test_integrate_failure_time_is_where_the_solver_stopped(breakpoints):
+    # y' = y^2 from y(0) = 1 blows up at t = 1, inside the last segment
+    sys_ = OdeSystem(1, lambda t, y: y * y, np.array([1.0 + 0j]), (0.0, 2.0))
+    with pytest.raises(numerics.OdeFailure) as err:
+        numerics.integrate(sys_, [0.25, 2.0], breakpoints=breakpoints)
+    assert abs(err.value.t_fail - 1.0) < 1e-6
 
 
 def test_quad1_constant():

@@ -181,6 +181,35 @@ def test_spectral_amplitude_trivial_cases():
         TwoLevelParams(g=0.0, kappa=1.0), _sech_spectrum(2.0, 2.0), (-10.0, 10.0), 3.0
     )
     assert abs(uncoupled) == 0.0
+    # no drive has reached the atom at or before the switch-on
+    for t in (-3.0, -2.5):
+        before = two_level.spectral_amplitude(
+            FIG3_PARAMS, _sech_spectrum(2.0, 2.0), (-20.0, 20.0), t, origin=-2.5
+        )
+        assert before == 0.0
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        TwoLevelParams(g=0.5, kappa=1.0),  # xi = 0: the confluent point
+        TwoLevelParams(g=1.0, kappa=1.0, gamma=0.2, delta=0.3),
+        TwoLevelParams(g=0.01, kappa=1.0),
+    ],
+    ids=["confluent", "lossy-detuned", "small-g"],
+)
+@pytest.mark.parametrize("t", [1.0, 3.0, 6.0])
+def test_spectral_amplitude_exact_response_matches_closed_form(params, t):
+    # each frequency's closed-form response, superposed over the sech
+    # spectrum, against the time-domain convolution of the same pulse
+    # (switched on at its support start)
+    T = 2.0
+    pulse = pulses.make_sech(T, T)
+    ce_spec = two_level.spectral_amplitude(
+        params, _sech_spectrum(T, T), (-40.0 / T, 40.0 / T), t, origin=pulse.support[0]
+    )
+    _, ce_cf = two_level.amplitude_closed_form(params, pulse, t)
+    assert abs(ce_spec - ce_cf) < 1e-8
 
 
 def test_peak_loading_zero_pulse():

@@ -15,6 +15,12 @@ pairs the change won (ties count for neither), attempted and failed
 operations, the command lines, the run order, ``wc -l`` of ``src/`` on
 both sides and the machine.  A run that exits non-zero or reports
 ``correct: false`` stops the tool.
+
+The record also holds fresh-process wall times of the package's CLI
+(``CLI_COMMANDS``: both trajectory writers that run an ODE oracle and
+every ``figure`` preset on one worker), each command run ``CLI_PAIRS``
+times per side in the same alternating order, with the same medians,
+quartiles and won pairs.
 """
 
 from __future__ import annotations
@@ -30,9 +36,26 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# the end-to-end CLI commands timed in fresh processes, and the runs per
+# side of each (a figure preset takes 0.5-2 s); each run adds its own --out
+# or --outdir
+CLI_PAIRS = 3
+CLI_COMMANDS = {
+    "simulate_two_level": ["simulate", "--scenario", "two_level", "--kT", "2", "--g_over_k", "1"],
+    "simulate_lambda_nonadiabatic": [
+        "simulate", "--scenario", "lambda_nonadiabatic", "--kT", "2",
+        "--gc_over_k", "1", "--omega_over_k", "1", "--delta1_over_k", "20",
+    ],
+    **{
+        f"figure_{preset}": ["figure", "--preset", preset, "--workers", "1"]
+        for preset in ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")
+    },
+}
 
 
 def git(*args: str) -> bytes:
@@ -73,25 +96,66 @@ def run_once(checkout: Path, command: list, workload: str, seed: int, seconds: f
     return result
 
 
+def compare(sides: dict, better: str) -> dict:
+    """Both sides' median and quartiles, every value, and the pairs the
+    change won.  ``sides`` maps "parent" and "change" to values in pair
+    order; ``better`` is "lower" or "higher"."""
+    sign = 1.0 if better == "lower" else -1.0
+    entry = {}
+    for side, values in sides.items():
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        entry.update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
+    for side, values in sides.items():
+        entry[f"{side}_runs"] = values
+    entry["change_better_pairs"] = sum(
+        sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"])
+    )
+    return entry
+
+
 def summarize(runs: dict, end_to_end: list) -> dict:
-    """Per end-to-end metric: both sides' median and quartiles, every run,
-    and the pairs the change won.  ``runs`` maps "parent" and "change" to
-    lists of run results in pair order."""
+    """Per end-to-end metric: ``compare`` of its values.  ``runs`` maps
+    "parent" and "change" to lists of run results in pair order."""
     out = {}
     for spec in end_to_end:
         name = spec["name"]
         sides = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
-        sign = 1.0 if spec["better"] == "lower" else -1.0
         entry = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"]}
-        for side, values in sides.items():
-            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-            entry.update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
-        for side, values in sides.items():
-            entry[f"{side}_runs"] = values
-        entry["change_better_pairs"] = sum(
-            sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"])
-        )
-        out[name] = entry
+        out[name] = {**entry, **compare(sides, spec["better"])}
+    return out
+
+
+def time_cli(checkout: Path, argv: list, scratch: Path) -> float:
+    """Wall seconds of one fresh ``python -m cavity_loader.cli`` process
+    importing the package from ``checkout``'s src/, writing into ``scratch``."""
+    if argv[0] == "figure":
+        target = ["--outdir", str(scratch)]
+    else:
+        target = ["--out", str(scratch / "trajectory.csv")]
+    command = [sys.executable, "-m", "cavity_loader.cli", *argv, *target]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run(command, cwd=scratch, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        sys.exit(f"bench_record: {' '.join(argv)} in {checkout} exited {proc.returncode}:\n"
+                 f"{proc.stderr[-2000:]}")
+    return wall
+
+
+def cli_timings(checkouts: dict, pairs: int, run_order: list) -> dict:
+    """``compare`` of the fresh-process wall times of every ``CLI_COMMANDS``
+    entry, ``pairs`` runs per side, alternating as the workloads do."""
+    out = {}
+    for name, argv in CLI_COMMANDS.items():
+        sides = {"parent": [], "change": []}
+        for pair in range(pairs):
+            for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+                print(f"bench_record: {name} pair {pair} {side}", file=sys.stderr, flush=True)
+                with tempfile.TemporaryDirectory(prefix="bench-cli-") as scratch:
+                    sides[side].append(time_cli(checkouts[side], argv, Path(scratch)))
+                run_order.append([name, None, pair, side])
+        out[name] = {"argv": argv, "unit": "s", "better": "lower", **compare(sides, "lower")}
     return out
 
 
@@ -147,6 +211,10 @@ def main(argv=None) -> int:
                 "correct": {side: all(r["correct"] for r in runs[side]) for side in runs},
                 "metrics": summarize(runs, bench["end_to_end"]),
             }
+        cli = cli_timings(checkouts, CLI_PAIRS, run_order)
+        commands.append("cd <scratch> && PYTHONPATH=<side checkout>/src python -m "
+                        "cavity_loader.cli <argv> --out <scratch>/trajectory.csv "
+                        "(simulate) or --outdir <scratch> (figure), timed as a whole")
         line_counts = {side: src_line_counts(path) for side, path in checkouts.items()}
 
     import numpy
@@ -171,6 +239,7 @@ def main(argv=None) -> int:
                    "first; run order below",
         "run_order": run_order,
         "workloads": record_workloads,
+        "cli_wall_s": cli,
         "src_wc_l": line_counts,
     }
     out = args.out or ROOT / f"BENCH_{date}_{sha[:7]}.json"
