@@ -15,9 +15,9 @@ import numpy as np
 from cavity_loader import (
     TwoLevelParams,
     amplitude_closed_form,
-    amplitude_ode,
     make_sech,
     peak_loading,
+    stepped_trajectory,
 )
 
 kappa = 1.0  # all rates in units of kappa
@@ -27,7 +27,7 @@ pulse = make_sech(T, T)  # photon centered one width after t = 0
 print("== trajectory at g/kappa = 1 ==")
 params = TwoLevelParams(g=1.0, kappa=kappa)
 grid = np.linspace(pulse.support[0], 5 * T, 401)
-traj = amplitude_ode(params, pulse, grid)
+traj = stepped_trajectory(params, pulse, grid)
 pop = traj.population("c_e")
 for frac in (0.5, 1.0, 1.5, 2.0, 3.0):
     i = np.argmin(abs(grid - frac * T))
@@ -42,8 +42,8 @@ for g in (0.5, 1.0, 1.5, 2.5, 4.0):
     bar = "#" * int(pm * 40)
     print(f"  g/kappa = {g:<4} peak = {pm:.4f} {bar}")
 
-print("\n== closed form agrees with the integrated equations ==")
+print("\n== closed form agrees with the exact stepping ==")
 i = int(np.argmin(abs(grid - 3.5)))
 t_probe = float(grid[i])
 beta_cf, ce_cf = amplitude_closed_form(params, pulse, t_probe)
-print(f"  |c_e({t_probe:.3f})| closed form {abs(ce_cf):.8f} vs integration {abs(traj.amplitudes['c_e'][i]):.8f}")
+print(f"  |c_e({t_probe:.3f})| closed form {abs(ce_cf):.8f} vs stepping {abs(traj.amplitudes['c_e'][i]):.8f}")

@@ -25,6 +25,7 @@ from .two_level import (
     dimensionless_load,
     peak_loading,
     spectral_amplitude,
+    stepped_trajectory,
 )
 from .lambda_memory import (
     DarkBright,
@@ -79,6 +80,7 @@ __all__ = [
     "spectral_amplitude",
     "peak_loading",
     "dimensionless_load",
+    "stepped_trajectory",
     "LambdaParams",
     "ReducedParams",
     "DarkBright",

@@ -276,20 +276,14 @@ def _figure_fig9(outdir: Path, workers=None) -> dict:
     cfg = {"kT": kT, "kT0": 2.0}
     _family_csv(outdir / "fig9_vs_g.csv", "mitnu", cfg, "g_over_k", g_values, "pop_cee_g")
     # panel (b): fixed g = 1, family over kT0, on one grid that covers every pair
-    hi = max(
-        entangled_loading.spdc_biphoton(
-            entangled_loading.SpdcParams(T=kT, T0=t0)
-        ).support[1]
+    pairs = [
+        entangled_loading.spdc_biphoton(entangled_loading.SpdcParams(T=kT, T0=t0))
         for t0 in kT0_values
-    )
-    grid = np.linspace(0.0, hi + 2.0, 501)
+    ]
+    grid = np.linspace(0.0, max(b.support[1] for b in pairs) + 2.0, 501)
+    memory = two_level.TwoLevelParams(g=1.0, kappa=1.0)
     cols = [grid / kT]
-    for t0 in kT0_values:
-        b = entangled_loading.spdc_biphoton(entangled_loading.SpdcParams(T=kT, T0=t0))
-        traj = entangled_loading.joint_trajectory(
-            two_level.TwoLevelParams(g=1.0, kappa=1.0), b, grid
-        )
-        cols.append(traj.population("c_ee"))
+    cols += [entangled_loading.joint_trajectory(memory, b, grid).population("c_ee") for b in pairs]
     write_csv(
         outdir / "fig9_vs_kT0.csv",
         ["t_over_T"] + [f"pop_cee_kT0{t0}" for t0 in kT0_values],

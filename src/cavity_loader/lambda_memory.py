@@ -545,7 +545,8 @@ def dark_bright_decompose(
 def timing_offset_scan(scheme: str, config: dict, offsets) -> np.ndarray:
     """Loading probability versus timing error for either scheme.
 
-    For the non-adiabatic scheme the control stops at T_Load + offset;
+    For the non-adiabatic scheme the control stops at T_Load + offset,
+    where the loading is read from one ``two_level.stepped_trajectory``;
     for the adiabatic scheme the whole control is shifted by the offset.
     ``config`` carries kappa, T and the scheme's coupling (``g`` for
     non-adiabatic, ``g_prime`` and optional ``variant`` for adiabatic).
@@ -556,22 +557,12 @@ def timing_offset_scan(scheme: str, config: dict, offsets) -> np.ndarray:
     kappa = float(config["kappa"])
     T = float(config["T"])
     if scheme == "nonadiabatic":
-        g = float(config["g"])
         pulse = make_sech(T, T)
-        params = TwoLevelParams(g=g, kappa=kappa)
+        params = TwoLevelParams(g=float(config["g"]), kappa=kappa)
         t_load = config.get("t_load")
         if t_load is None:
             t_load, _ = two_level.peak_loading(params, pulse, 5.0 * T)
-        prop = _Propagator.of(params)
-        out = np.empty(offsets.shape)
-        for i, off in enumerate(offsets):
-            t_stop = t_load + off
-            if t_stop <= pulse.support[0]:
-                out[i] = 0.0
-            else:
-                _, c_e = prop.amplitudes_at(pulse, float(t_stop))
-                out[i] = abs(c_e) ** 2
-        return out
+        return two_level.stepped_trajectory(params, pulse, t_load + offsets).population("c_e")
     g_prime = float(config["g_prime"])
     detuned = config.get("variant", "zed") == "tpr"
     out = np.empty(offsets.shape)

@@ -128,7 +128,7 @@ def _two_level_trajectory(cfg: dict, points: int):
         delta=cfg.get("delta_over_k", 0.0),
     )
     grid = np.linspace(min(0.0, pulse.support[0]), 5.0 * T, points)
-    traj = two_level.amplitude_ode(params, pulse, grid)
+    traj = two_level.stepped_trajectory(params, pulse, grid)
     return _table(traj, T, (("pop_beta", "beta"), ("pop_ce", "c_e")))
 
 
@@ -353,10 +353,10 @@ def optimize_coupling(
     ``numerics.scan_refine``); ties break toward the smaller coupling.
     """
     lo, hi = float(g_range[0]), float(g_range[1])
-    if not (0 < lo < hi):
-        raise ValueError("coupling search range must be positive and increasing")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not (0 < lo < hi < np.inf):
+        raise ValueError("coupling search range must be positive, finite and increasing")
+    if not 0 < tol < np.inf:
+        raise ValueError("tolerance must be positive and finite")
     grid = np.geomspace(lo, hi, 40)
     probs, times = scenario_probability(scenario, grid, fixed)
     grid = grid.tolist()

@@ -1,8 +1,8 @@
 """Loading dynamics of a two-level trapped atom driven by a single photon.
 
-Two independent routes, which check each other and the exact stepping
-of ``peak_loading``, are direct integration of the baseband equations of
-motion
+Exact stepping of (beta, c_e) gives the loading peak (``peak_loading``)
+and every written trajectory (``stepped_trajectory``).  Two independent
+routes check it and each other: direct integration of the equations
 
     d(beta)/dt = -i g c_e - i sqrt(2 kappa) Phi_b(t) - kappa beta
     d(c_e)/dt  =  i Delta c_e - i g beta - gamma c_e
@@ -41,6 +41,7 @@ __all__ = [
     "amplitude_ode",
     "spectral_amplitude",
     "peak_loading",
+    "stepped_trajectory",
     "dimensionless_load",
 ]
 
@@ -259,8 +260,9 @@ def amplitude_closed_form(
 def amplitude_ode(p: TwoLevelParams, pulse: PulseShape, grid) -> Trajectory:
     """Integrate the baseband equations of motion on the given time grid.
 
-    RK45, independent of the closed form: the trajectory writer, and the
-    brute-force check of ``amplitude_closed_form`` and ``peak_loading``.
+    RK45, independent of the closed form and of the exact stepping: the
+    brute-force check of ``amplitude_closed_form``, ``peak_loading`` and
+    ``stepped_trajectory``.
     """
     grid = np.asarray(grid, dtype=float)
     lo = pulse.support[0]
@@ -346,37 +348,18 @@ def peak_loading(p, pulse: PulseShape, horizon: float):
     """Global maximum of |c_e(t)|^2 over [0, horizon].
 
     ``p`` is one TwoLevelParams, giving (t_peak, P_peak) as floats, or a
-    sequence of them, giving both as arrays.  A scan of (beta, c_e),
-    stepped exactly across a uniform grid (400 steps per pulse width, at
-    least 64), locates each global basin despite Rabi oscillations: the
-    couplings share the grid and the pulse on every step's Gauss nodes,
-    and each one's march is one banded solve.  Brent refinement, in
-    lockstep over the couplings, advances one partial step from the grid
-    state below each trial time; a refined peak time is known to about
-    sqrt(eps) |t|.  Ties break toward the earliest time.  The scan starts
-    at min(0, pulse start): ValueError unless ``horizon`` is finite and
-    later.
+    sequence of them, giving both as arrays.  An exact scan of (beta, c_e)
+    on ``_scan_grid`` locates each global basin despite Rabi oscillations:
+    the couplings share the grid and the pulse, and each one's march is
+    one banded solve.  Brent refinement, in lockstep over the couplings,
+    takes one partial step from the grid state below each trial time; a
+    refined peak time is known to about sqrt(eps) |t|.  Ties break toward
+    the earliest time.
     """
-    t_begin = min(0.0, pulse.support[0])
-    if not t_begin < horizon < math.inf:
-        raise ValueError(
-            f"horizon must be finite and after the scan start t = {t_begin:.6g}, "
-            f"got {horizon!r}"
-        )
+    grid, phi, width = _scan_grid(pulse, horizon)
     single = isinstance(p, TwoLevelParams)
     props = [_Propagator.of(q) for q in ([p] if single else p)]
-    width = pulse.T if math.isfinite(pulse.T) else (horizon - t_begin)
-    n = max(int(np.ceil((horizon - t_begin) / width * 400)), 64)
-    grid = np.linspace(t_begin, horizon, n + 1)
-    h = (grid[-1] - grid[0]) / n
-    starts = grid[:-1, None]
-    phi = np.empty((n, _STEP_NODES.size), dtype=complex)
-    # the pulse in blocks of steps, so that its temporaries stay small
-    for lo in range(0, n, _DRIVE_BLOCK):
-        phi[lo : lo + _DRIVE_BLOCK] = pulse.amplitude(
-            starts[lo : lo + _DRIVE_BLOCK] + h * _STEP_NODES
-        )
-    values = np.empty((len(props), n + 1))
+    values = np.empty((len(props), len(grid)))
     # per coupling, the first grid index the refinement reads and the
     # states there and at the next index: the best scanned point's cells
     kept = []
@@ -384,29 +367,74 @@ def peak_loading(p, pulse: PulseShape, horizon: float):
         values[row] = np.abs(states[:, 1]) ** 2
         first = max(int(values[row].argmax()) - 1, 0)
         kept.append((first, states[first : first + 2].copy()))
-    cuts = np.array(sorted({*pulse.support, pulse.t0}))
 
     def objective(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
-        i = np.minimum(np.searchsorted(grid, times, side="right") - 1, n - 1)
-        start = grid[i]
-        row_list = rows.tolist()
-        state = np.array([kept[r][1][j - kept[r][0]] for r, j in zip(row_list, i.tolist())])
-        prop = _Propagator.stack([props[r] for r in row_list])
-        s = (times - start)[:, None]
-        (_, be, ee), (_, w_e) = _step(prop, s)
-        drive = pulse.amplitude(start[:, None] + s * _STEP_NODES)
-        c_e = be * state[:, 0] + ee * state[:, 1] + (drive * w_e).sum(axis=1)
-        # a step that holds a pulse edge is split there, one row at a time
-        for k in np.flatnonzero(((cuts > start[:, None]) & (cuts < times[:, None])).any(axis=1)):
-            c_e[k] = _advance(props[rows[k]], pulse, state[k], start[k], times[k])[1]
-        return np.abs(c_e) ** 2
+        i = np.minimum(np.searchsorted(grid, times, side="right") - 1, len(grid) - 2)
+        state = np.array([kept[r][1][j - kept[r][0]] for r, j in zip(rows.tolist(), i.tolist())])
+        row_props = [props[r] for r in rows.tolist()]
+        return np.abs(_partial_steps(row_props, pulse, grid[i], state, times)[1]) ** 2
 
-    t_peak, p_peak, _ = numerics.scan_refine(
-        objective, grid, values, 1e-10 * max(width, 1.0)
-    )
+    t_peak, p_peak, _ = numerics.scan_refine(objective, grid, values, 1e-10 * max(width, 1.0))
     if single:
         return float(t_peak[0]), float(p_peak[0])
     return t_peak, p_peak
+
+
+def stepped_trajectory(p: TwoLevelParams, pulse: PulseShape, times) -> Trajectory:
+    """(beta, c_e) at ``times`` by the exact stepping of ``peak_loading``:
+    its scan up to max(times), then one partial step from the grid state
+    below each time, in blocks of times so that memory stays flat.  At a
+    scan-grid point the state is the scan's; times at or before the scan
+    start give zeros, the atom being at rest."""
+    times = np.asarray(times, dtype=float)
+    beta, c_e = np.zeros((2, times.size), dtype=complex)
+    late = np.flatnonzero(times > min(0.0, pulse.support[0]))
+    if late.size:
+        grid, phi, _ = _scan_grid(pulse, float(times.max()))
+        prop = _Propagator.of(p)
+        march = next(_marches(_Propagator.stack([prop]), pulse, grid, phi))
+        for lo in range(0, late.size, _DRIVE_BLOCK):
+            rows = late[lo : lo + _DRIVE_BLOCK]
+            i = np.searchsorted(grid, times[rows], side="right") - 1
+            props = [prop] * rows.size
+            beta[rows], c_e[rows] = _partial_steps(props, pulse, grid[i], march[i], times[rows])
+    return Trajectory(times=times, amplitudes={"beta": beta, "c_e": c_e})
+
+
+def _scan_grid(pulse: PulseShape, horizon: float):
+    """The scan's uniform grid from min(0, pulse start) to ``horizon`` (400
+    steps per pulse width, at least 64), the pulse on every step's Gauss
+    nodes, and the width; ValueError unless ``horizon`` is finite and
+    after the start."""
+    t_begin = min(0.0, pulse.support[0])
+    if not t_begin < horizon < math.inf:
+        start = f"the scan start t = {t_begin:.6g}"
+        raise ValueError(f"horizon must be finite and after {start}, got {horizon!r}")
+    width = pulse.T if math.isfinite(pulse.T) else (horizon - t_begin)
+    n = max(int(np.ceil((horizon - t_begin) / width * 400)), 64)
+    grid = np.linspace(t_begin, horizon, n + 1)
+    starts, offsets = grid[:-1, None], (grid[-1] - grid[0]) / n * _STEP_NODES
+    phi = np.empty((n, _STEP_NODES.size), dtype=complex)
+    # the pulse in blocks of steps, so that its temporaries stay small
+    for lo in range(0, n, _DRIVE_BLOCK):
+        phi[lo : lo + _DRIVE_BLOCK] = pulse.amplitude(starts[lo : lo + _DRIVE_BLOCK] + offsets)
+    return grid, phi, width
+
+
+def _partial_steps(props, pulse: PulseShape, start, state, times):
+    """(beta, c_e) at ``times`` from the (rows, 2) ``state`` at ``start``,
+    each row one exact step of its own propagator in ``props``; a step
+    that holds a pulse edge is split there, one row at a time."""
+    prop = _Propagator.stack(props)
+    s = (times - start)[:, None]
+    (bb, be, ee), (w_b, w_e) = _step(prop, s)
+    drive = pulse.amplitude(start[:, None] + s * _STEP_NODES)
+    beta = bb * state[:, 0] + be * state[:, 1] + (drive * w_b).sum(axis=1)
+    c_e = be * state[:, 0] + ee * state[:, 1] + (drive * w_e).sum(axis=1)
+    cuts = np.array(sorted({*pulse.support, pulse.t0}))
+    for k in np.flatnonzero(((cuts > start[:, None]) & (cuts < times[:, None])).any(axis=1)):
+        beta[k], c_e[k] = _advance(props[k], pulse, state[k], start[k], times[k])
+    return beta, c_e
 
 
 # 8-point Gauss-Legendre rule on [0, 1] for the drive across one step
@@ -414,7 +442,8 @@ _STEP_NODES, _STEP_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _STEP_NODES, _STEP_WEIGHTS = (_STEP_NODES + 1.0) / 2.0, _STEP_WEIGHTS / 2.0
 # a step's length and the lags from its Gauss nodes to its end, in units of it
 _STEP_LAGS = np.concatenate(([1.0], 1.0 - _STEP_NODES))
-# steps whose pulse values ``peak_loading`` evaluates together
+# steps whose pulse values the scan evaluates together, and output times
+# that ``stepped_trajectory`` steps together
 _DRIVE_BLOCK = 512
 
 

@@ -44,13 +44,11 @@ def test_simulate_two_level_schema(tmp_path):
     assert header == ["t_over_T", "pop_beta", "pop_ce"]
     data = np.asarray(rows)
     assert np.all(np.diff(data[:, 0]) > 0)
-    # the sampled maximum matches the module's value on the same grid
+    # the sampled maximum matches the closed form on the same grid
     pulse = pulses.make_sech(2.0, 2.0)
-    grid = data[:, 0] * 2.0
-    traj = two_level.amplitude_ode(
-        two_level.TwoLevelParams(g=1.0, kappa=1.0), pulse, grid
-    )
-    assert data[:, 2].max() == pytest.approx(traj.population("c_e").max(), abs=1e-9)
+    params = two_level.TwoLevelParams(g=1.0, kappa=1.0)
+    exact = [two_level.amplitude_closed_form(params, pulse, t)[1] for t in data[:, 0] * 2.0]
+    assert data[:, 2].max() == pytest.approx(np.max(np.abs(exact) ** 2), abs=1e-9)
     assert data[:, 2].max() == pytest.approx(0.902, abs=5e-3)
 
 
@@ -398,8 +396,9 @@ def test_usage_error_returns_status(capsys):
 
 
 def test_optimize_cold_start_leaves_scipy_integrate_unloaded(tmp_path):
-    # a fresh interpreter runs one optimum per scenario; none of them may
-    # load scipy.integrate, which only the oracle routes need
+    # a fresh interpreter runs one optimum per scenario, then every
+    # two-level trajectory writer; none of them may load scipy.integrate,
+    # which only the oracle routes and the three-level ODE writer need
     script = textwrap.dedent(
         """
         import sys
@@ -416,11 +415,21 @@ def test_optimize_cold_start_leaves_scipy_integrate_unloaded(tmp_path):
         for i, argv in enumerate(runs):
             rc = cli.main(["optimize", *argv, "--out", f"opt{i}.csv"])
             assert rc == 0, (argv, rc)
+        writers = [
+            ["simulate", "--scenario", "two_level", "--kT", "2", "--g_over_k", "1"],
+            *(["figure", "--preset", p, "--outdir", "figs"] for p in ("fig3", "fig5", "fig8")),
+        ]
+        for argv in writers:
+            assert cli.main(argv) == 0, argv
         assert "scipy.integrate" not in sys.modules
-        # the oracle quadrature still loads it on first use
+        # the three-level trajectory writer integrates with RK45
+        argv = ["simulate", "--scenario", "lambda_nonadiabatic", "--kT", "2", "--gc_over_k", "1"]
+        argv += ["--omega_over_k", "1", "--delta1_over_k", "20", "--out", "l.csv"]
+        assert cli.main(argv) == 0
+        assert "scipy.integrate" in sys.modules
+        # the oracle quadrature still works
         norm = pulses.make_sech(2.0, 2.0).norm_squared()
         assert abs(norm - 1.0) < 1e-8, norm
-        assert "scipy.integrate" in sys.modules
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -465,6 +474,8 @@ _LAMBDA_NONADIABATIC_SIMULATE = [
         (_LAMBDA_NONADIABATIC_SIMULATE + ["--t_load_over_T", "nan"], 2),
         (_LAMBDA_NONADIABATIC_SIMULATE + ["--t_load_over_T", "inf"], 2),
         (_LAMBDA_NONADIABATIC_SIMULATE + ["--t_load_over_T=-inf"], 2),
+        (["optimize", "--scenario", "two_level", "--kT", "2", "--g_max", "inf"], 2),
+        (["optimize", "--scenario", "two_level", "--kT", "2", "--tol", "inf"], 2),
     ],
     ids=[
         "two_level-delta",
@@ -481,6 +492,8 @@ _LAMBDA_NONADIABATIC_SIMULATE = [
         "lambda_nonadiabatic-t_load-nan",
         "lambda_nonadiabatic-t_load-inf",
         "lambda_nonadiabatic-t_load-minus-inf",
+        "two_level-g_max-inf",
+        "two_level-tol-inf",
     ],
 )
 def test_contract_for_extreme_inputs(tmp_path, capsys, argv, code):

@@ -286,6 +286,19 @@ def test_timing_offset_zero_is_peak():
     assert probs[1] >= probs[0] and probs[1] >= probs[2]
 
 
+def test_timing_offset_scan_matches_closed_form():
+    # the stepped curve against the convolution oracle at each stop time,
+    # offsets in any order
+    cfg = {"kappa": 1.0, "T": 1.0, "g": 1.7}
+    offsets = np.array([0.4, -0.9, 0.0, -0.25, 1.0])
+    probs = lm.timing_offset_scan("nonadiabatic", cfg, offsets)
+    params, pulse = TwoLevelParams(g=1.7, kappa=1.0), pulses.make_sech(1.0, 1.0)
+    t_load, _ = two_level.peak_loading(params, pulse, 5.0)
+    for off, prob in zip(offsets, probs):
+        _, ce = two_level.amplitude_closed_form(params, pulse, t_load + off)
+        assert abs(prob - abs(ce) ** 2) <= 1e-10
+
+
 def test_timing_offset_early_stop_kills_loading():
     cfg = {"kappa": 1.0, "T": 1.0, "g": 1.7}
     probs = lm.timing_offset_scan("nonadiabatic", cfg, np.array([-8.0]))

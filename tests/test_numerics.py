@@ -100,6 +100,15 @@ def test_integrate_grid_validation():
         numerics.integrate(sys_, [0.5, 2.0])
 
 
+@pytest.mark.parametrize("grid", [[-1e-13, 0.5], [0.5, 1.0 + 1e-13]])
+def test_integrate_rejects_grid_just_outside_span(grid):
+    # a point a hair outside the span is rejected by the span check, not
+    # by the solver or a half-filled output
+    sys_ = OdeSystem(1, lambda t, y: -y, np.array([1.0 + 0j]), (0.0, 1.0))
+    with pytest.raises(ValueError, match="beyond the system time span"):
+        numerics.integrate(sys_, grid)
+
+
 def test_integrate_rejects_zero_length_span():
     sys_ = OdeSystem(1, lambda t, y: -y, np.array([1.0 + 0j]), (2.0, 2.0))
     with pytest.raises(ValueError, match="zero length"):

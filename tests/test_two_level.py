@@ -340,6 +340,69 @@ def test_batched_peak_loading_memory():
     assert peak <= 6 * 2**20
 
 
+FAMILIES = ("sech", "rectangular", "exp_rising", "exp_decaying")
+
+
+@pytest.mark.parametrize("points", [2, 11, 501])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_stepped_trajectory_matches_closed_form(kind, points):
+    pulse = pulses.make_named(kind, 2.0, 2.0)
+    times = np.linspace(min(0.0, pulse.support[0]), 10.0, points)
+    for params in (FIG3_PARAMS, LOSSY_DETUNED):
+        traj = two_level.stepped_trajectory(params, pulse, times)
+        for i in range(0, points, max(points // 25, 1)):
+            beta, ce = two_level.amplitude_closed_form(params, pulse, float(times[i]))
+            assert abs(traj.population("beta")[i] - abs(beta) ** 2) <= 1e-10
+            assert abs(traj.population("c_e")[i] - abs(ce) ** 2) <= 1e-10
+        # the output times need not be sorted
+        backwards = two_level.stepped_trajectory(params, pulse, times[::-1])
+        assert np.array_equal(backwards.amplitudes["c_e"], traj.amplitudes["c_e"][::-1])
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_stepped_trajectory_is_the_scan_on_its_grid(kind):
+    # on the peak search's own grid the writer returns the scanned states,
+    # and no denser output rises above the refined peak
+    pulse = pulses.make_named(kind, 2.0, 2.0)
+    horizon = 10.3713
+    grid, phi, _ = two_level._scan_grid(pulse, horizon)
+    for params in (FIG3_PARAMS, LOSSY_DETUNED):
+        prop = two_level._Propagator.stack([two_level._Propagator.of(params)])
+        scan = next(two_level._marches(prop, pulse, grid, phi))
+        traj = two_level.stepped_trajectory(params, pulse, grid)
+        assert np.array_equal(traj.amplitudes["beta"], scan[:, 0])
+        assert np.array_equal(traj.amplitudes["c_e"], scan[:, 1])
+        _, p_max = two_level.peak_loading(params, pulse, horizon)
+        dense = two_level.stepped_trajectory(params, pulse, np.linspace(grid[0], horizon, 20001))
+        assert dense.population("c_e").max() <= p_max + 1e-12
+
+
+def test_stepped_trajectory_at_rest_before_the_scan():
+    # times at or before the scan start are exact zeros, and a call with
+    # none after it (or none at all) runs no scan
+    start = FIG3_PULSE.support[0]
+    traj = two_level.stepped_trajectory(FIG3_PARAMS, FIG3_PULSE, [start - 1.0, start])
+    assert not traj.amplitudes["beta"].any() and not traj.amplitudes["c_e"].any()
+    empty = two_level.stepped_trajectory(FIG3_PARAMS, FIG3_PULSE, [])
+    assert empty.times.size == 0 and empty.amplitudes["c_e"].size == 0
+    with pytest.raises(ValueError, match="horizon"):
+        two_level.stepped_trajectory(FIG3_PARAMS, FIG3_PULSE, [1.0, math.inf])
+
+
+def test_stepped_trajectory_memory():
+    # output times are stepped in blocks: the peak does not grow with them
+    # beyond the (beta, c_e) columns themselves
+    times = np.linspace(FIG3_PULSE.support[0], 10.0, 100_000)
+    two_level.stepped_trajectory(LOSSY_DETUNED, FIG3_PULSE, times[:10])
+    tracemalloc.start()
+    try:
+        two_level.stepped_trajectory(LOSSY_DETUNED, FIG3_PULSE, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
 def test_dimensionless_scaling_invariance():
     # scaling every rate by c and time by 1/c leaves |c_e(t/T)|^2 unchanged
     ref = two_level.dimensionless_load(2.0, 1.2, 0.25, 1.7)

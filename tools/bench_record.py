@@ -17,10 +17,10 @@ both sides and the machine.  A run that exits non-zero or reports
 ``correct: false`` stops the tool.
 
 The record also holds fresh-process wall times of the package's CLI
-(``CLI_COMMANDS``: both trajectory writers that run an ODE oracle and
-every ``figure`` preset on one worker), each command run ``CLI_PAIRS``
-times per side in the same alternating order, with the same medians,
-quartiles and won pairs.
+(``CLI_COMMANDS``: ``simulate`` for the two-level and the three-level
+Lambda trajectory writers and every ``figure`` preset on one worker),
+each command run ``CLI_PAIRS`` times per side in the same alternating
+order, with the same medians, quartiles and won pairs.
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # the end-to-end CLI commands timed in fresh processes, and the runs per
-# side of each (a figure preset takes 0.5-2 s); each run adds its own --out
-# or --outdir
-CLI_PAIRS = 3
+# side of each (a figure preset takes 0.5-2 s; with fewer than ten pairs
+# the spread of fresh-process times on two CPUs hides a 20 % change); each
+# run adds its own --out or --outdir
+CLI_PAIRS = 10
 CLI_COMMANDS = {
     "simulate_two_level": ["simulate", "--scenario", "two_level", "--kT", "2", "--g_over_k", "1"],
     "simulate_lambda_nonadiabatic": [
