@@ -18,9 +18,9 @@ from cavity_loader import (
     adiabatic_load_tpr,
     adiabatic_load_zed,
     compensated_pulse,
-    full_ode,
     make_sech,
     nonadiabatic_load,
+    nonadiabatic_trajectory,
     stark_compensation,
     timing_offset_scan,
 )
@@ -45,19 +45,10 @@ p_load = nonadiabatic_load(params, pulse, opt.T_load)
 print(f"  same number from the Lambda reduction: {p_load:.4f}")
 print(f"  (g_c = Omega = {g_c:.1f} kappa, Delta1 = {delta1:.0f} kappa, Stark-compensated Delta2 = {delta2:.2f} kappa)")
 
-print("\n== cross-check against the full three-level integration ==")
+print("\n== cross-check against the full three-level model ==")
 grid = np.linspace(pulse.support[0], 5.0, 200)
-drive = compensated_pulse(pulse, params)
-
-def omega_step(t):
-    return np.where(np.asarray(t) <= opt.T_load, om, 0.0)
-
-full = full_ode(
-    LambdaParams(g_c=g_c, kappa=kappa, delta1=delta1, delta2=delta2, omega=omega_step),
-    drive,
-    grid,
-    breakpoints=(opt.T_load,),
-)
+# nothing eliminated: exact steps of (beta, c_r, c_e), control off after T_Load
+full = nonadiabatic_trajectory(params, compensated_pulse(pulse, params), grid, opt.T_load)
 print(f"  full model |c_e|^2 at the end: {full.population('c_e')[-1]:.4f} (frozen)")
 
 print("\n== adiabatic passage needs kappa T >= 4 ==")

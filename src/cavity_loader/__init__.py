@@ -38,6 +38,7 @@ from .lambda_memory import (
     dark_bright_decompose,
     full_ode,
     nonadiabatic_load,
+    nonadiabatic_trajectory,
     reduce,
     stark_compensation,
     timing_offset_scan,
@@ -89,6 +90,7 @@ __all__ = [
     "stark_compensation",
     "compensated_pulse",
     "nonadiabatic_load",
+    "nonadiabatic_trajectory",
     "adiabatic_control_pulse",
     "adiabatic_load_tpr",
     "adiabatic_load_zed",

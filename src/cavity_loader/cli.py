@@ -89,7 +89,7 @@ def _points(raw: str) -> int:
 # fields every scenario accepts, besides its own (and --scenario, --config)
 COMMON_FIELDS = {
     "simulate": {"points": _points, "out": str},
-    "optimize": {"g_min": float, "g_max": float, "tol": float, "out": str},
+    "optimize": {"g_min": optimize._finite, "g_max": optimize._finite, "tol": float, "out": str},
 }
 
 

@@ -19,15 +19,17 @@ is what makes both loading schemes analyzable:
 * adiabatic passage: a shaped control that keeps the system in the
   dark state while the photon enters the cavity (requires kappa T >= 4).
 
-The non-adiabatic scheme has the effective two-level closed form.  The
+The non-adiabatic scheme has the effective two-level closed form; its
+trajectory writer (``nonadiabatic_trajectory``) eliminates nothing and
+steps the full system exactly on each side of the switch-off.  The
 adiabatic schemes' reduced equations have time-varying coefficients and
 run on fixed-step classic Runge-Kutta (RK4, ``_adiabatic_reduced_run``):
 each sub-step is an affine map of (beta, c_e), the couplings of a batch
 share the control and the pulse on the sub-step nodes, and each run's
-maps go through the banded solver ``numerics.affine_march`` that the
-exact two-level stepping uses too.  An adaptive DOP853 run of the same
-equations in the tests and ``full_ode``, which eliminates nothing, are
-the oracles.
+maps go through the banded solver ``numerics.affine_march`` that every
+exact stepping uses too.  ``full_ode`` (RK45, nothing eliminated) and,
+in the tests, an adaptive DOP853 run of the reduced equations are the
+oracles.
 
 Throughout, the constant light shift imprinted on the cavity leg is
 assumed compensated by pre-shifting the input photon's carrier by
@@ -39,21 +41,23 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import numerics, two_level
 from .numerics import OdeSystem
 from .pulses import PulseShape, frequency_shifted, make_sech
-from .two_level import Trajectory, _drive_max_step, _Propagator, TwoLevelParams
+from .two_level import Trajectory, _drive_max_step, _Propagator, _stepped, TwoLevelParams
 
 __all__ = [
     "LambdaParams",
     "ReducedParams",
     "DarkBright",
     "full_ode",
+    "nonadiabatic_trajectory",
     "reduce",
     "stark_compensation",
     "compensated_pulse",
@@ -93,8 +97,12 @@ class LambdaParams:
         if not callable(self.omega):
             rates.append("omega")
         for name in rates:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            # stark_compensation, reduce and compensated_pulse square these
+            if name in ("g_c", "omega") and not math.isfinite(value * value):
+                raise ValueError(f"{name} is too large to square, got {value!r}")
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
         if self.g_c < 0:
@@ -147,8 +155,10 @@ def full_ode(
 ) -> Trajectory:
     """Integrate the full three-amplitude system from the vacuum state.
 
-    ``breakpoints`` lists times where the control is discontinuous (e.g.
-    the switch-off of a step control) so the integrator never steps
+    Adaptive RK45, independent of the exact stepping: the oracle of
+    ``nonadiabatic_trajectory`` and of the reductions; no command calls
+    it.  ``breakpoints`` lists times where the control is discontinuous
+    (e.g. the switch-off of a step control) so the integrator never steps
     across them.
     """
     grid = np.asarray(grid, dtype=float)
@@ -189,6 +199,54 @@ def full_ode(
         times=grid,
         amplitudes={"beta": states[:, 0], "c_r": states[:, 1], "c_e": states[:, 2]},
     )
+
+
+@dataclass(frozen=True)
+class _LambdaPropagator:
+    """exp(A s), by ``scipy.linalg.expm``, for the drive-free matrix A of
+    (beta, c_r, c_e) under a constant control: ``full_ode``'s right-hand
+    side term by term.  ``max_step`` is 1 / the largest |eigenvalue| of A,
+    so that the steps' Gauss rule resolves the fastest rotation (c_r's,
+    about Delta1)."""
+
+    size = 3
+    kappa: float
+    a: np.ndarray
+    max_step: float
+
+    @classmethod
+    def of(cls, p: LambdaParams) -> "_LambdaPropagator":
+        if p.phi_z_dot is not None:
+            raise ValueError("the exact stepping assumes a constant control phase")
+        c_g, c_om, c_rot = -1j * p.g_c, -1j * p.omega_const, -1j * (p.delta2 - p.delta1)
+        a = np.array([[-p.kappa, c_g, 0], [c_g, 1j * p.delta1 - p.gamma_r, c_om], [0, c_om, c_rot]])
+        return cls(p.kappa, a, float(1.0 / np.abs(np.linalg.eigvals(a)).max()))
+
+    def matrix(self, s):
+        m = expm(self.a * np.asarray(s)[..., None, None])
+        return np.moveaxis(m, (-2, -1), (0, 1))  # entry first
+
+
+def nonadiabatic_trajectory(p: LambdaParams, pulse: PulseShape, times, t_load: float) -> Trajectory:
+    """(beta, c_r, c_e) at ``times``, nothing eliminated, for the control
+    ``p.omega`` up to ``t_load`` and zero after it: on each side the
+    system is linear and time-invariant, and steps its propagator exactly
+    (``two_level._stepped``), the off side from the state at the switch.
+    A t_load before the scan start, min(0, pulse start), or after the last
+    time leaves the control off or on throughout.  ``full_ode`` is the
+    oracle."""
+    if math.isnan(t_load):
+        raise ValueError("t_load must be a number, got nan")
+    times = np.asarray(times, dtype=float)
+    on, off = _LambdaPropagator.of(p), _LambdaPropagator.of(replace(p, omega=0.0))
+    switch = min(max(t_load, min(0.0, pulse.support[0])), float(times.max()))
+    early = times <= switch
+    states = np.empty((times.size, 3), dtype=complex)
+    at_switch = _stepped(on, pulse, np.append(times[early], switch))
+    states[early] = at_switch[:-1]
+    states[~early] = _stepped(off, pulse, times[~early], switch, at_switch[-1])
+    beta, c_r, c_e = states.T
+    return Trajectory(times=times, amplitudes={"beta": beta, "c_r": c_r, "c_e": c_e})
 
 
 def reduce(p: LambdaParams) -> ReducedParams:
@@ -439,8 +497,8 @@ def _rk4_maps(h, a_bb: complex, a_be, a_ee, force):
 
     A = [[a_bb, a_be], [a_be, a_ee]], with a_ee = None for zero; ``a_be``,
     ``a_ee`` and ``force`` hold 2 len(h) + 1 values, at the start, middle
-    and end of each step (an end is the next step's start).  Returns
-    ((M_bb, M_be, M_eb, M_ee), (v_b, v_e)).
+    and end of each step (an end is the next step's start).  Returns the
+    maps M, (len(h), 2, 2), and the vectors v, (len(h), 2).
     """
     # three steps side by side, whose results are the map's columns: from
     # (1, 0) and from (0, 1) undriven, and from rest driven
@@ -457,8 +515,11 @@ def _rk4_maps(h, a_bb: complex, a_be, a_ee, force):
         return k_b, k_e
 
     def moved(step, k_b, k_e):
-        # (y_b, y_e) + step (k_b, k_e), in place of new temporaries
-        y = [step * k_b, step * k_e]
+        # (y_b, y_e) + step (k_b, k_e), in place of new temporaries, in one
+        # array so that the last step's maps are views of it
+        y = np.empty((2,) + k_b.shape, dtype=complex)
+        np.multiply(step, k_b, out=y[0])
+        np.multiply(step, k_e, out=y[1])
         y[0][0] += 1.0
         y[1][1] += 1.0
         return y
@@ -475,8 +536,8 @@ def _rk4_maps(h, a_bb: complex, a_be, a_ee, force):
         b *= 2.0
         acc += b
         acc += c
-    m_b, m_e = moved(h / 6.0, *total)
-    return (m_b[0], m_b[1], m_e[0], m_e[1]), (m_b[2], m_e[2])
+    m = moved(h / 6.0, *total)
+    return m[:, :2].transpose(2, 0, 1), m[:, 2].T
 
 
 def adiabatic_load_tpr(

@@ -1,5 +1,5 @@
 """Shared numerical engines: complex linear ODE integration, quadrature,
-the stepped (beta, c_e) recursion and peak finding.
+the stepped recursion of k amplitudes and peak finding.
 
 The ODE path is the brute-force reference for every model in the
 package: RK45 asked only for the output times, without dense output,
@@ -12,8 +12,10 @@ behind small, deterministic interfaces with explicit failure
 signalling.  These oracle routes import ``scipy.integrate`` on first
 use; the fast paths (``affine_march``, ``scan_refine`` and the engines
 built on them) never load it, so a command that needs no oracle starts
-without it.  ``affine_march`` is the one solver of the stepping engines,
-exact (two-level) and RK4 (adiabatic Lambda) alike.  ``scan_refine`` is
+without it.  ``affine_march`` is the one solver of the stepping engines:
+the exact steps of (beta, c_e) (two-level) and of (beta, c_r, c_e) (the
+three-level Lambda writer), and the RK4 steps of the adiabatic Lambda
+runs, each a recursion of k interleaved amplitudes.  ``scan_refine`` is
 the one peak finder: the loading peak over time and the optimum over
 the coupling both use it.
 """
@@ -260,35 +262,39 @@ class _OnePassKronrod:
 
 
 def affine_march(maps, force, start=None) -> np.ndarray:
-    """States z[0], ..., z[n] of the recursion z[k + 1] = M_k z[k] + f[k] of
-    (beta, c_e) pairs, from z[0] = ``start`` (rest when None).
+    """States z[0], ..., z[n] of the recursion z[j + 1] = M_j z[j] + f[j] of
+    k amplitudes, from z[0] = ``start`` (rest when None).
 
-    ``maps`` is (M_bb, M_be, M_eb, M_ee): numbers, one map for every step,
-    or arrays of length n, the map of each step; ``force`` is (f_b, f_e),
-    two arrays of length n.  Returns an (n + 1, 2) complex array.  The
-    recursion is one unit lower-triangular system in the interleaved
-    unknowns (beta_1, c_1, beta_2, ...) with three subdiagonals, solved by
-    forward substitution in BLAS ``ztbsv``, a single-threaded level-2
-    routine.  Map 0 acts only on z[0], so it enters through f[0]; the map
-    of step k >= 1 fills band columns 2 (k - 1) and 2 k - 1.
+    ``maps`` is one (k, k) matrix, the map of every step, or an (n, k, k)
+    stack, the map of each step; ``force`` is (n, k).  Returns an
+    (n + 1, k) complex array.  The recursion is one unit lower-triangular
+    system in the interleaved unknowns (z[1][0], ..., z[1][k - 1],
+    z[2][0], ...) with 2 k - 1 subdiagonals, solved by forward
+    substitution in BLAS ``ztbsv``, a single-threaded level-2 routine.  Map
+    0 acts only on z[0], so it enters through f[0]; entry (a, b) of the
+    map of step j >= 1 sits in band row k + a - b, column k (j - 1) + b.
     """
-    n = len(force[0])
-    z = np.empty((n + 1, 2), dtype=complex)
+    n, k = np.shape(force)
+    z = np.empty((n + 1, k), dtype=complex)
     z[0] = 0.0 if start is None else start
-    z[1:, 0], z[1:, 1] = force
+    for a in range(k):  # one column at a time: cheap for any layout of force
+        z[1:, a] = force[:, a]
+    maps = np.asarray(maps)
+    stacked = maps.ndim == 3
     if start is not None:
-        m_bb, m_be, m_eb, m_ee = (m[0] if np.ndim(m) else m for m in maps)
-        z[1, 0] += m_bb * start[0] + m_be * start[1]
-        z[1, 1] += m_eb * start[0] + m_ee * start[1]
-    m_bb, m_be, m_eb, m_ee = (m[1:] if np.ndim(m) else m for m in maps)
+        first = maps[0] if stacked else maps
+        # number by number, left to right: a vector product can round differently
+        z[1] += [sum((first[a, b] * start[b] for b in range(1, k)), first[a, 0] * start[0])
+                 for a in range(k)]
+    # entry (a, b) of the map of every step j >= 1
+    rest = maps[1:].transpose(1, 2, 0) if stacked else maps
     # column j of the band holds A[j + d, j] in row d; the diagonal is one
-    band = np.zeros((4, 2 * n), dtype=complex, order="F")
-    band[2, 0:-2:2] = -m_bb
-    band[3, 0:-2:2] = -m_eb
-    band[1, 1:-2:2] = -m_be
-    band[2, 1:-2:2] = -m_ee
+    band = np.zeros((2 * k, k * n), dtype=complex, order="F")
+    for a in range(k):
+        for b in range(k):
+            band[k + a - b, b : k * (n - 1) : k] = -rest[a, b]
     x = z[1:].reshape(-1)
-    x[:] = blas.ztbsv(3, band, x, lower=1, diag=1, overwrite_x=1)
+    x[:] = blas.ztbsv(2 * k - 1, band, x, lower=1, diag=1, overwrite_x=1)
     return z
 
 

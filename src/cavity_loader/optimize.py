@@ -133,7 +133,8 @@ def _two_level_trajectory(cfg: dict, points: int):
 
 
 def _lambda_nonadiabatic_trajectory(cfg: dict, points: int):
-    """Full three-level run with a step control switched off at t_load.
+    """Full three-level run with a step control switched off at t_load
+    (``lambda_memory.nonadiabatic_trajectory``).
 
     Without ``delta2_over_k`` the Stark-compensating Delta2 is used;
     without ``t_load_over_T`` the switch-off is the loading peak of the
@@ -141,12 +142,13 @@ def _lambda_nonadiabatic_trajectory(cfg: dict, points: int):
     """
     T, g_c, om, d1 = cfg["kT"], cfg["gc_over_k"], cfg["omega_over_k"], cfg["delta1_over_k"]
     gamma_r = cfg.get("gamma_r_over_k", 0.0)
-    base = lambda_memory.LambdaParams(
+    params = lambda_memory.LambdaParams(
         g_c=g_c, kappa=1.0, delta1=d1, delta2=d1, omega=om, gamma_r=gamma_r
     )
     d2 = cfg.get("delta2_over_k")
     if d2 is None:
-        d2 = lambda_memory.stark_compensation(base)
+        d2 = lambda_memory.stark_compensation(params)
+    params = replace(params, delta2=d2)
     pulse = pulses.make_named(cfg.get("pulse", "sech"), T, T)
     if "t_load_over_T" in cfg:
         t_load = cfg["t_load_over_T"] * T
@@ -155,15 +157,9 @@ def _lambda_nonadiabatic_trajectory(cfg: dict, points: int):
         fixed = {"kT": T, "pulse": cfg.get("pulse", "sech")}
         _, times = _two_level_probability(np.array([abs(g_c * om / d1)]), fixed)
         t_load = float(times[0])
-
-    def omega_step(t):
-        # full_ode evaluates the control at one time per call
-        return om if t <= t_load else 0.0
-
-    params = replace(base, delta2=d2, omega=omega_step)
     drive = lambda_memory.compensated_pulse(pulse, params)
     grid = np.linspace(min(0.0, pulse.support[0]), 5.0 * T, points)
-    traj = lambda_memory.full_ode(params, drive, grid, breakpoints=(t_load,))
+    traj = lambda_memory.nonadiabatic_trajectory(params, drive, grid, t_load)
     return _table(traj, T, _LAMBDA_COLUMNS)
 
 

@@ -160,10 +160,11 @@ class _Propagator:
     effective coupling, extra drive damping) reuses it.  A + mean is
     traceless and squares to (xi / 2)^2, so exp(A s) = ch I + sh (A + mean)
     exactly, finite through xi = 0.  The constants are numbers, or (rows, 1)
-    columns (``stack``, one row per propagator) that broadcast against step
-    lengths.
+    columns (``_stack``, one row per propagator) that broadcast against
+    step lengths.
     """
 
+    size, max_step = 2, math.inf  # (beta, c_e); the pulse width sets the step
     kappa: float
     g_amp: complex
     xi: complex
@@ -186,11 +187,6 @@ class _Propagator:
             (kappa - gamma_prime) / 2.0,
         )
 
-    @classmethod
-    def stack(cls, props) -> "_Propagator":
-        consts = [(q.kappa, q.g_amp, q.xi, q.mean, q.half_diff) for q in props]
-        return cls(*(np.array(col)[:, None] for col in zip(*consts)))
-
     def parts(self, s):
         """(ch, sh) of exp(A s) = ch I + sh (A + mean).
 
@@ -208,10 +204,12 @@ class _Propagator:
         xi = np.where(near, 1.0, self.xi)
         return np.where(near, ch, 0.5 * (up + down)), np.where(near, sh, (up - down) / xi)
 
-    def entries(self, s):
-        """Entries (bb, be, ee) of the symmetric matrix exp(A s)."""
+    def matrix(self, s):
+        """exp(A s), entry first: [[bb, be], [eb, ee]] with eb = be, each
+        entry shaped as ``s`` (broadcast against stacked constants)."""
         ch, sh = self.parts(s)
-        return ch - self.half_diff * sh, -1j * self.g_amp * sh, ch + self.half_diff * sh
+        be = -1j * self.g_amp * sh
+        return [[ch - self.half_diff * sh, be], [be, ch + self.half_diff * sh]]
 
     def ce_kernel(self, s):
         """Causal kernel of c_e: -sh(s), i.e. (e^{-kappa_+ s} - e^{-kappa_- s})
@@ -329,7 +327,7 @@ def spectral_amplitude(
     # without coupling det(A + i nu) has a real zero when gamma = 0
     if t <= origin or p.g == 0:
         return 0.0 + 0.0j
-    _, be, ee = _Propagator.of(p).entries(t - origin)
+    (_, be), (_, ee) = _Propagator.of(p).matrix(t - origin)
     gamma_prime = complex(p.gamma, -p.delta)
 
     def per_frequency(nu: np.ndarray) -> np.ndarray:
@@ -363,7 +361,7 @@ def peak_loading(p, pulse: PulseShape, horizon: float):
     # per coupling, the first grid index the refinement reads and the
     # states there and at the next index: the best scanned point's cells
     kept = []
-    for row, states in enumerate(_marches(_Propagator.stack(props), pulse, grid, phi)):
+    for row, states in enumerate(_marches(_stack(props), pulse, grid, phi)):
         values[row] = np.abs(states[:, 1]) ** 2
         first = max(int(values[row].argmax()) - 1, 0)
         kept.append((first, states[first : first + 2].copy()))
@@ -372,7 +370,7 @@ def peak_loading(p, pulse: PulseShape, horizon: float):
         i = np.minimum(np.searchsorted(grid, times, side="right") - 1, len(grid) - 2)
         state = np.array([kept[r][1][j - kept[r][0]] for r, j in zip(rows.tolist(), i.tolist())])
         row_props = [props[r] for r in rows.tolist()]
-        return np.abs(_partial_steps(row_props, pulse, grid[i], state, times)[1]) ** 2
+        return np.abs(_partial_steps(row_props, pulse, grid[i], state, times)[:, 1]) ** 2
 
     t_peak, p_peak, _ = numerics.scan_refine(objective, grid, values, 1e-10 * max(width, 1.0))
     if single:
@@ -383,35 +381,63 @@ def peak_loading(p, pulse: PulseShape, horizon: float):
 def stepped_trajectory(p: TwoLevelParams, pulse: PulseShape, times) -> Trajectory:
     """(beta, c_e) at ``times`` by the exact stepping of ``peak_loading``:
     its scan up to max(times), then one partial step from the grid state
-    below each time, in blocks of times so that memory stays flat.  At a
-    scan-grid point the state is the scan's; times at or before the scan
-    start give zeros, the atom being at rest."""
+    below each time (``_stepped``).  At a scan-grid point the state is the
+    scan's; times at or before the scan start give zeros, the atom being
+    at rest."""
     times = np.asarray(times, dtype=float)
-    beta, c_e = np.zeros((2, times.size), dtype=complex)
-    late = np.flatnonzero(times > min(0.0, pulse.support[0]))
-    if late.size:
-        grid, phi, _ = _scan_grid(pulse, float(times.max()))
-        prop = _Propagator.of(p)
-        march = next(_marches(_Propagator.stack([prop]), pulse, grid, phi))
-        for lo in range(0, late.size, _DRIVE_BLOCK):
-            rows = late[lo : lo + _DRIVE_BLOCK]
-            i = np.searchsorted(grid, times[rows], side="right") - 1
-            props = [prop] * rows.size
-            beta[rows], c_e[rows] = _partial_steps(props, pulse, grid[i], march[i], times[rows])
+    beta, c_e = _stepped(_Propagator.of(p), pulse, times).T
     return Trajectory(times=times, amplitudes={"beta": beta, "c_e": c_e})
 
 
-def _scan_grid(pulse: PulseShape, horizon: float):
-    """The scan's uniform grid from min(0, pulse start) to ``horizon`` (400
-    steps per pulse width, at least 64), the pulse on every step's Gauss
-    nodes, and the width; ValueError unless ``horizon`` is finite and
-    after the start."""
-    t_begin = min(0.0, pulse.support[0])
+def _stack(props):
+    """One propagator of the class of ``props`` whose constants stack theirs
+    as (rows, 1, ...) arrays, one row per propagator."""
+    cols = zip(*(vars(q).values() for q in props))  # a dataclass's fields, in order
+    return type(props[0])(*(np.array(col)[:, None] for col in cols))
+
+
+# The stepping helpers below take any propagator of ``size`` = k amplitudes,
+# the first one driven at rate ``kappa``, whose ``matrix(s)`` is exp(A s)
+# entry first (``matrix(s)[a][b]`` is entry (a, b) at every step length in
+# s) and whose steps are at most ``max_step`` long: ``_Propagator`` and the
+# Lambda writer's alike.
+
+
+def _stepped(prop, pulse: PulseShape, times, start=None, state=None):
+    """States at ``times``, (n, k), by exact steps of ``prop`` from ``state``
+    at ``start`` (rest at the scan start when None): the scan up to
+    max(times), then one partial step from the grid state below each
+    later time, in blocks so that memory stays flat."""
+    t_begin = min(0.0, pulse.support[0]) if start is None else start
+    out = np.full((times.size, prop.size), 0.0 if state is None else state, dtype=complex)
+    late = np.flatnonzero(times > t_begin)
+    if late.size:
+        grid, phi, _ = _scan_grid(pulse, float(times.max()), t_begin, prop.max_step)
+        march = next(_marches(_stack([prop]), pulse, grid, phi, state))
+        for lo in range(0, late.size, _DRIVE_BLOCK):
+            rows = late[lo : lo + _DRIVE_BLOCK]
+            i = np.searchsorted(grid, times[rows], side="right") - 1
+            out[rows] = _partial_steps([prop] * rows.size, pulse, grid[i], march[i], times[rows])
+    return out
+
+
+def _scan_grid(pulse: PulseShape, horizon: float, start=None, max_step=math.inf):
+    """The scan's uniform grid from ``start`` (min(0, pulse start) when
+    None) to ``horizon``, ``_STEPS_PER_WIDTH`` steps per pulse width, at
+    least 64 and none longer than ``max_step``, the pulse on every step's
+    Gauss nodes, and the width.  ValueError unless ``horizon`` is finite
+    and after the start; OdeFailure, before anything is allocated, when
+    the grid would take more than ``_STEP_BUDGET`` steps."""
+    t_begin = min(0.0, pulse.support[0]) if start is None else start
     if not t_begin < horizon < math.inf:
-        start = f"the scan start t = {t_begin:.6g}"
-        raise ValueError(f"horizon must be finite and after {start}, got {horizon!r}")
+        where = f"the scan start t = {t_begin:.6g}"
+        raise ValueError(f"horizon must be finite and after {where}, got {horizon!r}")
     width = pulse.T if math.isfinite(pulse.T) else (horizon - t_begin)
-    n = max(int(np.ceil((horizon - t_begin) / width * 400)), 64)
+    steps = ((horizon - t_begin) / width * _STEPS_PER_WIDTH, (horizon - t_begin) / max_step)
+    if not max(steps) <= _STEP_BUDGET:
+        message = f"the exact stepping needs {max(steps):.3g} steps, over the budget {_STEP_BUDGET}"
+        raise numerics.OdeFailure(message, t_begin)
+    n = max(*(int(np.ceil(x)) for x in steps), 64)
     grid = np.linspace(t_begin, horizon, n + 1)
     starts, offsets = grid[:-1, None], (grid[-1] - grid[0]) / n * _STEP_NODES
     phi = np.empty((n, _STEP_NODES.size), dtype=complex)
@@ -422,19 +448,16 @@ def _scan_grid(pulse: PulseShape, horizon: float):
 
 
 def _partial_steps(props, pulse: PulseShape, start, state, times):
-    """(beta, c_e) at ``times`` from the (rows, 2) ``state`` at ``start``,
-    each row one exact step of its own propagator in ``props``; a step
-    that holds a pulse edge is split there, one row at a time."""
-    prop = _Propagator.stack(props)
+    """States at ``times`` from the (rows, k) ``state`` at ``start``, each
+    row one exact step of its own propagator in ``props``; a step that
+    holds a pulse edge is split there, one row at a time."""
     s = (times - start)[:, None]
-    (bb, be, ee), (w_b, w_e) = _step(prop, s)
-    drive = pulse.amplitude(start[:, None] + s * _STEP_NODES)
-    beta = bb * state[:, 0] + be * state[:, 1] + (drive * w_b).sum(axis=1)
-    c_e = be * state[:, 0] + ee * state[:, 1] + (drive * w_e).sum(axis=1)
+    m, w = _step(_stack(props), s)
+    out = _next_state(m, state, pulse.amplitude(start[:, None] + s * _STEP_NODES), w)
     cuts = np.array(sorted({*pulse.support, pulse.t0}))
     for k in np.flatnonzero(((cuts > start[:, None]) & (cuts < times[:, None])).any(axis=1)):
-        beta[k], c_e[k] = _advance(props[k], pulse, state[k], start[k], times[k])
-    return beta, c_e
+        out[k] = _advance(props[k], pulse, state[k], start[k], times[k])
+    return out
 
 
 # 8-point Gauss-Legendre rule on [0, 1] for the drive across one step
@@ -443,62 +466,78 @@ _STEP_NODES, _STEP_WEIGHTS = (_STEP_NODES + 1.0) / 2.0, _STEP_WEIGHTS / 2.0
 # a step's length and the lags from its Gauss nodes to its end, in units of it
 _STEP_LAGS = np.concatenate(([1.0], 1.0 - _STEP_NODES))
 # steps whose pulse values the scan evaluates together, and output times
-# that ``stepped_trajectory`` steps together
+# that ``_stepped`` steps together
 _DRIVE_BLOCK = 512
+# the scan's steps per pulse width, and at most this many steps in one scan
+# (~0.1 s; the figure presets and the peak searches need at most ~8000)
+_STEPS_PER_WIDTH = 400
+_STEP_BUDGET = 200_000
 
 
-def _step(prop: _Propagator, s):
-    """One step of length s: the entries (bb, be, ee) of exp(A s), and the
-    weights (w_b, w_e) on the 8 Gauss nodes start + s x with which driving
-    from rest over [start, start + s] reaches sum_x Phi_b(start + s x) w(x),
-    the Gauss-Legendre integral of exp(A (start + s - tau)) -i sqrt(2 kappa)
-    Phi_b(tau).  ``s`` is a number, or a column matching stacked propagators.
+def _step(prop, s):
+    """One step of length s: the map exp(A s) and the weights on the 8 Gauss
+    nodes start + s x with which driving from rest over [start, start + s]
+    reaches sum_x Phi_b(start + s x) w(x), the Gauss-Legendre integral of
+    exp(A (start + s - tau)) -i sqrt(2 kappa) Phi_b(tau) e_0.  Both are
+    indexed by amplitude first: map[a][b] and w[a] hold entry (a, b) and
+    the weights (..., 8) of every stacked propagator.  ``s`` is a number, or a
+    column matching stacked propagators.
     """
-    bb, be, ee = prop.entries(s * _STEP_LAGS)
+    m, k = prop.matrix(s * _STEP_LAGS), range(prop.size)
     scale = -1j * np.sqrt(2.0 * prop.kappa) * s * _STEP_WEIGHTS
-    return (bb[..., 0], be[..., 0], ee[..., 0]), (bb[..., 1:] * scale, be[..., 1:] * scale)
+    return [[m[a][b][..., 0] for b in k] for a in k], [m[a][0][..., 1:] * scale for a in k]
 
 
-def _advance(prop: _Propagator, pulse: PulseShape, state, a: float, b: float):
-    """(beta, c_e) at b from ``state`` at a, split at the pulse's edges and
-    center so that the rule only integrates a smooth drive; numbers, or
-    one entry per row of a stacked propagator."""
-    beta, c_e = state
+def _next_state(m, state, phi, w):
+    """The map m of ``_step`` applied to ``state``, (..., k), plus the drive
+    ``phi`` weighted by w and summed over the Gauss nodes: one amplitude
+    at a time, each sum in the order of its terms."""
+    st, out = state.T, []  # st[b] is state[..., b]
+    for a in range(len(m)):
+        acc = m[a][0] * st[0]
+        for b in range(1, len(m)):
+            acc = acc + m[a][b] * st[b]
+        out.append(acc + (phi * w[a]).sum(axis=-1))
+    return np.array(out).T
+
+
+def _advance(prop, pulse: PulseShape, state, a: float, b: float):
+    """The state at b from ``state`` at a, split at the pulse's edges and
+    center so that the rule only integrates a smooth drive: (k,), or
+    (rows, k) for a stacked propagator."""
+    state = np.asarray(state, dtype=complex)
     cuts = [a] + sorted(e for e in {*pulse.support, pulse.t0} if a < e < b) + [b]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        (bb, be, ee), (w_b, w_e) = _step(prop, hi - lo)
-        phi = pulse.amplitude(lo + (hi - lo) * _STEP_NODES)
-        beta, c_e = (
-            bb * beta + be * c_e + (phi * w_b).sum(axis=-1),
-            be * beta + ee * c_e + (phi * w_e).sum(axis=-1),
-        )
-    return beta, c_e
+        m, w = _step(prop, hi - lo)
+        state = _next_state(m, state, pulse.amplitude(lo + (hi - lo) * _STEP_NODES), w)
+    return state
 
 
-def _marches(prop: _Propagator, pulse: PulseShape, grid, phi):
-    """(beta, c_e) at every point of a uniform grid, from rest at grid[0]:
-    one (len(grid), 2) array per row of the stacked propagator ``prop``.
+def _marches(prop, pulse: PulseShape, grid, phi, start=None):
+    """States at every point of a uniform grid, from ``start`` at grid[0]
+    (rest when None): one (len(grid), k) array per row of the stacked
+    propagator ``prop``.
 
     ``phi`` holds the pulse on every step's Gauss nodes; a step that holds
     a pulse edge or the center is driven by ``_advance`` instead.  The rows
-    share the step's entries and weights and those edge steps; each row's
+    share the step's map and weights and those edge steps; each row's
     forcing and recursion (``numerics.affine_march``) are its own.
     """
     h = (grid[-1] - grid[0]) / (len(grid) - 1)
-    (bb, be, ee), (w_b, w_e) = _step(prop, h)
+    m, w = _step(prop, h)
+    k = prop.size
     edges = [
         i for i in set(np.searchsorted(grid, [*pulse.support, pulse.t0]) - 1)
         if 0 <= i < len(grid) - 1
     ]
-    driven = [_advance(prop, pulse, (0j, 0j), grid[i], grid[i + 1]) for i in edges]
-    for row in range(len(bb)):
+    driven = [_advance(prop, pulse, np.zeros(k), grid[i], grid[i + 1]) for i in edges]
+    for row in range(len(w[0])):
         # plain einsum: a BLAS product would start a thread pool in every
         # worker of a sweep
-        f_b = np.einsum("sn,n->s", phi, w_b[row])
-        f_e = np.einsum("sn,n->s", phi, w_e[row])
-        for i, (beta, c_e) in zip(edges, driven):
-            f_b[i], f_e[i] = beta[row], c_e[row]
-        yield numerics.affine_march((bb[row], be[row], be[row], ee[row]), (f_b, f_e))
+        force = np.array([np.einsum("sn,n->s", phi, w[a][row]) for a in range(k)]).T
+        for i, state in zip(edges, driven):
+            force[i] = state[row]
+        yield numerics.affine_march([[e[row] for e in r] for r in m], force, start)
 
 
 def dimensionless_load(

@@ -264,6 +264,13 @@ def test_optimize_empty_range(capsys):
     assert "g_m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("g_max", "nan"), ("g_min", "inf")])
+def test_optimize_non_finite_range_end_names_the_field(capsys, flag, value):
+    rc = run(["optimize", "--scenario", "two_level", "--kT", "2", f"--{flag}", value])
+    assert rc == 2
+    assert f"field {flag}: must be finite, got '{value}'" in capsys.readouterr().err
+
+
 def test_optimize_mitnu_needs_kt0(capsys):
     rc = run(["optimize", "--scenario", "mitnu", "--kT", "2"])
     assert rc == 2
@@ -396,9 +403,9 @@ def test_usage_error_returns_status(capsys):
 
 
 def test_optimize_cold_start_leaves_scipy_integrate_unloaded(tmp_path):
-    # a fresh interpreter runs one optimum per scenario, then every
-    # two-level trajectory writer; none of them may load scipy.integrate,
-    # which only the oracle routes and the three-level ODE writer need
+    # a fresh interpreter runs one optimum per scenario, then the two-level
+    # and three-level trajectory writers; none of them may load
+    # scipy.integrate, which only the oracle routes need
     script = textwrap.dedent(
         """
         import sys
@@ -421,15 +428,15 @@ def test_optimize_cold_start_leaves_scipy_integrate_unloaded(tmp_path):
         ]
         for argv in writers:
             assert cli.main(argv) == 0, argv
-        assert "scipy.integrate" not in sys.modules
-        # the three-level trajectory writer integrates with RK45
+        # the three-level trajectory writer steps exactly too
         argv = ["simulate", "--scenario", "lambda_nonadiabatic", "--kT", "2", "--gc_over_k", "1"]
         argv += ["--omega_over_k", "1", "--delta1_over_k", "20", "--out", "l.csv"]
         assert cli.main(argv) == 0
-        assert "scipy.integrate" in sys.modules
-        # the oracle quadrature still works
+        assert "scipy.integrate" not in sys.modules
+        # the oracle quadrature still works, and loads it
         norm = pulses.make_sech(2.0, 2.0).norm_squared()
         assert abs(norm - 1.0) < 1e-8, norm
+        assert "scipy.integrate" in sys.modules
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -476,6 +483,9 @@ _LAMBDA_NONADIABATIC_SIMULATE = [
         (_LAMBDA_NONADIABATIC_SIMULATE + ["--t_load_over_T=-inf"], 2),
         (["optimize", "--scenario", "two_level", "--kT", "2", "--g_max", "inf"], 2),
         (["optimize", "--scenario", "two_level", "--kT", "2", "--tol", "inf"], 2),
+        (_LAMBDA_NONADIABATIC_SIMULATE + ["--omega_over_k", "1e200"], 2),
+        (_LAMBDA_NONADIABATIC_SIMULATE + ["--omega_over_k", "1e160"], 2),
+        (_LAMBDA_NONADIABATIC_SIMULATE + ["--gc_over_k", "1e200"], 2),
     ],
     ids=[
         "two_level-delta",
@@ -494,6 +504,9 @@ _LAMBDA_NONADIABATIC_SIMULATE = [
         "lambda_nonadiabatic-t_load-minus-inf",
         "two_level-g_max-inf",
         "two_level-tol-inf",
+        "lambda_nonadiabatic-omega-1e200",
+        "lambda_nonadiabatic-omega-1e160",
+        "lambda_nonadiabatic-g_c-1e200",
     ],
 )
 def test_contract_for_extreme_inputs(tmp_path, capsys, argv, code):

@@ -2,6 +2,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,6 +89,19 @@ def test_params_reject_non_finite(name, bad):
     rates[name] = bad
     with pytest.raises(ValueError, match=name):
         LambdaParams(**rates)
+
+
+@pytest.mark.parametrize("name", ["g_c", "omega"])
+@pytest.mark.parametrize("big", [1e160, 1e200])
+def test_params_reject_a_coupling_whose_square_overflows(name, big):
+    # stark_compensation, reduce and compensated_pulse square g_c and Omega
+    rates = {"g_c": 1.0, "kappa": 1.0, "delta1": 50.0, "delta2": 50.0, "omega": 1.0}
+    rates[name] = big
+    with pytest.raises(ValueError, match=name):
+        LambdaParams(**rates)
+    # a square just inside the float range is still accepted
+    rates[name] = 1e154
+    LambdaParams(**rates)
 
 
 def test_reduce_requires_detuning():
@@ -424,7 +438,7 @@ def _plain_rk4_recursion(g_prime, kT, detuned, grid, n_sub):
     nodes = np.append((grid[:-1, None] + dt[:, None] * frac).ravel(), grid[-1])
     om = lm.adiabatic_control_pulse(1.0, 1.0, kT, nodes - kT)
     force = -1j * math.sqrt(2.0) * pulses.make_sech(kT, kT).amplitude(nodes)
-    (m_bb, m_be, m_eb, m_ee), (v_b, v_e) = lm._rk4_maps(
+    maps, vectors = lm._rk4_maps(
         np.repeat(dt / n_sub, n_sub),
         -1.0 - 1j * g_prime if detuned else -1.0,
         -1j * g_prime * om,
@@ -432,12 +446,10 @@ def _plain_rk4_recursion(g_prime, kT, detuned, grid, n_sub):
         force,
     )
     states = [(0j, 0j)]
-    for k in range(len(v_b)):
+    for (m_b, m_e), (v_b, v_e) in zip(maps.tolist(), vectors.tolist()):
         beta, c_e = states[-1]
-        states.append(
-            (m_bb[k] * beta + m_be[k] * c_e + v_b[k], m_eb[k] * beta + m_ee[k] * c_e + v_e[k])
-        )
-    return ((m_bb, m_be, m_eb, m_ee), (v_b, v_e)), np.array(states)
+        states.append((m_b[0] * beta + m_b[1] * c_e + v_b, m_e[0] * beta + m_e[1] * c_e + v_e))
+    return (maps, vectors), np.array(states)
 
 
 @pytest.mark.parametrize(
@@ -456,7 +468,8 @@ def test_affine_march_matches_plain_recursion(detuned, g_prime, points, n_sub):
     kT = 4.5
     grid = np.linspace(-4.0 * kT, 5.0 * kT, points)
     (matrix, vector), want = _plain_rk4_recursion(g_prime, kT, detuned, grid, n_sub)
-    # the time-varying maps: map k >= 1 in band column 2 (k - 1)
+    # the time-varying maps, an (n, 2, 2) stack: map j >= 1 in band columns
+    # 2 (j - 1) and 2 j - 1
     solved = numerics.affine_march(matrix, vector)
     assert np.abs(solved - want).max() <= 1e-12
     # the production run takes the same sub-steps and keeps every n_sub-th
@@ -528,3 +541,110 @@ def test_optimize_near_control_threshold_stops_at_the_step_budget(tmp_path, caps
     assert "numeric failure" in err and "budget" in err
     assert not (tmp_path / "opt.csv").exists()
     assert time.perf_counter() - start < 30.0
+
+
+# the exact three-level writer: (Delta1, g_c, Omega, gamma_r)
+LAMBDA_RATES = {
+    "20": (20.0, 1.0, 1.0, 0.0),
+    "-20": (-20.0, 1.0, 1.0, 0.5),
+    "50": (50.0, 5.0, 5.0, 0.0),
+    "400": (400.0, 1.0, 2.0, 0.5),
+}
+
+
+def _lambda_case(kind, rates, kT=1.0):
+    """Stark-compensated params, the compensated drive and the writer's
+    default output grid for a pulse of this family."""
+    d1, g_c, om, gamma_r = rates
+    p = make_params(g_c=g_c, omega=om, delta1=d1, gamma_r=gamma_r)
+    p = replace(p, delta2=lm.stark_compensation(p))
+    pulse = pulses.make_named(kind, kT, kT)
+    grid = np.linspace(min(0.0, pulse.support[0]), 5.0 * kT, 200)
+    return p, lm.compensated_pulse(pulse, p), grid
+
+
+def _t_load(mode, kind, p, drive, grid):
+    T = drive.T
+    if mode == "default":
+        # the writer's own default: the effective two-level loading peak
+        eff = TwoLevelParams(g=abs(p.g_c * p.omega / p.delta1), kappa=1.0)
+        return two_level.peak_loading(eff, pulses.make_named(kind, T, T), 5.0 * T)[0]
+    if mode == "inside":
+        # the exponentials end or start at their center
+        return drive.t0 + (-0.3 if kind == "exp_rising" else 0.3) * T
+    return grid[0] - T if mode == "before" else grid[-1] + 2.0 * T
+
+
+def _step_control_oracle(p, drive, grid, t_load):
+    # RK45 at 1e-11 is itself ~2e-9 off in beta just after a pulse edge
+    # (tenfold less per decade of tolerance, towards the exact writer), so
+    # the reference runs a decade tighter, split at the switch-off and the
+    # pulse's edges
+    om = p.omega
+    step = replace(p, omega=lambda t: om if t <= t_load else 0.0)
+    breaks = (t_load, *drive.support, drive.t0)
+    return lm.full_ode(step, drive, grid, breakpoints=breaks, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "kind, mode, rates",
+    [
+        # every family, switch-off case, detuning and gamma_r at least
+        # once, at about 0.5 s of RK45 each
+        ("sech", "default", "20"),
+        ("sech", "after", "400"),
+        ("sech", "before", "50"),
+        ("rectangular", "default", "-20"),
+        ("rectangular", "inside", "20"),
+        ("exp_rising", "before", "20"),
+        ("exp_rising", "inside", "-20"),
+        ("exp_decaying", "inside", "20"),
+        ("exp_decaying", "after", "-20"),
+    ],
+)
+def test_nonadiabatic_trajectory_matches_full_ode(kind, mode, rates):
+    p, drive, grid = _lambda_case(kind, LAMBDA_RATES[rates])
+    t_load = _t_load(mode, kind, p, drive, grid)
+    traj = lm.nonadiabatic_trajectory(p, drive, grid, t_load)
+    ref = _step_control_oracle(p, drive, grid, t_load)
+    for amp in ("beta", "c_r", "c_e"):
+        assert np.abs(traj.population(amp) - ref.population(amp)).max() <= 1e-9, amp
+
+
+def test_nonadiabatic_trajectory_switch_off_outside_the_grid():
+    # a switch-off before the scan start leaves the control off throughout,
+    # one after the last time leaves it on; neither builds a grid out to it
+    p, drive, grid = _lambda_case("sech", LAMBDA_RATES["20"])
+    off = lm.nonadiabatic_trajectory(p, drive, grid, grid[0])
+    on = lm.nonadiabatic_trajectory(p, drive, grid, grid[-1])
+    cases = [(-math.inf, off), (-1e300, off), (grid[0] - 1.0, off)]
+    cases += [(math.inf, on), (1e300, on), (grid[-1] + 1.0, on)]
+    for t_load, want in cases:
+        traj = lm.nonadiabatic_trajectory(p, drive, grid, t_load)
+        for amp in ("beta", "c_r", "c_e"):
+            assert np.array_equal(traj.amplitudes[amp], want.amplitudes[amp])
+    # without the control the target is never populated
+    assert not off.amplitudes["c_e"].any()
+    assert on.population("c_e").max() > 1e-3
+    with pytest.raises(ValueError, match="t_load"):
+        lm.nonadiabatic_trajectory(p, drive, grid, math.nan)
+
+
+@pytest.mark.parametrize("rates", ["20", "-20", "50"])
+def test_nonadiabatic_trajectory_converged_in_the_step(rates, monkeypatch):
+    # at these detunings the pulse width, not 1 / |eigenvalue|, sets the step
+    p, drive, grid = _lambda_case("sech", LAMBDA_RATES[rates], kT=2.0)
+    t_load = _t_load("default", "sech", p, drive, grid)
+    coarse = lm.nonadiabatic_trajectory(p, drive, grid, t_load)
+    monkeypatch.setattr(two_level, "_STEPS_PER_WIDTH", 2 * two_level._STEPS_PER_WIDTH)
+    fine = lm.nonadiabatic_trajectory(p, drive, grid, t_load)
+    for amp in ("beta", "c_r", "c_e"):
+        assert np.abs(coarse.population(amp) - fine.population(amp)).max() <= 1e-10
+
+
+def test_nonadiabatic_trajectory_step_budget():
+    # a detuning whose rotation needs more steps than the budget fails
+    # before anything is allocated
+    p, drive, grid = _lambda_case("sech", (1e300, 1.0, 1.0, 0.0))
+    with pytest.raises(numerics.OdeFailure, match="budget"):
+        lm.nonadiabatic_trajectory(p, drive, grid, 1.0)

@@ -239,6 +239,32 @@ def test_ode_system_shape_validation():
         OdeSystem(2, lambda t, y: y, np.zeros(3, dtype=complex), (0.0, 1.0))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_affine_march_matches_plain_recursion_for_k_amplitudes(k):
+    rng = np.random.default_rng(k)
+    n = 60
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    force, start = draw(n, k), draw(k)
+    # contractions, so that the states stay of order one
+    maps = draw(n, k, k)
+    maps *= 0.9 / np.abs(maps).sum(axis=-1).max(axis=-1)[:, None, None]
+    for constant in (True, False):
+        stack = np.repeat(maps[:1], n, axis=0) if constant else maps
+        for z0 in (None, start):
+            got = numerics.affine_march(stack, force, z0)
+            z = [np.zeros(k) if z0 is None else z0]
+            for j in range(n):
+                z.append(stack[j] @ z[-1] + force[j])
+            assert got.shape == (n + 1, k)
+            assert np.abs(got - np.array(z)).max() <= 1e-12
+    # one map for every step is the stack of its copies, bit for bit
+    got = numerics.affine_march(maps[0], force, start)
+    assert np.array_equal(got, numerics.affine_march(np.repeat(maps[:1], n, axis=0), force, start))
+
+
 def _scalar_scan_refine(f, grid, values, tol):
     """One row's scan and Brent refinement, one call of f per point, written
     as the procedural loop of Brent (1973, ch. 5) that scipy's fminbound

@@ -313,7 +313,7 @@ def test_banded_march_matches_plain_recursion():
     phi = pulse.amplitude(grid[:-1, None] + (grid[1] - grid[0]) * two_level._STEP_NODES)
     for params in (LOSSY_DETUNED, TwoLevelParams(g=0.5, kappa=1.0)):
         prop = two_level._Propagator.of(params)
-        states = next(two_level._marches(two_level._Propagator.stack([prop]), pulse, grid, phi))
+        states = next(two_level._marches(two_level._stack([prop]), pulse, grid, phi))
         # the same step map, applied one step at a time in Python
         expected = [(0j, 0j)]
         for a, b in zip(grid[:-1].tolist(), grid[1:].tolist()):
@@ -367,7 +367,7 @@ def test_stepped_trajectory_is_the_scan_on_its_grid(kind):
     horizon = 10.3713
     grid, phi, _ = two_level._scan_grid(pulse, horizon)
     for params in (FIG3_PARAMS, LOSSY_DETUNED):
-        prop = two_level._Propagator.stack([two_level._Propagator.of(params)])
+        prop = two_level._stack([two_level._Propagator.of(params)])
         scan = next(two_level._marches(prop, pulse, grid, phi))
         traj = two_level.stepped_trajectory(params, pulse, grid)
         assert np.array_equal(traj.amplitudes["beta"], scan[:, 0])
