@@ -2,13 +2,13 @@
 the stepped recursion of k amplitudes and peak finding.
 
 The ODE path is the brute-force reference for every model in the
-package: RK45 asked only for the output times, without dense output,
+package: DOP853 asked only for the output times, without dense output,
 each segment between breakpoints started from the state at the end of
 the one before.  The quadrature routine integrates on arrays of nodes:
 the convolution kernels of the closed-form solutions over time, and the
 per-frequency responses of the spectral route over frequency.  Both
-wrap scipy (Dormand-Prince RK45 and adaptive Gauss-Kronrod cubature)
-behind small, deterministic interfaces with explicit failure
+wrap scipy (Dormand-Prince DOP853, of order 8, and adaptive Gauss-Kronrod
+cubature) behind small, deterministic interfaces with explicit failure
 signalling.  These oracle routes import ``scipy.integrate`` on first
 use; the fast paths (``affine_march``, ``scan_refine`` and the engines
 built on them) never load it, so a command that needs no oracle starts
@@ -138,8 +138,9 @@ def integrate(
     if grid[0] < t0 or grid[-1] > t1:
         raise ValueError("output grid extends beyond the system time span")
     if max_step < np.spacing(max(abs(t0), abs(t1))):
-        # no such step advances t: RK45 would fail anyway, but only after
-        # evaluating a right-hand side whose rates are large enough to overflow
+        # no such step advances t: the solver would fail anyway, but only
+        # after evaluating a right-hand side whose rates are large enough to
+        # overflow
         raise OdeFailure(f"the step cap {max_step:.3g} is below the float resolution", t0)
 
     cuts = [t0]
@@ -159,7 +160,7 @@ def integrate(
         t_eval = grid[filled : filled + n_here]
         # the segment's end is evaluated last: its state starts the next one
         t_out = t_eval if t_eval.size and t_eval[-1] == b else np.append(t_eval, b)
-        options = dict(method="RK45", rtol=rtol, atol=atol, max_step=max_step)
+        options = dict(method="DOP853", rtol=rtol, atol=atol, max_step=max_step)
         sol = solve_ivp(system.rhs, (a, b), y, t_eval=t_out, **options)
         if not sol.success:
             # where the solver stopped: the last step of a rerun of this

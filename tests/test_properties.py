@@ -58,6 +58,47 @@ def test_stepped_trajectory_matches_closed_form_at_a_drawn_time(run):
     assert abs(traj.population("c_e")[-1] - abs(ce) ** 2) <= 1e-10
 
 
+# each example runs the writer four times
+LINEARITY_PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
+
+
+def _combination(terms, like):
+    """The pulse sum of c * pulse over the (c, pulse) ``terms``, with the
+    width, centre and support of ``like``: one scan grid for every term."""
+
+    def func(t):
+        return sum(c * q.amplitude(t) for c, q in terms)
+
+    return pulses.PulseShape("combination", like.T, like.t0, like.support, func)
+
+
+def _states(params, pulse, times):
+    traj = two_level.stepped_trajectory(params, pulse, times)
+    return np.array([traj.amplitudes["beta"], traj.amplitudes["c_e"]])
+
+
+@LINEARITY_PROPERTY
+@given(
+    loading_runs(),
+    st.floats(0.1, 10.0),
+    st.floats(-np.pi, np.pi),
+    st.floats(-5.0, 5.0),
+)
+def test_stepped_trajectory_is_linear_in_the_pulse(run, size, phase, detuning):
+    # the same pulse scaled by a complex c, and its sum with a carrier-shifted
+    # copy of itself (same support, so the same grid and edge splits)
+    params, pulse, times, _ = run
+    c = size * np.exp(1j * phase)
+    shifted = pulses.frequency_shifted(pulse, detuning / pulse.T)
+    one, other = _states(params, pulse, times), _states(params, shifted, times)
+
+    scaled = _states(params, _combination([(c, pulse)], pulse), times)
+    assert np.abs(scaled - c * one).max() <= 1e-12 * np.abs(c * one).max()
+
+    both = _states(params, _combination([(1.0, pulse), (1.0, shifted)], pulse), times)
+    assert np.abs(both - (one + other)).max() <= 1e-12 * np.abs(one + other).max()
+
+
 # the three-level writer costs more per example: its step also resolves
 # the Delta1 rotation, and each output time takes matrix exponentials
 LAMBDA_PROPERTY = settings(derandomize=True, max_examples=20, deadline=None, database=None)
