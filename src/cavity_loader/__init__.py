@@ -4,7 +4,8 @@ Computes the probability of transferring a traveling single photon (or
 an entangled biphoton) into the metastable state of a trapped atom in a
 single-ended cavity, for two-level, Lambda, double-Lambda and paired
 double-Lambda configurations, and finds the coupling rates that maximize
-it for a given input bandwidth.
+it for a given input bandwidth.  A pair's memories are modeled as
+two-level legs; no pair route takes Lambda memories.
 """
 
 from .numerics import OdeFailure, OdeSystem, QuadratureFailure, QuadratureSpec
@@ -16,12 +17,10 @@ from .pulses import (
     make_zero,
 )
 from .two_level import (
-    DerivedRates,
     Trajectory,
     TwoLevelParams,
     amplitude_closed_form,
     amplitude_ode,
-    derived_rates,
     dimensionless_load,
     peak_loading,
     spectral_amplitude,
@@ -48,7 +47,6 @@ from .entangled_loading import (
     PolarizationQubit,
     SpdcParams,
     c_ee,
-    mitnu_load,
     spdc_biphoton,
     v_level_load,
 )
@@ -73,9 +71,7 @@ __all__ = [
     "OdeFailure",
     "QuadratureFailure",
     "TwoLevelParams",
-    "DerivedRates",
     "Trajectory",
-    "derived_rates",
     "amplitude_closed_form",
     "amplitude_ode",
     "spectral_amplitude",
@@ -102,7 +98,6 @@ __all__ = [
     "v_level_load",
     "spdc_biphoton",
     "c_ee",
-    "mitnu_load",
     "OptimumPoint",
     "SweepSpec",
     "optimize_coupling",

@@ -16,6 +16,9 @@ amplitude.  For the downconverter model (pump envelope times a
 phase-matching box in the time difference) the double integral collapses
 to a single integral because the difference coordinate integrates in
 closed form; both routes are implemented and cross-checked.
+
+Each memory of a pair is a two-level leg (``TwoLevelParams``); there is
+no pair route for Lambda memories.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import Callable
 import numpy as np
 
 from . import numerics
-from .lambda_memory import LambdaParams, effective_two_level
 from .pulses import PulseShape, make_sech
 from .two_level import TwoLevelParams, Trajectory, _Propagator
 
@@ -42,7 +44,6 @@ __all__ = [
     "c_ee",
     "joint_trajectory",
     "peak_joint_loading",
-    "mitnu_load",
 ]
 
 
@@ -452,21 +453,3 @@ def peak_joint_loading(p, b: BiphotonAmplitude, horizon: float):
     if single:
         return float(t_peaks[0]), float(p_peaks[0])
     return t_peaks, p_peaks
-
-
-def mitnu_load(
-    memory: LambdaParams,
-    sp: SpdcParams,
-    t_load: float,
-) -> float:
-    """Loading probability of the two-memory singlet target at t_load.
-
-    Each Lambda memory is mapped to its effective two-level parameters
-    (constant control, adiabatic-elimination regime) and the joint
-    amplitude is evaluated with the downconverter pulse model.
-    """
-    if not callable(memory.omega) and memory.omega == 0.0:
-        return 0.0
-    b = spdc_biphoton(sp)
-    val = _cee_reduced(effective_two_level(memory), b, np.array([t_load]))[0]
-    return float(abs(val) ** 2)

@@ -308,28 +308,25 @@ def compensated_pulse(pulse: PulseShape, p: LambdaParams) -> PulseShape:
     reduced models assume this has been done, so full-system runs should
     be driven with the pulse returned here.
     """
+    if p.delta1 == 0:
+        raise ValueError("light-shift compensation requires a nonzero Delta1")
     return frequency_shifted(pulse, p.g_c**2 / p.delta1)
-
-
-def effective_two_level(p: LambdaParams) -> _Propagator:
-    """The (beta, c_e) propagator after eliminating |r> under a constant
-    control: complex coupling g_eff / Gamma_r, rates gamma_eff and
-    delta_eff, and the drive decay as extra damping."""
-    red = reduce(p)
-    gamma_prime = complex(red.gamma_eff, -red.delta_eff)
-    g_amp = complex(red.g_eff) / red.Gamma_r
-    return _Propagator.from_rates(p.kappa, gamma_prime, g_amp, red.drive_decay_rate)
 
 
 def nonadiabatic_amplitude(p: LambdaParams, pulse: PulseShape, t: float) -> complex:
     """Target-state amplitude at time t (control still on) for constant Omega.
 
-    Uses the effective two-level closed form; the magnitude includes the
-    upper-state-induced damping, so |.|^2 is the loading probability.
+    Uses the effective two-level closed form after eliminating |r>: complex
+    coupling g_eff / Gamma_r, rates gamma_eff and delta_eff, and the drive
+    decay as extra damping; so |.|^2 is the loading probability.
     """
     if p.omega_const <= 0:
         return 0.0 + 0.0j
-    return effective_two_level(p).amplitudes_at(pulse, t)[1]
+    red = reduce(p)
+    gamma_prime = complex(red.gamma_eff, -red.delta_eff)
+    g_amp = complex(red.g_eff) / red.Gamma_r
+    prop = _Propagator.from_rates(p.kappa, gamma_prime, g_amp, red.drive_decay_rate)
+    return prop.amplitudes_at(pulse, t)[1]
 
 
 def nonadiabatic_load(
@@ -563,10 +560,7 @@ def adiabatic_load_tpr(
     of width T centered at T (t = 5T).  Only the combination
     g' = g_c^2 / Delta1 matters for the populations.
     """
-    g_prime = g_c**2 / delta1
-    traj = _adiabatic_reduced_run(g_prime, kappa, T, detuned=True, grid=grid)
-    _attach_upper_state(traj, g_c, delta1, kappa, T)
-    return traj, float(traj.population("c_e")[-1])
+    return _adiabatic_load(g_c, delta1, kappa, T, grid, detuned=True)
 
 
 def adiabatic_load_zed(
@@ -578,21 +572,20 @@ def adiabatic_load_zed(
 ) -> tuple[Trajectory, float]:
     """Adiabatic passage with the phase ramp that zeroes the effective
     detuning; same conventions as ``adiabatic_load_tpr``."""
-    g_prime = g_c**2 / delta1
-    traj = _adiabatic_reduced_run(g_prime, kappa, T, detuned=False, grid=grid)
-    _attach_upper_state(traj, g_c, delta1, kappa, T)
-    return traj, float(traj.population("c_e")[-1])
+    return _adiabatic_load(g_c, delta1, kappa, T, grid, detuned=False)
 
 
-def _attach_upper_state(
-    traj: Trajectory, g_c: float, delta1: float, kappa: float, T: float
-) -> None:
-    """Reconstruct c_r from the eliminated-state relation and store it."""
+def _adiabatic_load(
+    g_c: float, delta1: float, kappa: float, T: float, grid, detuned: bool
+) -> tuple[Trajectory, float]:
+    """Either adiabatic load (``_adiabatic_reduced_run``'s ``detuned``),
+    with c_r reconstructed from the eliminated-state relation."""
+    traj = _adiabatic_reduced_run(g_c**2 / delta1, kappa, T, detuned=detuned, grid=grid)
     om = adiabatic_control_pulse(g_c, kappa, T, traj.times - T)
     traj.amplitudes["c_r"] = (
         g_c * traj.amplitudes["beta"] + om * traj.amplitudes["c_e"]
     ) / delta1
-    traj.metadata["omega"] = om
+    return traj, float(traj.population("c_e")[-1])
 
 
 def dark_bright_decompose(

@@ -150,14 +150,13 @@ def _lambda_nonadiabatic_trajectory(cfg: dict, points: int):
         d2 = lambda_memory.stark_compensation(params)
     params = replace(params, delta2=d2)
     pulse = pulses.make_named(cfg.get("pulse", "sech"), T, T)
+    drive = lambda_memory.compensated_pulse(pulse, params)
     if "t_load_over_T" in cfg:
         t_load = cfg["t_load_over_T"] * T
     else:
         # the sign of Delta1 is only the sign of the effective coupling
-        fixed = {"kT": T, "pulse": cfg.get("pulse", "sech")}
-        _, times = _two_level_probability(np.array([abs(g_c * om / d1)]), fixed)
-        t_load = float(times[0])
-    drive = lambda_memory.compensated_pulse(pulse, params)
+        effective = two_level.TwoLevelParams(g=abs(g_c * om / d1), kappa=1.0)
+        t_load, _ = two_level.peak_loading(effective, pulse, 5.0 * T)
     grid = np.linspace(min(0.0, pulse.support[0]), 5.0 * T, points)
     traj = lambda_memory.nonadiabatic_trajectory(params, drive, grid, t_load)
     return _table(traj, T, _LAMBDA_COLUMNS)
@@ -177,12 +176,8 @@ def _adiabatic(detuned: bool) -> Scenario:
         # a deep-elimination split of g'
         delta1 = 400.0
         g_c = float(np.sqrt(cfg["g_prime_over_k"] * delta1))
-        if detuned:
-            load = lambda_memory.adiabatic_load_tpr
-        else:
-            load = lambda_memory.adiabatic_load_zed
         grid = np.linspace(pulses.make_sech(T, T).support[0], 5.0 * T, points)
-        traj, _ = load(g_c, delta1, 1.0, T, grid=grid)
+        traj, _ = lambda_memory._adiabatic_load(g_c, delta1, 1.0, T, grid, detuned)
         return _table(traj, T, _LAMBDA_COLUMNS)
 
     return Scenario(

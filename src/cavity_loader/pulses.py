@@ -23,11 +23,7 @@ __all__ = [
     "make_named",
     "make_zero",
     "frequency_shifted",
-    "PULSE_KINDS",
 ]
-
-#: named analytic families accepted by make_named / the CLI
-PULSE_KINDS = ("sech", "rectangular", "exp_rising", "exp_decaying", "zero")
 
 # sech support cutoff |t - t0| <= _SECH_CUTOFF * T; tail norm 1 - tanh(20) ~ 4e-18
 _SECH_CUTOFF = 5.0
@@ -72,9 +68,6 @@ class PulseShape:
         if inside.any():
             out[inside] = self._func(t_arr[inside])
         return out
-
-    def __call__(self, t):
-        return self.amplitude(t)
 
     def norm_squared(self) -> float:
         """Adaptive quadrature of |Phi_b|^2 over the support."""

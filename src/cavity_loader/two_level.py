@@ -14,6 +14,9 @@ whose decay constants are
     xi     = sqrt((kappa - gamma')^2 - 4 g^2)      (principal branch)
     kappa_pm = (kappa + gamma' +/- xi) / 2,   kappa'_pm = kappa_pm - gamma'.
 
+``_Propagator`` holds them as mean = (kappa + gamma') / 2 and xi, so that
+kappa_pm = mean +/- xi / 2.
+
 The loading probability is |c_e(t)|^2.  All rates are in inverse time
 units; time is whatever unit makes kappa of order one (the CLI works in
 units of kappa).
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,9 +37,7 @@ from .pulses import PulseShape, make_named
 
 __all__ = [
     "TwoLevelParams",
-    "DerivedRates",
     "Trajectory",
-    "derived_rates",
     "amplitude_closed_form",
     "amplitude_ode",
     "spectral_amplitude",
@@ -44,10 +45,6 @@ __all__ = [
     "stepped_trajectory",
     "dimensionless_load",
 ]
-
-# |xi| below this multiple of kappa is treated as the confluent (critically
-# damped) point; the factored kernels below are continuous through it anyway
-DEGENERATE_XI_FRACTION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -78,46 +75,15 @@ class TwoLevelParams:
         _xi(self.kappa, complex(self.gamma, -self.delta), self.g)
 
 
-@dataclass(frozen=True)
-class DerivedRates:
-    """Laplace-domain constants of the closed-form solution."""
-
-    gamma_prime: complex
-    xi: complex
-    kappa_plus: complex
-    kappa_minus: complex
-    kappa_p_plus: complex
-    kappa_p_minus: complex
-    degenerate: bool
-
-
 @dataclass
 class Trajectory:
     """Simulation result: time grid, named complex series, populations."""
 
     times: np.ndarray
     amplitudes: dict[str, np.ndarray]
-    metadata: dict = field(default_factory=dict)
 
     def population(self, name: str) -> np.ndarray:
         return np.abs(self.amplitudes[name]) ** 2
-
-
-def derived_rates(p: TwoLevelParams) -> DerivedRates:
-    """Decay constants kappa_pm, kappa'_pm, xi, gamma' for the closed form."""
-    gamma_prime = complex(p.gamma, -p.delta)
-    xi = _xi(p.kappa, gamma_prime, p.g)
-    kp = (p.kappa + gamma_prime + xi) / 2.0
-    km = (p.kappa + gamma_prime - xi) / 2.0
-    return DerivedRates(
-        gamma_prime=gamma_prime,
-        xi=xi,
-        kappa_plus=kp,
-        kappa_minus=km,
-        kappa_p_plus=kp - gamma_prime,
-        kappa_p_minus=km - gamma_prime,
-        degenerate=bool(abs(xi) < DEGENERATE_XI_FRACTION * p.kappa),
-    )
 
 
 def _xi(kappa: float, gamma_prime: complex, g_amp: complex) -> complex:

@@ -1,15 +1,20 @@
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cavity_loader import cli, lambda_memory, pulses, two_level
+from cavity_loader import cli, lambda_memory, optimize, pulses, two_level
 
 
 def run(argv):
@@ -486,6 +491,13 @@ _LAMBDA_NONADIABATIC_SIMULATE = [
         (_LAMBDA_NONADIABATIC_SIMULATE + ["--omega_over_k", "1e200"], 2),
         (_LAMBDA_NONADIABATIC_SIMULATE + ["--omega_over_k", "1e160"], 2),
         (_LAMBDA_NONADIABATIC_SIMULATE + ["--gc_over_k", "1e200"], 2),
+        (_LAMBDA_NONADIABATIC_SIMULATE + ["--delta1_over_k", "0", "--delta2_over_k", "0"], 2),
+        (
+            _LAMBDA_NONADIABATIC_SIMULATE
+            + ["--delta1_over_k", "0", "--delta2_over_k", "0", "--t_load_over_T", "1"],
+            2,
+        ),
+        (_LAMBDA_NONADIABATIC_SIMULATE + ["--delta1_over_k=-0.0", "--delta2_over_k", "0"], 2),
     ],
     ids=[
         "two_level-delta",
@@ -507,6 +519,9 @@ _LAMBDA_NONADIABATIC_SIMULATE = [
         "lambda_nonadiabatic-omega-1e200",
         "lambda_nonadiabatic-omega-1e160",
         "lambda_nonadiabatic-g_c-1e200",
+        "lambda_nonadiabatic-delta1-zero",
+        "lambda_nonadiabatic-delta1-zero-t_load",
+        "lambda_nonadiabatic-delta1-minus-zero",
     ],
 )
 def test_contract_for_extreme_inputs(tmp_path, capsys, argv, code):
@@ -531,3 +546,70 @@ def test_step_budget_error_is_one_line(tmp_path, capsys):
     assert rc == 3, err
     lines = err.splitlines()
     assert len(lines) == 1 and len(lines[0]) < 200, err
+
+
+# the CLI fuzz: every field of every scenario's simulate and optimize
+# commands, the common ones included, in a valid command that sets all of
+# them; one field is then set to one of _FUZZ_VALUES, or an optional one
+# left out, so that its default runs
+_FUZZ_REQUIRED = {
+    ("simulate", "two_level"): {"kT": "2", "g_over_k": "1"},
+    ("simulate", "lambda_nonadiabatic"): {
+        "kT": "2", "gc_over_k": "1", "omega_over_k": "1", "delta1_over_k": "20",
+    },
+    ("simulate", "lambda_adiabatic_tpr"): {"kT": "5", "g_prime_over_k": "1"},
+    ("simulate", "lambda_adiabatic_zed"): {"kT": "5", "g_prime_over_k": "1"},
+    ("simulate", "mitnu"): {"kT": "2", "kT0": "1", "g_over_k": "1"},
+    ("optimize", "two_level"): {"kT": "2"},
+    ("optimize", "lambda_nonadiabatic"): {"kT": "2"},
+    ("optimize", "lambda_adiabatic_tpr"): {"kT": "5"},
+    ("optimize", "lambda_adiabatic_zed"): {"kT": "5"},
+    ("optimize", "mitnu"): {"kT": "2", "kT0": "1"},
+}
+# small simulate grids and a coarse optimize tolerance keep the fuzz fast
+_FUZZ_OPTIONAL = {
+    "gamma_over_k": "0.1", "delta_over_k": "0.5", "pulse": "rectangular",
+    "delta2_over_k": "20", "gamma_r_over_k": "0.1", "t_load_over_T": "1.5",
+    "gamma_over_g": "0.1", "points": "20", "out": "out.csv",
+    "g_min": "0.1", "g_max": "5", "tol": "0.1",
+}
+_FUZZ_VALUES = ("0", "-0.0", "1e-300", "1e300", "-1", "nan", "inf", "abc")
+
+
+def _fuzz_commands():
+    """Every fuzzed argv: for each scenario's simulate and optimize command
+    with all its fields set, each field set to each of _FUZZ_VALUES in
+    turn, and each optional field left out."""
+    for (command, scenario), required in _FUZZ_REQUIRED.items():
+        fields = getattr(optimize.get_scenario(scenario), command)
+        optional = [*fields.optional, *cli.COMMON_FIELDS[command]]
+        base = {**required, **{key: _FUZZ_OPTIONAL[key] for key in optional}}
+        for name in base:
+            for value in _FUZZ_VALUES + ((None,) if name in optional else ()):
+                values = {**base, name: value}
+                flags = [f"--{key}={raw}" for key, raw in values.items() if raw is not None]
+                yield (command, f"--scenario={scenario}", *flags)
+
+
+# hypothesis never repeats a draw, so as many examples as commands run each
+# command once
+_FUZZ_COMMANDS = list(_fuzz_commands())
+
+
+@settings(derandomize=True, max_examples=len(_FUZZ_COMMANDS), deadline=None, database=None)
+@given(st.sampled_from(_FUZZ_COMMANDS))
+def test_cli_fuzz_keeps_the_contract(argv):
+    # exit 0, 2 or 3 and nothing on stderr but the message; the run works
+    # in a scratch directory, where a default or fuzzed --out lands
+    err, cwd = io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                rc = run(list(argv))
+        finally:
+            os.chdir(cwd)
+    assert rc in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue()
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cavity_loader import entangled_loading as el
-from cavity_loader import lambda_memory as lm
 from cavity_loader import numerics, pulses, two_level
 from cavity_loader.entangled_loading import PolarizationQubit, SpdcParams
 from cavity_loader.two_level import TwoLevelParams
@@ -326,19 +325,6 @@ def test_cee_bounded(biphoton):
     pop = traj.population("c_ee")
     assert np.all(pop >= 0.0)
     assert np.all(pop <= 1.0 + 1e-6)
-
-
-def test_mitnu_zero_control():
-    memory = lm.LambdaParams(g_c=5.0, kappa=1.0, delta1=50.0, delta2=50.0, omega=0.0)
-    assert el.mitnu_load(memory, SP, 7.0) == 0.0
-
-
-def test_mitnu_reduces_to_effective_two_level(biphoton):
-    memory = lm.LambdaParams(g_c=5.0, kappa=1.0, delta1=50.0, delta2=50.0, omega=5.0)
-    t_load = 7.0
-    p = el.mitnu_load(memory, SP, t_load)
-    ref = abs(el.c_ee(TwoLevelParams(g=0.5, kappa=1.0), biphoton, t_load)) ** 2
-    assert p == pytest.approx(ref, abs=1e-12)
 
 
 def test_spdc_params_validation():

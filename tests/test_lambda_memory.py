@@ -163,6 +163,14 @@ def test_stark_compensation_zeroes_effective_detuning():
     assert abs(red.delta_eff) < 1e-12
 
 
+@pytest.mark.parametrize("delta1", [0.0, -0.0])
+def test_compensated_pulse_requires_detuning(delta1):
+    # the light shift g_c^2 / Delta1 is undefined: a ValueError, as from
+    # stark_compensation and reduce, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="nonzero Delta1"):
+        lm.compensated_pulse(PULSE, make_params(delta1=delta1))
+
+
 def test_nonadiabatic_zero_control():
     assert lm.nonadiabatic_load(make_params(omega=0.0), PULSE, 3.0) == 0.0
 
@@ -326,7 +334,7 @@ def test_adiabaticity_diagnostic_deep_regime():
     d1 = 400.0
     g_c = math.sqrt(2.0 * d1)
     traj, _ = lm.adiabatic_load_tpr(g_c, d1, kappa, T)
-    om = traj.metadata["omega"]
+    om = lm.adiabatic_control_pulse(g_c, kappa, T, traj.times - T)
     worst = 0.0
     for i in range(len(traj.times)):
         db = lm.dark_bright_decompose(

@@ -1,6 +1,7 @@
 """Property tests: invariants of the exact two-level and three-level
-writers over drawn pulses, rates and output grids (derandomized, so every
-run draws the same examples)."""
+writers over drawn pulses, rates and output grids, and of the pair's
+direct double quadrature (derandomized, so every run draws the same
+examples)."""
 
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavity_loader import lambda_memory, pulses, two_level
+from cavity_loader import entangled_loading, lambda_memory, pulses, two_level
 from cavity_loader.lambda_memory import LambdaParams
 from cavity_loader.two_level import TwoLevelParams
 
@@ -145,3 +146,30 @@ def test_nonadiabatic_trajectory_freezes_the_target_after_switch_off(run):
     frozen = np.abs(traj.amplitudes["c_e"][traj.times >= t_load])
     if frozen.size:
         assert frozen.max() - frozen.min() <= 1e-12
+
+
+# each example runs two direct double quadratures (~0.1 s together)
+PAIR_PROPERTY = settings(derandomize=True, max_examples=10, deadline=None, database=None)
+
+
+@PAIR_PROPERTY
+@given(
+    st.floats(0.5, 4.0),
+    st.floats(1.2, 3.0),
+    st.floats(0.0, 6.0),
+    st.floats(0.0, 6.0),
+    st.floats(0.2, 3.0),
+    st.floats(-1.0, 4.0),
+)
+def test_cee_quad2_is_symmetric_in_the_two_photons(T1, ratio, t1, t2, g, after):
+    # a product amplitude of two sech photons of unequal widths and centers,
+    # read at a time around the later center: the identical memories make
+    # c_ee the same with the photons swapped
+    p1, p2 = pulses.make_sech(T1, t1), pulses.make_sech(T1 * ratio, t2)
+    params = TwoLevelParams(g=g, kappa=1.0, gamma=0.1 * g, delta=0.3)
+    t = max(t1, t2) + after
+    pair = entangled_loading.separable_biphoton(p1, p2)
+    swapped = entangled_loading.separable_biphoton(p2, p1)
+    one = entangled_loading.c_ee(params, pair, t, method="quad2")
+    other = entangled_loading.c_ee(params, swapped, t, method="quad2")
+    assert abs(one - other) <= 1e-12

@@ -19,47 +19,6 @@ FIG3_T_LOAD = 3.3554798944
 FIG3_P_MAX = 0.9023072570
 
 
-def test_derived_rates_bare_cavity():
-    r = two_level.derived_rates(TwoLevelParams(g=0.0, kappa=1.0))
-    assert r.xi == pytest.approx(1.0)
-    assert r.kappa_plus == pytest.approx(1.0)
-    assert r.kappa_minus == pytest.approx(0.0)
-    assert r.kappa_p_plus == pytest.approx(1.0)
-    assert r.kappa_p_minus == pytest.approx(0.0)
-    assert not r.degenerate
-
-
-def test_derived_rates_critical_point():
-    r = two_level.derived_rates(TwoLevelParams(g=1.0, kappa=2.0))
-    assert abs(r.xi) < 1e-12
-    assert r.kappa_plus == pytest.approx(1.0)
-    assert r.kappa_minus == pytest.approx(1.0)
-    assert r.degenerate
-
-
-def test_derived_rates_underdamped():
-    r = two_level.derived_rates(TwoLevelParams(g=1.0, kappa=1.0))
-    assert r.xi == pytest.approx(1j * math.sqrt(3.0), abs=1e-12)
-    assert r.kappa_plus == pytest.approx((1.0 + 1j * math.sqrt(3.0)) / 2.0, abs=1e-12)
-    assert r.kappa_minus == pytest.approx((1.0 - 1j * math.sqrt(3.0)) / 2.0, abs=1e-12)
-
-
-def test_derived_rates_algebraic_identities():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        p = TwoLevelParams(
-            g=rng.uniform(0.0, 5.0),
-            kappa=rng.uniform(0.2, 3.0),
-            gamma=rng.uniform(0.0, 2.0),
-            delta=rng.uniform(-3.0, 3.0),
-        )
-        r = two_level.derived_rates(p)
-        gp = complex(p.gamma, -p.delta)
-        assert abs(r.kappa_plus + r.kappa_minus - (p.kappa + gp)) < 1e-12
-        assert abs(r.kappa_plus * r.kappa_minus - (p.kappa * gp + p.g**2)) < 1e-12
-        assert r.kappa_plus.real >= r.kappa_minus.real - 1e-15
-
-
 @pytest.mark.parametrize(
     "rates",
     [
