@@ -580,6 +580,8 @@ def _adiabatic_load(
 ) -> tuple[Trajectory, float]:
     """Either adiabatic load (``_adiabatic_reduced_run``'s ``detuned``),
     with c_r reconstructed from the eliminated-state relation."""
+    if delta1 == 0:
+        raise ValueError("adiabatic elimination requires a nonzero Delta1")
     traj = _adiabatic_reduced_run(g_c**2 / delta1, kappa, T, detuned=detuned, grid=grid)
     om = adiabatic_control_pulse(g_c, kappa, T, traj.times - T)
     traj.amplitudes["c_r"] = (

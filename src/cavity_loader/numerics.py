@@ -6,12 +6,14 @@ package: DOP853 asked only for the output times, without dense output,
 each segment between breakpoints started from the state at the end of
 the one before.  The quadrature routine integrates on arrays of nodes:
 the convolution kernels of the closed-form solutions over time, and the
-per-frequency responses of the spectral route over frequency.  Both
-wrap scipy (Dormand-Prince DOP853, of order 8, and adaptive Gauss-Kronrod
-cubature) behind small, deterministic interfaces with explicit failure
-signalling.  These oracle routes import ``scipy.integrate`` on first
-use; the fast paths (``affine_march``, ``scan_refine`` and the engines
-built on them) never load it, so a command that needs no oracle starts
+per-frequency responses of the spectral route over frequency.  Both are
+small, deterministic interfaces with explicit failure signalling.  Only
+the ODE path wraps scipy (Dormand-Prince DOP853, of order 8) and imports
+``scipy.integrate``, on first use.  The quadrature is its own 1-D loop:
+it replays scipy's adaptive gk21 integrator split for split, with one
+integrand call per split, and loads nothing from ``scipy.integrate``;
+neither do the fast paths (``affine_march``, ``scan_refine`` and the
+engines built on them), so a command that needs no ODE oracle starts
 without it.  ``affine_march`` is the one solver of the stepping engines:
 the exact steps of (beta, c_e) (two-level) and of (beta, c_r, c_e) (the
 three-level Lambda writer), and the RK4 steps of the adiabatic Lambda
@@ -22,7 +24,7 @@ the coupling both use it.
 
 from __future__ import annotations
 
-import functools
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -185,81 +187,124 @@ def quad1(
     (n, m) array for m integrals done together; the result is a complex
     number or an array of m.  Real and imaginary parts are integrated in
     one adaptive pass, refined until each meets the tolerance.
-    """
-    from scipy.integrate import cubature
 
+    The loop replays scipy's adaptive integrator with rule "gk21" in one
+    dimension, bit for bit: the interval split at the interior
+    breakpoints, then the region with the largest error estimate halved
+    until every component's error is within atol + rtol |estimate|, with
+    scipy's heap order, order of running sums and subdivision limit.  Each
+    region's estimate is the 21-point Kronrod sum and its error
+    |K21 - G10|, both from the same 21 values.  ``f`` is called once for
+    all the initial regions and once per split, on the nodes of both
+    halves.
+    """
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("quad1 requires a finite interval")
-    pts = [[p] for p in sorted(set(float(p) for p in breakpoints)) if a < p < b]
+    inner = sorted({float(p) for p in breakpoints})
+    edges = [a, *(p for p in inner if a < p < b), b]
+    sign = 1.0
+    if a > b:
+        edges, sign = [b, a], -1.0
 
     def pair(x):
-        v = np.asarray(f(x[:, 0]), dtype=complex)
+        v = np.asarray(f(x), dtype=complex)
         # a constant integrand may return a single value
         v = np.broadcast_to(v, (x.shape[0],) + v.shape[1:])
         return np.stack((v.real, v.imag), axis=-1)
 
-    res = cubature(
-        pair,
-        [a],
-        [b],
-        rule=_OnePassKronrod(),
-        rtol=spec.rtol,
-        atol=spec.atol,
-        max_subdivisions=spec.max_subdivisions,
-        points=pts,
-    )
-    if res.status != "converged":
-        raise QuadratureFailure(
-            f"quadrature on [{a:.6g}, {b:.6g}]: no convergence within "
-            f"{spec.max_subdivisions} subdivisions"
-        )
-    est = res.estimate[..., 0] + 1j * res.estimate[..., 1]
+    # the list is not heapified before the first pop, as in scipy
+    regions = _kronrod_regions(pair, edges)
+    est = err = 0.0
+    for region in regions:
+        est += region.estimate
+        err += region.error
+    subdivisions = 0
+    while np.any(err > spec.atol + spec.rtol * np.abs(est)):
+        region = heapq.heappop(regions)
+        est -= region.estimate
+        err -= region.error
+        for half in _kronrod_regions(pair, [region.a, (region.a + region.b) / 2, region.b]):
+            est += half.estimate
+            err += half.error
+            heapq.heappush(regions, half)
+        subdivisions += 1
+        if subdivisions >= spec.max_subdivisions:
+            target = spec.atol + spec.rtol * np.abs(est)
+            worst = np.unravel_index(np.argmax(err - target), err.shape)
+            raise QuadratureFailure(
+                f"quadrature on [{a:.6g}, {b:.6g}]: no convergence within "
+                f"{spec.max_subdivisions} subdivisions (error estimate "
+                f"{err[worst]:.3g} against a target of {target[worst]:.3g})"
+            )
+    est = sign * est
+    est = est[..., 0] + 1j * est[..., 1]
     return complex(est) if est.ndim == 0 else est
 
 
-@functools.cache
-def _kronrod_nodes():
-    """scipy's 21-point Kronrod nodes and weights on [-1, 1], the positions of
-    its 10 Gauss nodes among them (the odd ones) and their Gauss weights."""
-    from scipy.integrate._rules import GaussKronrodQuadrature
+# scipy 1.17's gk21 rule (its GaussKronrodQuadrature(21)), copied with repr:
+# the 21 Kronrod nodes on [-1, 1] and their weights, and the weights of the
+# 10-point Gauss rule, whose nodes are the Kronrod nodes in the rows _GAUSS_ROWS
+_KRONROD_NODES = np.array([
+    0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+    0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+    0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+    0.14887433898163122, 0.0, -0.14887433898163122,
+    -0.2943928627014602, -0.4333953941292472, -0.5627571346686047,
+    -0.6794095682990244, -0.7808177265864169, -0.8650633666889845,
+    -0.9301574913557082, -0.9739065285171717, -0.9956571630258081,
+])
+_KRONROD_WEIGHTS = np.array([
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+    0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+    0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+    0.14773910490133849, 0.1494455540029169, 0.14773910490133849,
+    0.14277593857706009, 0.13470921731147334, 0.12349197626206584,
+    0.10938715880229764, 0.0931254545836976, 0.07503967481091996,
+    0.054755896574351995, 0.032558162307964725, 0.011694638867371874,
+])
+_GAUSS_ROWS = np.arange(19, 0, -2)
+_GAUSS_WEIGHTS = np.array([
+    0.06667134430868714, 0.14945134915058053, 0.21908636251598224,
+    0.26926671930999674, 0.2955242247147533, 0.2955242247147533,
+    0.26926671930999674, 0.21908636251598224, 0.14945134915058053,
+    0.06667134430868714,
+])
 
-    gk = GaussKronrodQuadrature(21)
-    nodes, weights = (np.asarray(x) for x in gk.nodes_and_weights)
-    g_nodes, g_weights = (np.asarray(x) for x in gk.lower_nodes_and_weights)
-    g_index = np.abs(nodes[:, None] - g_nodes).argmin(axis=0)
-    return nodes[:, None], weights, g_index, g_weights
 
+class _Region:
+    """One interval of ``quad1``'s loop with its estimate and error.
 
-class _OnePassKronrod:
-    """The Gauss-Kronrod (21, 10) rule of ``cubature(rule="gk21")``, with the
-    integrand evaluated once per subregion.
-
-    ``cubature`` asks for ``estimate`` and then ``estimate_error`` on the
-    same region; scipy's rule evaluates the integrand for each.  Here
-    ``estimate`` returns the same K21 sum and keeps |K21 - G10|, taken from
-    the same 21 values, for the ``estimate_error`` call that follows.
+    Ordered as scipy's region objects: the larger max |error| is the
+    smaller region, so the heap pops it first, and ties are not less.
     """
 
-    def __init__(self):
-        self._region = (None, None)
-        self._error = None
+    __slots__ = ("a", "b", "estimate", "error", "worst")
 
-    def estimate(self, f, a, b, args=()):
-        nodes, weights, g_index, g_weights = _kronrod_nodes()
-        lengths = b - a
-        scale = np.prod(lengths) / 2
-        values = f((nodes + 1) * (lengths * 0.5) + a, *args)
-        shape = (-1,) + (1,) * (values.ndim - 1)
-        est = np.sum((weights * scale).reshape(shape) * values, axis=0)
-        gauss = np.sum((g_weights * scale).reshape(shape) * values[g_index], axis=0)
-        self._region, self._error = (a, b), np.abs(est - gauss)
-        return est
+    def __init__(self, a: float, b: float, estimate: np.ndarray, error: np.ndarray):
+        self.a, self.b, self.estimate, self.error = a, b, estimate, error
+        self.worst = error.max()
 
-    def estimate_error(self, f, a, b, args=()):
-        if self._region[0] is not a or self._region[1] is not b:
-            self.estimate(f, a, b, args)
-        return self._error
+    def __lt__(self, other: "_Region") -> bool:
+        return self.worst > other.worst
+
+
+def _kronrod_regions(pair, edges) -> list[_Region]:
+    """The regions between consecutive ``edges``, all evaluated in one call
+    of ``pair`` and each summed on its own 21 rows."""
+    lows, highs = np.array(edges[:-1]), np.array(edges[1:])
+    lengths = highs - lows
+    nodes = (_KRONROD_NODES + 1) * (lengths[:, None] * 0.5) + lows[:, None]
+    values = pair(nodes.reshape(-1))
+    shape = (-1,) + (1,) * (values.ndim - 1)
+    regions = []
+    for k, (lo, hi, length) in enumerate(zip(edges[:-1], edges[1:], lengths)):
+        rows = values[21 * k : 21 * (k + 1)]
+        scale = length / 2
+        est = np.sum((_KRONROD_WEIGHTS * scale).reshape(shape) * rows, axis=0)
+        gauss = np.sum((_GAUSS_WEIGHTS * scale).reshape(shape) * rows[_GAUSS_ROWS], axis=0)
+        regions.append(_Region(lo, hi, est, np.abs(est - gauss)))
+    return regions
 
 
 def affine_march(maps, force, start=None) -> np.ndarray:

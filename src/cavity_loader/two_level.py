@@ -184,13 +184,15 @@ class _Propagator:
         _, sh = self.parts(np.where(s > 0, s, 0.0))
         return np.where(s > 0, -sh, 0.0)
 
-    def beta_kernel(self, s):
-        """Causal kernel of beta: the bb entry of exp(A s), i.e.
-        (kappa'_+ e^{-kappa_+ s} - kappa'_- e^{-kappa_- s}) / xi e^{-d s},
-        for s >= 0 and zero before."""
+    def kernels(self, s):
+        """Causal kernels of beta and c_e from one call of ``parts``: the bb
+        entry of exp(A s), i.e. (kappa'_+ e^{-kappa_+ s} - kappa'_-
+        e^{-kappa_- s}) / xi e^{-d s}, for s >= 0 and zero before, and
+        ``ce_kernel``.  Both clip the lag to 0 before s = 0, so they share
+        one call."""
         s = np.asarray(s, dtype=float)
-        ch, sh = self.parts(np.where(s >= 0, s, 0.0))
-        return np.where(s >= 0, ch - self.half_diff * sh, 0.0)
+        ch, sh = self.parts(np.where(s > 0, s, 0.0))
+        return np.where(s >= 0, ch - self.half_diff * sh, 0.0), np.where(s > 0, -sh, 0.0)
 
     def amplitudes_at(self, pulse: PulseShape, t: float) -> tuple[complex, complex]:
         """(beta, c_e) at time t by convolution over the pulse support."""
@@ -200,8 +202,9 @@ class _Propagator:
             return 0.0 + 0.0j, 0.0 + 0.0j
 
         def integrand(tau):
-            phi, s = pulse.amplitude(tau), t - tau
-            return np.stack((phi * self.beta_kernel(s), phi * self.ce_kernel(s)), axis=-1)
+            phi = pulse.amplitude(tau)
+            beta, ce = self.kernels(t - tau)
+            return np.stack((phi * beta, phi * ce), axis=-1)
 
         beta_conv, ce_conv = numerics.quad1(
             integrand, (lo, upper), breakpoints=(pulse.t0,)

@@ -275,6 +275,15 @@ def test_adiabatic_tpr_uses_only_g_prime():
     assert p1 == pytest.approx(p2, abs=1e-7)
 
 
+@pytest.mark.parametrize("load", [lm.adiabatic_load_tpr, lm.adiabatic_load_zed])
+@pytest.mark.parametrize("delta1", [0.0, -0.0])
+def test_adiabatic_load_requires_detuning(load, delta1):
+    # g' = g_c^2 / Delta1 is undefined: a ValueError worded as reduce's,
+    # not a ZeroDivisionError
+    with pytest.raises(ValueError, match="adiabatic elimination requires a nonzero Delta1"):
+        load(1.0, delta1, 1.0, 5.0)
+
+
 def test_adiabatic_zed_vanishing_coupling():
     _, p = lm.adiabatic_load_zed(0.1, 400.0, 1.0, 5.0)
     assert p < 1e-3

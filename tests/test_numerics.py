@@ -1,4 +1,10 @@
 import math
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,12 +198,20 @@ def test_quad1_vector_valued_matches_separate_calls():
         (lambda t: np.exp(-0.5 * t**2 + 2j * t), (-5.0, 5.0), ()),
         (lambda t: np.cosh(2.0 * (t - 1.5)) ** -2 + 0j, (-8.5, 11.5), (1.5,)),
         (lambda t: np.where(t >= 1.0, np.exp(-2.0 * (t - 1.0)), 0.0) + 0j, (0.0, 8.0), (1.0,)),
+        # m = 3 integrals with a kink off the breakpoints: several initial
+        # regions in one call, and both halves of many splits
+        (
+            lambda t: np.sqrt(np.abs(t - 1.7))[:, None]
+            * np.exp(np.outer(t, [-0.5, -1.0 + 2j, 0.3j])),
+            (0.0, 5.0),
+            (1.0, 3.0),
+        ),
     ],
-    ids=["complex_gaussian", "sech_squared", "one_sided_exponential"],
+    ids=["complex_gaussian", "sech_squared", "one_sided_exponential", "vector_two_breakpoints"],
 )
 def test_quad1_is_cubature_gk21_bit_for_bit(f, interval, breakpoints):
-    # the one-pass Kronrod rule evaluates each subregion once, but its sums
-    # and error estimates must be scipy's gk21 exactly
+    # quad1's own loop evaluates the integrand once per split, but its
+    # sums, error estimates and order of splits must be scipy's gk21 exactly
     from scipy.integrate import cubature
 
     spec = numerics.DEFAULT_QUAD
@@ -217,14 +231,50 @@ def test_quad1_is_cubature_gk21_bit_for_bit(f, interval, breakpoints):
         points=[[p] for p in breakpoints],
     )
     assert res.status == "converged"
-    expected = complex(res.estimate[0], res.estimate[1])
-    assert numerics.quad1(f, interval, breakpoints=breakpoints) == expected
+    expected = res.estimate[..., 0] + 1j * res.estimate[..., 1]
+    calls = []
+
+    def counted(t):
+        calls.append(t.size)
+        return f(t)
+
+    value = numerics.quad1(counted, interval, breakpoints=breakpoints)
+    assert np.asarray(value).tobytes() == expected.tobytes()
+    # one call for all the initial regions, then one per split: 1 + res.subdivisions
+    assert calls == [21 * (len(breakpoints) + 1)] + [42] * res.subdivisions
 
 
 def test_quad1_subdivision_limit():
     spec = QuadratureSpec(rtol=1e-13, atol=1e-300, max_subdivisions=3)
-    with pytest.raises(numerics.QuadratureFailure):
+    with pytest.raises(numerics.QuadratureFailure) as err:
         numerics.quad1(lambda t: abs(t - 0.31) ** 0.3 + 0j, (0.0, 1.0), spec)
+    # the message gives the error estimate reached and the target it missed
+    reached = re.search(r"error estimate (\S+) against a target of (\S+)\)", str(err.value))
+    assert reached is not None, str(err.value)
+    assert float(reached[1]) > float(reached[2]) > 0
+
+
+def test_quad1_leaves_scipy_integrate_unloaded():
+    # quad1 is self-contained: only the DOP853 reference needs scipy.integrate
+    script = textwrap.dedent(
+        """
+        import math
+        import sys
+
+        import numpy as np
+
+        import cavity_loader
+        from cavity_loader import numerics
+
+        value = numerics.quad1(lambda t: np.exp(-0.5 * t**2), (-8.0, 8.0))
+        assert abs(value - math.sqrt(2.0 * math.pi)) < 1e-10, value
+        assert "scipy.integrate" not in sys.modules
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_quadrature_spec_validation():

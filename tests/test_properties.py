@@ -173,3 +173,29 @@ def test_cee_quad2_is_symmetric_in_the_two_photons(T1, ratio, t1, t2, g, after):
     one = entangled_loading.c_ee(params, pair, t, method="quad2")
     other = entangled_loading.c_ee(params, swapped, t, method="quad2")
     assert abs(one - other) <= 1e-12
+
+
+# each example is two closed-form convolutions (~5 ms together)
+SCALING_PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+
+
+@SCALING_PROPERTY
+@given(
+    st.sampled_from(FAMILIES),
+    st.floats(0.5, 10.0),
+    st.floats(0.05, 5.0),
+    st.floats(0.0, 0.5),
+    st.floats(0.25, 4.0),
+    st.floats(-3.0, 3.0),
+)
+def test_closed_form_depends_only_on_the_dimensionless_ratios(
+    kind, kT, g, gamma, t_over_T, log_s
+):
+    # every rate times s and every time over s: kappa = s, the pulse of
+    # width T / s centred at T / s, read at t / s, loads what
+    # dimensionless_load gives at kappa = 1 (where the detuning is zero)
+    s = 10.0**log_s
+    T = kT / s
+    params = TwoLevelParams(g=g * s, kappa=s, gamma=gamma * g * s, delta=0.0)
+    _, c_e = two_level.amplitude_closed_form(params, pulses.make_named(kind, T, T), t_over_T * T)
+    assert abs(abs(c_e) ** 2 - two_level.dimensionless_load(kT, g, gamma, t_over_T, kind)) <= 1e-9
