@@ -35,7 +35,7 @@ print(f"  stop the control at T_Load = {opt.T_load:.3f} / kappa")
 
 # how the effective coupling is realized with real Lambda parameters:
 # pick a deep detuning, then size the couplings to hit the optimum
-delta1 = 150.0 * kappa
+delta1 = 400.0 * kappa
 g_c = om = float(np.sqrt(opt.g_opt * delta1))
 base = LambdaParams(g_c=g_c, kappa=kappa, delta1=delta1, delta2=delta1, omega=om)
 delta2 = stark_compensation(base)

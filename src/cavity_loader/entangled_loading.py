@@ -297,7 +297,8 @@ def _reduced_rule(b: BiphotonAmplitude, t_max: float, h: float):
         return None
     kink = b.t0_window / 2.0
     edges = np.array([0.0, kink, w_max] if kink < w_max else [0.0, w_max])
-    panels = np.maximum(np.ceil(np.diff(edges) / h), 1.0)
+    # Python division: a panel count past the float range is inf, not a warning
+    panels = np.maximum(np.ceil([d / h for d in np.diff(edges).tolist()]), 1.0)
     n_nodes = _PANEL_NODES.size * panels.sum()
     if n_nodes > _RULE_NODE_BUDGET:
         raise numerics.QuadratureFailure(

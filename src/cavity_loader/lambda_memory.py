@@ -20,8 +20,9 @@ is what makes both loading schemes analyzable:
   dark state while the photon enters the cavity (requires kappa T >= 4).
 
 The non-adiabatic scheme has the effective two-level closed form; its
-trajectory writer (``nonadiabatic_trajectory``) eliminates nothing and
-steps the full system exactly on each side of the switch-off.  The
+trajectory writer (``nonadiabatic_trajectory``) eliminates nothing: it
+steps the full system exactly on each side of the switch-off, which by
+default is the exact peak of |c_e|^2 under the control-on propagator.  The
 adiabatic schemes' reduced equations have time-varying coefficients and
 run on fixed-step classic Runge-Kutta (RK4, ``_adiabatic_reduced_run``):
 each sub-step is an affine map of (beta, c_e), the couplings of a batch
@@ -50,7 +51,7 @@ from scipy.linalg import expm
 from . import numerics, two_level
 from .numerics import OdeSystem
 from .pulses import PulseShape, frequency_shifted, make_sech
-from .two_level import Trajectory, _drive_max_step, _Propagator, _stepped, TwoLevelParams
+from .two_level import Trajectory, _drive_max_step, _peak, _Propagator, _stepped, TwoLevelParams
 
 __all__ = [
     "LambdaParams",
@@ -219,26 +220,39 @@ class _LambdaPropagator:
             raise ValueError("the exact stepping assumes a constant control phase")
         c_g, c_om, c_rot = -1j * p.g_c, -1j * p.omega_const, -1j * (p.delta2 - p.delta1)
         a = np.array([[-p.kappa, c_g, 0], [c_g, 1j * p.delta1 - p.gamma_r, c_om], [0, c_om, c_rot]])
-        return cls(p.kappa, a, float(1.0 / np.abs(np.linalg.eigvals(a)).max()))
+        # LinAlgError, a ValueError, where an entry of A overflows
+        rate = float(np.abs(np.linalg.eigvals(a)).max())
+        if not rate < math.inf:
+            raise ValueError(f"the rates of {p} overflow the three-level propagator")
+        # a Python division: rates that underflow leave the steps uncapped
+        return cls(p.kappa, a, 1.0 / rate)
 
     def matrix(self, s):
         m = expm(self.a * np.asarray(s)[..., None, None])
         return np.moveaxis(m, (-2, -1), (0, 1))  # entry first
 
 
-def nonadiabatic_trajectory(p: LambdaParams, pulse: PulseShape, times, t_load: float) -> Trajectory:
+def nonadiabatic_trajectory(
+    p: LambdaParams, pulse: PulseShape, times, t_load: float | None = None
+) -> Trajectory:
     """(beta, c_r, c_e) at ``times``, nothing eliminated, for the control
     ``p.omega`` up to ``t_load`` and zero after it: on each side the
     system is linear and time-invariant, and steps its propagator exactly
     (``two_level._stepped``), the off side from the state at the switch.
     A t_load before the scan start, min(0, pulse start), or after the last
-    time leaves the control off or on throughout.  ``full_ode`` is the
-    oracle."""
-    if math.isnan(t_load):
-        raise ValueError("t_load must be a number, got nan")
+    time leaves the control off or on throughout.  ``t_load`` None
+    switches off at the exact peak of |c_e|^2 under the control-on
+    propagator from the scan start to max(times) (``two_level._peak``).
+    ``full_ode`` is the oracle."""
     times = np.asarray(times, dtype=float)
     on, off = _LambdaPropagator.of(p), _LambdaPropagator.of(replace(p, omega=0.0))
-    switch = min(max(t_load, min(0.0, pulse.support[0])), float(times.max()))
+    begin, end = min(0.0, pulse.support[0]), float(times.max())
+    if t_load is None:
+        # no peak to search when every time is at or before the scan start
+        t_load = _peak([on], pulse, end)[0][0] if end > begin else begin
+    if math.isnan(t_load):
+        raise ValueError("t_load must be a number, got nan")
+    switch = min(max(t_load, begin), end)
     early = times <= switch
     states = np.empty((times.size, 3), dtype=complex)
     at_switch = _stepped(on, pulse, np.append(times[early], switch))
@@ -252,7 +266,8 @@ def reduce(p: LambdaParams) -> ReducedParams:
     """Adiabatically eliminate the upper state for a constant control.
 
     Valid for detunings much larger than the couplings; warns when Delta1
-    is below 10x max(g_c, Omega, gamma_r).
+    is below 10x max(g_c, Omega, gamma_r).  A rate is infinite only where
+    its exact value is past the float range.
     """
     if p.delta1 == 0:
         raise ValueError("adiabatic elimination requires a nonzero Delta1")
@@ -268,26 +283,35 @@ def reduce(p: LambdaParams) -> ReducedParams:
             f"{VALIDITY_RATIO * scale:.3g}",
             stacklevel=2,
         )
+    delta_eff = (g_c**2 - om**2) / d1 + p.delta1 - p.delta2
+    if math.isinf(delta_eff):
+        # the light shift alone may overflow where the sum does not; halved,
+        # it overflows only where the sum does (|Delta1| < 1 there)
+        delta_eff = 2.0 * ((g_c**2 - om**2) / 2.0 / d1 + (p.delta1 / 2.0 - p.delta2 / 2.0))
     return ReducedParams(
         g_eff=g_c * om / d1,
         Gamma_r=complex(1.0 + 1j * gamma_r / d1),
-        delta_eff=(g_c**2 - om**2) / d1 + p.delta1 - p.delta2,
+        delta_eff=delta_eff,
         # g_eff * gamma_r * (Omega/g_c - g_c/Omega) / Delta1, written in the
         # cancelled form that stays finite as Omega -> 0
-        gamma_eff=_over_square(gamma_r * (om**2 - g_c**2), d1),
-        drive_decay_rate=_over_square(g_c**2 * gamma_r, d1),
+        gamma_eff=_over_square(gamma_r, om**2 - g_c**2, d1),
+        drive_decay_rate=_over_square(g_c**2, gamma_r, d1),
         valid_regime=valid,
     )
 
 
-def _over_square(x: float, d: float) -> float:
-    """x / d**2 for a nonzero d, or x / d / d where the square overflows or
-    underflows to zero (|d| above ~1.3e154 or below ~1.6e-162), on which the
-    float power or the division would raise."""
+def _over_square(x: float, y: float, d: float) -> float:
+    """x y / d**2 for a nonzero d, overflowing only where the result does:
+    x y / d / d where d**2 overflows or underflows to zero (|d| above
+    ~1.3e154 or below ~1.6e-162), on which the float power or the
+    division would raise, and x / d * (y / d) where x y overflows."""
+    xy = x * y
+    if math.isinf(xy):
+        return x / d * (y / d)
     try:
-        return x / d**2
+        return xy / d**2
     except (OverflowError, ZeroDivisionError):
-        return x / d / d
+        return xy / d / d
 
 
 def stark_compensation(p: LambdaParams) -> float:
@@ -297,7 +321,10 @@ def stark_compensation(p: LambdaParams) -> float:
     if p.phi_z_dot is not None:
         raise ValueError("stark compensation assumes a constant control phase")
     om = p.omega_const
-    return (p.g_c**2 - om**2) / p.delta1 + p.delta1
+    delta2 = (p.g_c**2 - om**2) / p.delta1 + p.delta1
+    if not math.isfinite(delta2):
+        raise ValueError(f"the Stark-compensating Delta2 of {p} overflows")
+    return delta2
 
 
 def compensated_pulse(pulse: PulseShape, p: LambdaParams) -> PulseShape:
@@ -306,7 +333,8 @@ def compensated_pulse(pulse: PulseShape, p: LambdaParams) -> PulseShape:
     Shifting the photon's center frequency by g_c^2 / Delta1 cancels the
     constant phase the reduction imprints on the cavity amplitude; the
     reduced models assume this has been done, so full-system runs should
-    be driven with the pulse returned here.
+    be driven with the pulse returned here.  ValueError when the shift,
+    or its phase over the pulse support, is not finite.
     """
     if p.delta1 == 0:
         raise ValueError("light-shift compensation requires a nonzero Delta1")

@@ -192,7 +192,9 @@ def quad1(
     dimension, bit for bit: the interval split at the interior
     breakpoints, then the region with the largest error estimate halved
     until every component's error is within atol + rtol |estimate|, with
-    scipy's heap order, order of running sums and subdivision limit.  Each
+    scipy's heap order and order of running sums.  The subdivision limit
+    is tested before each split, so the split that reaches it returns
+    when it converges.  Each
     region's estimate is the 21-point Kronrod sum and its error
     |K21 - G10|, both from the same 21 values.  ``f`` is called once for
     all the initial regions and once per split, on the nodes of both
@@ -221,14 +223,6 @@ def quad1(
         err += region.error
     subdivisions = 0
     while np.any(err > spec.atol + spec.rtol * np.abs(est)):
-        region = heapq.heappop(regions)
-        est -= region.estimate
-        err -= region.error
-        for half in _kronrod_regions(pair, [region.a, (region.a + region.b) / 2, region.b]):
-            est += half.estimate
-            err += half.error
-            heapq.heappush(regions, half)
-        subdivisions += 1
         if subdivisions >= spec.max_subdivisions:
             target = spec.atol + spec.rtol * np.abs(est)
             worst = np.unravel_index(np.argmax(err - target), err.shape)
@@ -237,6 +231,14 @@ def quad1(
                 f"{spec.max_subdivisions} subdivisions (error estimate "
                 f"{err[worst]:.3g} against a target of {target[worst]:.3g})"
             )
+        region = heapq.heappop(regions)
+        est -= region.estimate
+        err -= region.error
+        for half in _kronrod_regions(pair, [region.a, (region.a + region.b) / 2, region.b]):
+            est += half.estimate
+            err += half.error
+            heapq.heappush(regions, half)
+        subdivisions += 1
     est = sign * est
     est = est[..., 0] + 1j * est[..., 1]
     return complex(est) if est.ndim == 0 else est

@@ -137,8 +137,8 @@ def _lambda_nonadiabatic_trajectory(cfg: dict, points: int):
     (``lambda_memory.nonadiabatic_trajectory``).
 
     Without ``delta2_over_k`` the Stark-compensating Delta2 is used;
-    without ``t_load_over_T`` the switch-off is the loading peak of the
-    effective two-level system.
+    without ``t_load_over_T`` the switch-off is the exact peak of the
+    target population under the control-on run.
     """
     T, g_c, om, d1 = cfg["kT"], cfg["gc_over_k"], cfg["omega_over_k"], cfg["delta1_over_k"]
     gamma_r = cfg.get("gamma_r_over_k", 0.0)
@@ -151,12 +151,7 @@ def _lambda_nonadiabatic_trajectory(cfg: dict, points: int):
     params = replace(params, delta2=d2)
     pulse = pulses.make_named(cfg.get("pulse", "sech"), T, T)
     drive = lambda_memory.compensated_pulse(pulse, params)
-    if "t_load_over_T" in cfg:
-        t_load = cfg["t_load_over_T"] * T
-    else:
-        # the sign of Delta1 is only the sign of the effective coupling
-        effective = two_level.TwoLevelParams(g=abs(g_c * om / d1), kappa=1.0)
-        t_load, _ = two_level.peak_loading(effective, pulse, 5.0 * T)
+    t_load = cfg["t_load_over_T"] * T if "t_load_over_T" in cfg else None
     grid = np.linspace(min(0.0, pulse.support[0]), 5.0 * T, points)
     traj = lambda_memory.nonadiabatic_trajectory(params, drive, grid, t_load)
     return _table(traj, T, _LAMBDA_COLUMNS)

@@ -88,7 +88,7 @@ def make_sech(T: float, t0: float) -> PulseShape:
     The tails are truncated at |t - t0| = 5T (discarded norm ~4e-18) and
     the envelope is renormalized over the retained window.
     """
-    _check_width(T)
+    _check_width(T, "sech")
     # exact norm over the truncated window: tanh(4*cutoff)
     renorm = 1.0 / math.sqrt(math.tanh(4.0 * _SECH_CUTOFF))
     amp = math.sqrt(2.0 / T) * renorm
@@ -117,7 +117,7 @@ def make_named(kind: str, T: float, t0: float) -> PulseShape:
         return make_sech(T, t0)
     if kind == "zero":
         return make_zero(T, t0)
-    _check_width(T)
+    _check_width(T, kind)
     if kind == "rectangular":
         height = 1.0 / math.sqrt(T)
 
@@ -162,8 +162,11 @@ def frequency_shifted(pulse: PulseShape, delta_omega: float) -> PulseShape:
     """Shift the pulse's carrier by +delta_omega.
 
     The baseband envelope picks up a phase e^{-i delta_omega t}; norm,
-    support and width are unchanged.
+    support and width are unchanged.  ValueError when that phase is not
+    finite on the support.
     """
+    if not math.isfinite(delta_omega * max(map(abs, pulse.support))):
+        raise ValueError(f"the carrier shift {delta_omega!r} overflows the phase on the support")
     base = pulse._func
 
     def func(t):
@@ -179,6 +182,10 @@ def frequency_shifted(pulse: PulseShape, delta_omega: float) -> PulseShape:
     )
 
 
-def _check_width(T: float) -> None:
+def _check_width(T: float, kind: str) -> None:
     if not (isinstance(T, (int, float)) and math.isfinite(T) and T > 0):
         raise ValueError(f"pulse width must be positive and finite, got {T!r}")
+    # the peak amplitude: sqrt(2/T) for sech and the exponentials, infinite
+    # for a subnormal T, and 1/sqrt(T), finite for every T > 0, for the rectangle
+    if kind != "rectangular" and not math.isfinite(2.0 / T):
+        raise ValueError(f"pulse width is too small: sqrt(2/T) overflows for T = {T!r}")

@@ -316,23 +316,37 @@ def peak_loading(p, pulse: PulseShape, horizon: float):
     """Global maximum of |c_e(t)|^2 over [0, horizon].
 
     ``p`` is one TwoLevelParams, giving (t_peak, P_peak) as floats, or a
-    sequence of them, giving both as arrays.  An exact scan of (beta, c_e)
-    on ``_scan_grid`` locates each global basin despite Rabi oscillations:
-    the couplings share the grid and the pulse, and each one's march is
-    one banded solve.  Brent refinement, in lockstep over the couplings,
+    sequence of them, giving both as arrays: ``_peak`` over their
+    propagators.
+    """
+    single = isinstance(p, TwoLevelParams)
+    t_peak, p_peak = _peak([_Propagator.of(q) for q in ([p] if single else p)], pulse, horizon)
+    if single:
+        return float(t_peak[0]), float(p_peak[0])
+    return t_peak, p_peak
+
+
+def _peak(props, pulse: PulseShape, horizon: float):
+    """Global maxima of |last amplitude|^2 from the scan start to
+    ``horizon``, one (time, value) pair of arrays over the propagators
+    ``props`` of one class (any stepping propagator, below).
+
+    An exact scan on one ``_scan_grid``, at the smallest ``max_step`` of
+    the batch, locates each global basin despite Rabi oscillations: the
+    propagators share the grid and the pulse, and each one's march is one
+    banded solve.  Brent refinement, in lockstep over the propagators,
     takes one partial step from the grid state below each trial time; a
     refined peak time is known to about sqrt(eps) |t|.  Ties break toward
     the earliest time.
     """
-    grid, phi, width = _scan_grid(pulse, horizon)
-    single = isinstance(p, TwoLevelParams)
-    props = [_Propagator.of(q) for q in ([p] if single else p)]
+    grid, phi, width = _scan_grid(pulse, horizon, max_step=min(q.max_step for q in props))
+    last = props[0].size - 1
     values = np.empty((len(props), len(grid)))
-    # per coupling, the first grid index the refinement reads and the
+    # per propagator, the first grid index the refinement reads and the
     # states there and at the next index: the best scanned point's cells
     kept = []
     for row, states in enumerate(_marches(_stack(props), pulse, grid, phi)):
-        values[row] = np.abs(states[:, 1]) ** 2
+        values[row] = np.abs(states[:, last]) ** 2
         first = max(int(values[row].argmax()) - 1, 0)
         kept.append((first, states[first : first + 2].copy()))
 
@@ -340,16 +354,13 @@ def peak_loading(p, pulse: PulseShape, horizon: float):
         i = np.minimum(np.searchsorted(grid, times, side="right") - 1, len(grid) - 2)
         state = np.array([kept[r][1][j - kept[r][0]] for r, j in zip(rows.tolist(), i.tolist())])
         row_props = [props[r] for r in rows.tolist()]
-        return np.abs(_partial_steps(row_props, pulse, grid[i], state, times)[:, 1]) ** 2
+        return np.abs(_partial_steps(row_props, pulse, grid[i], state, times)[:, last]) ** 2
 
-    t_peak, p_peak, _ = numerics.scan_refine(objective, grid, values, 1e-10 * max(width, 1.0))
-    if single:
-        return float(t_peak[0]), float(p_peak[0])
-    return t_peak, p_peak
+    return numerics.scan_refine(objective, grid, values, 1e-10 * max(width, 1.0))[:2]
 
 
 def stepped_trajectory(p: TwoLevelParams, pulse: PulseShape, times) -> Trajectory:
-    """(beta, c_e) at ``times`` by the exact stepping of ``peak_loading``:
+    """(beta, c_e) at ``times`` by the exact stepping of ``_peak``:
     its scan up to max(times), then one partial step from the grid state
     below each time (``_stepped``).  At a scan-grid point the state is the
     scan's; times at or before the scan start give zeros, the atom being

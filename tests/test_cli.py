@@ -140,17 +140,21 @@ def test_simulate_lambda_nonadiabatic(tmp_path):
 
 
 def test_simulate_lambda_nonadiabatic_sign_of_delta1(tmp_path):
-    # the load-time search runs on |g_c Omega / Delta1|: a red-detuned
-    # control loads as the blue-detuned one does
-    pops = []
-    for delta1 in ("20", "-20"):
-        out = tmp_path / f"lam{delta1}.csv"
-        argv = ["simulate", "--scenario", "lambda_nonadiabatic", "--kT", "2", "--gc_over_k", "1"]
-        rc = run(argv + ["--omega_over_k", "1", f"--delta1_over_k={delta1}", "--out", str(out)])
-        assert rc == 0
-        pops.append(np.asarray(read_csv(out)[1]))
-    assert np.max(np.abs(pops[0] - pops[1])) <= 1e-12
-    assert pops[0][:, 3].max() > 0.01
+    # flipping Delta1 (with the Stark-compensated Delta2 and the carrier
+    # shift that follow it) conjugates the equations of motion, so the
+    # exact peak search switches off at the same time: a red-detuned
+    # control loads as the blue-detuned one does, far from resonance and
+    # at detuning ratio 3
+    for size in ("20", "3"):
+        pops = []
+        for delta1 in (size, f"-{size}"):
+            out = tmp_path / f"lam{delta1}.csv"
+            argv = ["simulate", "--scenario", "lambda_nonadiabatic", "--kT", "2", "--gc_over_k"]
+            argv += ["1", "--omega_over_k", "1", f"--delta1_over_k={delta1}", "--out", str(out)]
+            assert run(argv) == 0
+            pops.append(np.asarray(read_csv(out)[1]))
+        assert np.max(np.abs(pops[0] - pops[1])) <= 1e-12
+        assert pops[0][:, 3].max() > 0.01
 
 
 def test_simulate_mitnu(tmp_path):
@@ -498,6 +502,16 @@ _LAMBDA_NONADIABATIC_SIMULATE = [
             2,
         ),
         (_LAMBDA_NONADIABATIC_SIMULATE + ["--delta1_over_k=-0.0", "--delta2_over_k", "0"], 2),
+        (["optimize", "--scenario", "two_level", "--kT", "1e-310"], 2),
+        (["simulate", "--scenario", "two_level", "--kT", "1e-310", "--g_over_k", "1"], 2),
+        (
+            _LAMBDA_NONADIABATIC_SIMULATE
+            + ["--delta1_over_k", "1e-310", "--delta2_over_k", "1", "--t_load_over_T", "1"],
+            2,
+        ),
+        (_LAMBDA_NONADIABATIC_SIMULATE + ["--delta1_over_k", "1e-310"], 2),
+        (["optimize", "--scenario", "mitnu", "--kT", "1e-310", "--kT0", "2"], 2),
+        (["optimize", "--scenario", "mitnu", "--kT", "2", "--kT0", "1e-310"], 3),
     ],
     ids=[
         "two_level-delta",
@@ -522,10 +536,17 @@ _LAMBDA_NONADIABATIC_SIMULATE = [
         "lambda_nonadiabatic-delta1-zero",
         "lambda_nonadiabatic-delta1-zero-t_load",
         "lambda_nonadiabatic-delta1-minus-zero",
+        "two_level-subnormal-kT",
+        "two_level-simulate-subnormal-kT",
+        "lambda_nonadiabatic-subnormal-delta1-t_load",
+        "lambda_nonadiabatic-subnormal-delta1",
+        "mitnu-subnormal-kT",
+        "mitnu-subnormal-kT0",
     ],
 )
 def test_contract_for_extreme_inputs(tmp_path, capsys, argv, code):
-    # overflowing rates and a negative g' are configuration errors; a pair
+    # overflowing rates, a pulse width or carrier shift whose amplitude or
+    # phase overflows and a negative g' are configuration errors; a pair
     # rule past its node budget is a numeric failure, raised before the rule
     # is allocated; none of them may leak a traceback or a warning
     with warnings.catch_warnings(record=True) as caught:
@@ -573,7 +594,7 @@ _FUZZ_OPTIONAL = {
     "gamma_over_g": "0.1", "points": "20", "out": "out.csv",
     "g_min": "0.1", "g_max": "5", "tol": "0.1",
 }
-_FUZZ_VALUES = ("0", "-0.0", "1e-300", "1e300", "-1", "nan", "inf", "abc")
+_FUZZ_VALUES = ("0", "-0.0", "1e-300", "1e-310", "1e300", "-1", "nan", "inf", "abc")
 
 
 def _fuzz_commands():
@@ -599,8 +620,9 @@ _FUZZ_COMMANDS = list(_fuzz_commands())
 @settings(derandomize=True, max_examples=len(_FUZZ_COMMANDS), deadline=None, database=None)
 @given(st.sampled_from(_FUZZ_COMMANDS))
 def test_cli_fuzz_keeps_the_contract(argv):
-    # exit 0, 2 or 3 and nothing on stderr but the message; the run works
-    # in a scratch directory, where a default or fuzzed --out lands
+    # exit 0, 2 or 3 and nothing on stderr but the message, and no nan in
+    # what a successful run writes; the run works in a scratch directory,
+    # where a default or fuzzed --out lands
     err, cwd = io.StringIO(), os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
@@ -610,6 +632,8 @@ def test_cli_fuzz_keeps_the_contract(argv):
                 rc = run(list(argv))
         finally:
             os.chdir(cwd)
+        written = [path.read_text() for path in Path(scratch).rglob("*") if path.is_file()]
     assert rc in (0, 2, 3), err.getvalue()
+    assert rc != 0 or not any("nan" in text for text in written)
     assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue()
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []

@@ -222,6 +222,35 @@ def test_full_ode_matches_the_exact_writer_at_default_tolerances(ratio):
     assert errors[1] <= errors[0] and errors[2] <= errors[1]
 
 
+@pytest.mark.parametrize("ratio", [3.0, 10.0, 50.0])
+def test_default_switch_off_stores_the_exact_peak(tmp_path, ratio):
+    # g_c = Omega, g_eff = g_c Omega / Delta1 = 1.1, kappa T = 2 at detuning
+    # ratio Delta1 / g_c, Stark-compensated: the writer's default switch-off
+    # stores the peak of a dense control-on oracle run, which an eliminated
+    # two-level peak time misses by 2.4e-2 at ratio 3
+    g_c = 1.1 * ratio
+    out = tmp_path / "lambda.csv"
+    argv = ["simulate", "--scenario", "lambda_nonadiabatic", "--kT", "2", "--gc_over_k"]
+    argv += [repr(g_c), "--omega_over_k", repr(g_c), "--delta1_over_k", repr(g_c * ratio)]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    stored = np.loadtxt(out, delimiter=",", skiprows=1)[-1, 3]
+    p = make_params(g_c=g_c, omega=g_c, delta1=g_c * ratio)
+    p = replace(p, delta2=lm.stark_compensation(p))
+    grid = np.linspace(PULSE.support[0], 10.0, 40_001)
+    dense = lm.full_ode(p, lm.compensated_pulse(PULSE, p), grid, rtol=1e-11).population("c_e")
+    assert stored >= dense.max() - 1e-9
+    assert stored - dense.max() <= 1e-6
+
+
+def test_default_switch_off_before_the_scan_start_is_rest():
+    # every time at or before the scan start (-8): the atom is at rest,
+    # whether t_load is given or left to the peak search
+    times = np.array([-9.0, -8.5, -8.0])
+    for t_load in (None, 0.0):
+        traj = lm.nonadiabatic_trajectory(make_params(), PULSE, times, t_load)
+        assert not np.any(traj.population("c_e"))
+
+
 def test_nonadiabatic_freeze_after_switch_off():
     t_stop = 3.3
     om = 5.0

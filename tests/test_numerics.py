@@ -254,6 +254,18 @@ def test_quad1_subdivision_limit():
     assert float(reached[1]) > float(reached[2]) > 0
 
 
+def test_quad1_returns_when_the_last_allowed_split_converges():
+    # this integrand converges after exactly 16 splits: a limit of 16 is
+    # reached and met by the same split
+    def f(t):
+        return np.abs(t - 0.31) ** 0.3 + 0j
+
+    limited = numerics.quad1(f, (0.0, 1.0), QuadratureSpec(max_subdivisions=16))
+    assert limited == numerics.quad1(f, (0.0, 1.0)) == 0.6426678831512578
+    with pytest.raises(numerics.QuadratureFailure):
+        numerics.quad1(f, (0.0, 1.0), QuadratureSpec(max_subdivisions=15))
+
+
 def test_quad1_leaves_scipy_integrate_unloaded():
     # quad1 is self-contained: only the DOP853 reference needs scipy.integrate
     script = textwrap.dedent(

@@ -3,13 +3,16 @@ writers over drawn pulses, rates and output grids, and of the pair's
 direct double quadrature (derandomized, so every run draws the same
 examples)."""
 
+import cmath
+import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavity_loader import entangled_loading, lambda_memory, pulses, two_level
+from cavity_loader import entangled_loading, lambda_memory, numerics, pulses, two_level
 from cavity_loader.lambda_memory import LambdaParams
 from cavity_loader.two_level import TwoLevelParams
 
@@ -199,3 +202,62 @@ def test_closed_form_depends_only_on_the_dimensionless_ratios(
     params = TwoLevelParams(g=g * s, kappa=s, gamma=gamma * g * s, delta=0.0)
     _, c_e = two_level.amplitude_closed_form(params, pulses.make_named(kind, T, T), t_over_T * T)
     assert abs(abs(c_e) ** 2 - two_level.dimensionless_load(kT, g, gamma, t_over_T, kind)) <= 1e-9
+
+
+# every rate from zero, a subnormal, the powers 1e-300, 1e-290, ..., 1e300
+# and the largest float; the detunings take either sign
+_RATES = st.one_of(
+    st.sampled_from((0.0, 1e-310, 1.7e308)), st.integers(-30, 30).map(lambda k: 10.0 ** (10 * k))
+)
+_DETUNINGS = st.tuples(_RATES, st.sampled_from((1.0, -1.0))).map(lambda pair: pair[0] * pair[1])
+# each example builds at most a handful of 3x3 matrices and one pulse
+RATES_PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+
+def _finite_or_refused(func, *args):
+    """func(*args), or None when it raises an error the CLI maps to exit 2
+    (ValueError) or 3 (a numeric failure)."""
+    try:
+        return func(*args)
+    except (ValueError, numerics.OdeFailure, numerics.QuadratureFailure):
+        return None
+
+
+@RATES_PROPERTY
+@given(_RATES, _RATES, _DETUNINGS, _DETUNINGS, _RATES, _RATES)
+# inside the validity regime, where g_c^2 gamma_r overflows before the
+# division by Delta1^2: the exact rates are about +-1e-90
+@example(1e150, 1.0, 1e200, 1e200, 1.0, 1e10)
+# the light shift g_c^2 / Delta1 overflows, Delta_eff = 3e307 does not
+@example(1e154, 1.0, 0.5, 1.7e308, 0.0, 0.0)
+def test_lambda_params_give_finite_rates_or_a_clear_error(
+    g_c, kappa, delta1, delta2, omega, gamma_r
+):
+    p = _finite_or_refused(LambdaParams, g_c, kappa, delta1, delta2, omega, gamma_r)
+    if p is None:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # reduce's validity warning
+        red = _finite_or_refused(lambda_memory.reduce, p)
+    if red is not None:
+        # finite wherever the exact rate, in rational arithmetic, is well
+        # inside the float range; past it a rate may be inf
+        g, om, gr, d1, d2 = map(Fraction, (g_c, omega, gamma_r, delta1, delta2))
+        exact = {
+            "g_eff": g * om / d1,
+            "Gamma_r": 1 + abs(gr / d1),
+            "delta_eff": (g * g - om * om) / d1 + d1 - d2,
+            "gamma_eff": gr * (om * om - g * g) / d1**2,
+            "drive_decay_rate": g * g * gr / d1**2,
+        }
+        for name, value in exact.items():
+            assert abs(value) >= 2**1023 or cmath.isfinite(getattr(red, name)), (name, red)
+    shift = _finite_or_refused(lambda_memory.stark_compensation, p)
+    assert shift is None or np.isfinite(shift)
+    pulse = pulses.make_sech(2.0, 2.0)
+    drive = _finite_or_refused(lambda_memory.compensated_pulse, pulse, p)
+    if drive is not None:
+        assert np.isfinite(drive.amplitude(np.linspace(*pulse.support, 9))).all()
+    prop = _finite_or_refused(lambda_memory._LambdaPropagator.of, p)
+    if prop is not None:
+        assert np.isfinite(prop.a).all() and prop.max_step > 0

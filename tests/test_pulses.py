@@ -92,6 +92,28 @@ def test_nonpositive_width_rejected(bad):
         pulses.make_named("rectangular", bad, 0.0)
 
 
+@pytest.mark.parametrize("kind", ["sech", "exp_decaying", "exp_rising"])
+def test_subnormal_width_rejected(kind):
+    # sqrt(2/T) overflows: the pulse would evaluate to inf and nan
+    with pytest.raises(ValueError, match="too small"):
+        pulses.make_named(kind, 1e-310, 0.0)
+
+
+def test_subnormal_width_rectangle_stays_finite():
+    # its height 1/sqrt(T) is finite for every positive width
+    p = pulses.make_named("rectangular", 1e-310, 0.0)
+    assert np.isfinite(p.amplitude(np.array([0.0]))).all()
+
+
+def test_frequency_shift_rejects_a_phase_that_overflows():
+    # the phase delta_omega t over the support [-4, 6] is not finite
+    base = pulses.make_sech(1.0, 1.0)
+    for shift in (math.inf, 1e308):
+        with pytest.raises(ValueError, match="carrier shift"):
+            pulses.frequency_shifted(base, shift)
+    assert np.isfinite(pulses.frequency_shifted(base, 1e307).amplitude(base.support[1]))
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         pulses.make_named("gaussian", 1.0, 0.0)
