@@ -5,7 +5,8 @@ an entangled biphoton) into the metastable state of a trapped atom in a
 single-ended cavity, for two-level, Lambda, double-Lambda and paired
 double-Lambda configurations, and finds the coupling rates that maximize
 it for a given input bandwidth.  A pair's memories are modeled as
-two-level legs; no pair route takes Lambda memories.
+two-level legs; no pair route takes Lambda memories.  ``LambdaParams``
+has a constant control: a time-dependent one enters only ``full_ode``.
 """
 
 from .numerics import OdeFailure, OdeSystem, QuadratureFailure, QuadratureSpec
@@ -31,8 +32,8 @@ from .lambda_memory import (
     LambdaParams,
     ReducedParams,
     adiabatic_control_pulse,
-    adiabatic_load_tpr,
-    adiabatic_load_zed,
+    adiabatic_load,
+    adiabatic_offset_scan,
     compensated_pulse,
     dark_bright_decompose,
     full_ode,
@@ -40,7 +41,6 @@ from .lambda_memory import (
     nonadiabatic_trajectory,
     reduce,
     stark_compensation,
-    timing_offset_scan,
 )
 from .entangled_loading import (
     BiphotonAmplitude,
@@ -88,10 +88,9 @@ __all__ = [
     "nonadiabatic_load",
     "nonadiabatic_trajectory",
     "adiabatic_control_pulse",
-    "adiabatic_load_tpr",
-    "adiabatic_load_zed",
+    "adiabatic_load",
+    "adiabatic_offset_scan",
     "dark_bright_decompose",
-    "timing_offset_scan",
     "PolarizationQubit",
     "BiphotonAmplitude",
     "SpdcParams",

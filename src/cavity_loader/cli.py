@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import entangled_loading, lambda_memory, numerics, optimize, two_level
+from . import entangled_loading, lambda_memory, numerics, optimize, pulses, two_level
 
 __all__ = ["main", "cmd_simulate", "cmd_optimize", "cmd_figure"]
 
@@ -240,23 +240,22 @@ def _figure_fig8(outdir: Path, workers=None) -> dict:
     # non-adiabatic at kT = 1, its optimum coupling
     kT_n = 1.0
     opt_n = optimize.optimize_coupling("two_level", {"kT": kT_n}, (0.5, 4.0), tol)
-    probs_n = lambda_memory.timing_offset_scan(
-        "nonadiabatic",
-        {"kappa": 1.0, "T": kT_n, "g": opt_n.g_opt, "t_load": opt_n.T_load},
-        offsets * kT_n,
+    # the control stops at T_load + offset: one stepped run reads every stop
+    stopped = two_level.stepped_trajectory(
+        two_level.TwoLevelParams(g=opt_n.g_opt, kappa=1.0),
+        pulses.make_sech(kT_n, kT_n),
+        opt_n.T_load + offsets * kT_n,
     )
     write_csv(
         outdir / "fig8_nonadiabatic.csv",
         ["offset_over_T", "P"],
-        zip(offsets, probs_n),
+        zip(offsets, stopped.population("c_e")),
     )
     # adiabatic (zero effective detuning) at kT = 4.5, its optimum coupling
     kT_a = 4.5
     opt_a = optimize.optimize_coupling("lambda_adiabatic_zed", {"kT": kT_a}, (0.4, 2.5), tol)
-    probs_a = lambda_memory.timing_offset_scan(
-        "adiabatic",
-        {"kappa": 1.0, "T": kT_a, "g_prime": opt_a.g_opt, "variant": "zed"},
-        offsets * kT_a,
+    probs_a = lambda_memory.adiabatic_offset_scan(
+        opt_a.g_opt, 1.0, kT_a, offsets * kT_a, detuned=False
     )
     write_csv(
         outdir / "fig8_adiabatic.csv", ["offset_over_T", "P"], zip(offsets, probs_a)

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import numerics
-from .pulses import PulseShape, make_sech
+from .pulses import MAX_WIDTH, PulseShape, make_sech
 from .two_level import TwoLevelParams, Trajectory, _Propagator
 
 __all__ = [
@@ -99,6 +99,8 @@ class SpdcParams:
             raise ValueError(
                 f"phase-matching window T0 must be positive and finite, got {self.T0!r}"
             )
+        if self.T0 > MAX_WIDTH:
+            raise ValueError(f"phase-matching window T0 is too large, got {self.T0!r}")
 
     @property
     def pump_center(self) -> float:
@@ -297,9 +299,9 @@ def _reduced_rule(b: BiphotonAmplitude, t_max: float, h: float):
         return None
     kink = b.t0_window / 2.0
     edges = np.array([0.0, kink, w_max] if kink < w_max else [0.0, w_max])
-    # Python division: a panel count past the float range is inf, not a warning
+    # Python arithmetic: a count past the float range is inf, not a warning
     panels = np.maximum(np.ceil([d / h for d in np.diff(edges).tolist()]), 1.0)
-    n_nodes = _PANEL_NODES.size * panels.sum()
+    n_nodes = _PANEL_NODES.size * sum(panels.tolist())
     if n_nodes > _RULE_NODE_BUDGET:
         raise numerics.QuadratureFailure(
             f"the Gauss rule needs {n_nodes:.3g} nodes (panels of width {h:.3g} "

@@ -17,7 +17,11 @@ is what makes both loading schemes analyzable:
 * non-adiabatic: constant control switched off at the instant the
   target population peaks, freezing the Rabi oscillation;
 * adiabatic passage: a shaped control that keeps the system in the
-  dark state while the photon enters the cavity (requires kappa T >= 4).
+  dark state while the photon enters the cavity (requires kappa T >= 4),
+  at two-photon resonance (tpr) or zero effective detuning (zed).
+
+``LambdaParams`` holds a constant control; a time-dependent Omega(t) and
+phase ramp dphi_z/dt enter only the oracle ``full_ode``, as its arguments.
 
 The non-adiabatic scheme has the effective two-level closed form; its
 trajectory writer (``nonadiabatic_trajectory``) eliminates nothing: it
@@ -48,10 +52,10 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from . import numerics, two_level
+from . import numerics
 from .numerics import OdeSystem
 from .pulses import PulseShape, frequency_shifted, make_sech
-from .two_level import Trajectory, _drive_max_step, _peak, _Propagator, _stepped, TwoLevelParams
+from .two_level import Trajectory, _drive_max_step, _peak, _Propagator, _stepped
 
 __all__ = [
     "LambdaParams",
@@ -65,11 +69,10 @@ __all__ = [
     "nonadiabatic_load",
     "nonadiabatic_amplitude",
     "adiabatic_control_pulse",
-    "adiabatic_load_tpr",
-    "adiabatic_load_zed",
+    "adiabatic_load",
+    "adiabatic_offset_scan",
     "zed_phase_rate",
     "dark_bright_decompose",
-    "timing_offset_scan",
 ]
 
 # adiabatic elimination is trusted when the detuning exceeds the couplings
@@ -79,25 +82,18 @@ VALIDITY_RATIO = 10.0
 
 @dataclass(frozen=True)
 class LambdaParams:
-    """Rates of the Lambda system (1/time units).
-
-    ``omega`` may be a nonnegative constant or a map t -> Omega(t);
-    ``phi_z_dot`` is the control phase derivative (defaults to zero).
-    """
+    """Rates of the Lambda system (1/time units), with a constant control
+    Omega = ``omega`` and no control phase ramp."""
 
     g_c: float
     kappa: float
     delta1: float
     delta2: float
-    omega: float | Callable[[float], float] = 0.0
+    omega: float = 0.0
     gamma_r: float = 0.0
-    phi_z_dot: Callable[[float], float] | None = None
 
     def __post_init__(self):
-        rates = ["g_c", "kappa", "delta1", "delta2", "gamma_r"]
-        if not callable(self.omega):
-            rates.append("omega")
-        for name in rates:
+        for name in ("g_c", "kappa", "delta1", "delta2", "gamma_r", "omega"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -106,19 +102,9 @@ class LambdaParams:
                 raise ValueError(f"{name} is too large to square, got {value!r}")
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
-        if self.g_c < 0:
-            raise ValueError("g_c must be nonnegative")
-        if self.gamma_r < 0:
-            raise ValueError("gamma_r must be nonnegative")
-        if not callable(self.omega) and self.omega < 0:
-            raise ValueError("omega must be nonnegative")
-
-    @property
-    def omega_const(self) -> float:
-        """The constant control amplitude; error if omega is time dependent."""
-        if callable(self.omega):
-            raise ValueError("omega is time dependent")
-        return float(self.omega)
+        for name in ("g_c", "gamma_r", "omega"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -153,6 +139,9 @@ def full_ode(
     breakpoints: Sequence[float] = (),
     rtol: float = numerics.DEFAULT_RTOL,
     atol: float = numerics.DEFAULT_ATOL,
+    *,
+    omega: Callable[[float], float] | None = None,
+    phi_z_dot: Callable[[float], float] | None = None,
 ) -> Trajectory:
     """Integrate the full three-amplitude system from the vacuum state.
 
@@ -160,9 +149,11 @@ def full_ode(
     ``nonadiabatic_trajectory`` and of the reductions; no command calls
     it.  Its error control alone resolves the c_r rotation at Delta1: at
     the default tolerances it is within 3e-10 of the exact writer at
-    detuning ratios 12 and 24.  ``breakpoints`` lists times where the
-    control is discontinuous (e.g. the switch-off of a step control) so
-    the integrator never steps across them.
+    detuning ratios 12 and 24.  A map t -> Omega(t), ``omega``, replaces
+    ``p.omega``, and ``phi_z_dot`` adds a control phase ramp dphi_z/dt.
+    ``breakpoints`` lists times where the control is discontinuous (e.g.
+    the switch-off of a step control) so the integrator never steps
+    across them.
     """
     grid = np.asarray(grid, dtype=float)
     t_start = min(float(grid[0]), pulse.support[0])
@@ -170,10 +161,9 @@ def full_ode(
     kappa, gamma_r = p.kappa, p.gamma_r
     c_g, c_d1 = -1j * p.g_c, 1j * d1
     c_drive = 1j * math.sqrt(2.0 * kappa)
-    # the control and the target's rotation; a callable control or phase
-    # ramp is evaluated at every call, a constant one once here
-    omega, phi_z_dot = p.omega, p.phi_z_dot
-    c_om = None if callable(omega) else 1j * omega
+    # the control and the target's rotation; a time-dependent control or
+    # phase ramp is evaluated at every call, a constant one once here
+    c_om = None if omega else 1j * p.omega
     c_rot = None if phi_z_dot else 1j * (d2 - d1)
 
     def rhs(t, y):
@@ -216,9 +206,7 @@ class _LambdaPropagator:
 
     @classmethod
     def of(cls, p: LambdaParams) -> "_LambdaPropagator":
-        if p.phi_z_dot is not None:
-            raise ValueError("the exact stepping assumes a constant control phase")
-        c_g, c_om, c_rot = -1j * p.g_c, -1j * p.omega_const, -1j * (p.delta2 - p.delta1)
+        c_g, c_om, c_rot = -1j * p.g_c, -1j * p.omega, -1j * (p.delta2 - p.delta1)
         a = np.array([[-p.kappa, c_g, 0], [c_g, 1j * p.delta1 - p.gamma_r, c_om], [0, c_om, c_rot]])
         # LinAlgError, a ValueError, where an entry of A overflows
         rate = float(np.abs(np.linalg.eigvals(a)).max())
@@ -263,7 +251,7 @@ def nonadiabatic_trajectory(
 
 
 def reduce(p: LambdaParams) -> ReducedParams:
-    """Adiabatically eliminate the upper state for a constant control.
+    """Adiabatically eliminate the upper state.
 
     Valid for detunings much larger than the couplings; warns when Delta1
     is below 10x max(g_c, Omega, gamma_r).  A rate is infinite only where
@@ -271,9 +259,7 @@ def reduce(p: LambdaParams) -> ReducedParams:
     """
     if p.delta1 == 0:
         raise ValueError("adiabatic elimination requires a nonzero Delta1")
-    if p.phi_z_dot is not None:
-        raise ValueError("adiabatic elimination assumes a constant control phase")
-    g_c, gamma_r, om, d1 = p.g_c, p.gamma_r, p.omega_const, p.delta1
+    g_c, gamma_r, om, d1 = p.g_c, p.gamma_r, p.omega, p.delta1
     scale = max(g_c, om, gamma_r)
     valid = abs(d1) >= VALIDITY_RATIO * scale
     if not valid:
@@ -315,13 +301,10 @@ def _over_square(x: float, y: float, d: float) -> float:
 
 
 def stark_compensation(p: LambdaParams) -> float:
-    """Delta2 that zeroes the effective detuning for a constant control."""
+    """Delta2 that zeroes the effective detuning."""
     if p.delta1 == 0:
         raise ValueError("stark compensation requires a nonzero Delta1")
-    if p.phi_z_dot is not None:
-        raise ValueError("stark compensation assumes a constant control phase")
-    om = p.omega_const
-    delta2 = (p.g_c**2 - om**2) / p.delta1 + p.delta1
+    delta2 = (p.g_c**2 - p.omega**2) / p.delta1 + p.delta1
     if not math.isfinite(delta2):
         raise ValueError(f"the Stark-compensating Delta2 of {p} overflows")
     return delta2
@@ -348,7 +331,7 @@ def nonadiabatic_amplitude(p: LambdaParams, pulse: PulseShape, t: float) -> comp
     coupling g_eff / Gamma_r, rates gamma_eff and delta_eff, and the drive
     decay as extra damping; so |.|^2 is the loading probability.
     """
-    if p.omega_const <= 0:
+    if p.omega <= 0:
         return 0.0 + 0.0j
     red = reduce(p)
     gamma_prime = complex(red.gamma_eff, -red.delta_eff)
@@ -394,11 +377,12 @@ def adiabatic_control_pulse(g_c: float, kappa: float, T: float, t):
 def zed_phase_rate(
     p: LambdaParams, T: float, t_center: float = 0.0
 ) -> Callable[[float], float]:
-    """Analytic control phase ramp that zeroes the effective detuning.
+    """Analytic control phase ramp that zeroes the effective detuning,
+    for ``full_ode``'s ``phi_z_dot``.
 
     dphi_z/dt = Delta1 - Delta2 + (g_c^2 - Omega^2(t)) / Delta1 with the
     dark-state control of ``adiabatic_control_pulse`` centered at
-    ``t_center``.
+    ``t_center``; ``p.omega`` is not read.
     """
     g_c, kappa, d1, d2 = p.g_c, p.kappa, p.delta1, p.delta2
 
@@ -471,13 +455,21 @@ def _adiabatic_reduced_run(
     # rho of the pair, are at the first grid point; the sign of g' is only
     # the sign of c_e
     om_max = omega_unit(grid[0])
-    g_abs = np.abs(g_prime)
-    rho = kappa + g_abs * om_max + (g_abs * (1.0 + om_max**2) if detuned else 0.0)
-    if not np.isfinite(rho).all():
+    if not math.isfinite(om_max):
         raise numerics.OdeFailure("the adiabatic control is not finite", float(grid[0]))
+    g_abs = np.abs(g_prime)
+    # a rate past the float range is inf, not a warning
+    with np.errstate(over="ignore"):
+        rho = kappa + g_abs * om_max + (g_abs * (1.0 + om_max**2) if detuned else 0.0)
+    if not np.isfinite(rho).all():
+        rate = "kappa + g' Omega" + (" + g' (1 + Omega^2)" if detuned else "")
+        message = f"the adiabatic run's fastest rate {rate} overflows at g' = {g_abs.max():.3g}"
+        raise numerics.OdeFailure(f"{message}, Omega = {om_max:.3g}", float(grid[0]))
     # RK4 is stable on the imaginary axis up to |h lambda| = 2.8
     h_max = np.minimum(T / _RK4_STEPS_PER_WIDTH, 2.0 / rho)
-    n_stable = np.ceil(float(grid[-1] - grid[0]) / h_max)
+    # Python division: a step count past the float range is inf, not a warning
+    span = float(grid[-1] - grid[0])
+    n_stable = np.ceil([span / h for h in np.ravel(h_max).tolist()])
     if np.any(n_stable > _RK4_STEP_BUDGET):
         raise numerics.OdeFailure(
             f"the adiabatic run needs {n_stable.max():.3g} RK4 steps to stay stable, "
@@ -574,40 +566,19 @@ def _rk4_maps(h, a_bb: complex, a_be, a_ee, force):
     return m[:, :2].transpose(2, 0, 1), m[:, 2].T
 
 
-def adiabatic_load_tpr(
-    g_c: float,
-    delta1: float,
-    kappa: float,
-    T: float,
-    grid=None,
+def adiabatic_load(
+    g_c: float, delta1: float, kappa: float, T: float, *, detuned: bool, grid=None
 ) -> tuple[Trajectory, float]:
-    """Adiabatic passage at two-photon resonance (Delta1 = Delta2, no ramp).
+    """Adiabatic passage of a sech input of width T centered at T, at
+    two-photon resonance (``detuned``: Delta1 = Delta2, no ramp) or with
+    the phase ramp that zeroes the effective detuning.
 
-    Returns the reduced-model trajectory and the settled loading
-    probability |c_e|^2 at four widths past the center of a sech input
-    of width T centered at T (t = 5T).  Only the combination
+    Returns the reduced-model trajectory, with c_r reconstructed from the
+    eliminated-state relation, and the settled loading probability
+    |c_e|^2 at its last time: four widths past the pulse center (t = 5T)
+    unless ``grid`` ends elsewhere.  Only the combination
     g' = g_c^2 / Delta1 matters for the populations.
     """
-    return _adiabatic_load(g_c, delta1, kappa, T, grid, detuned=True)
-
-
-def adiabatic_load_zed(
-    g_c: float,
-    delta1: float,
-    kappa: float,
-    T: float,
-    grid=None,
-) -> tuple[Trajectory, float]:
-    """Adiabatic passage with the phase ramp that zeroes the effective
-    detuning; same conventions as ``adiabatic_load_tpr``."""
-    return _adiabatic_load(g_c, delta1, kappa, T, grid, detuned=False)
-
-
-def _adiabatic_load(
-    g_c: float, delta1: float, kappa: float, T: float, grid, detuned: bool
-) -> tuple[Trajectory, float]:
-    """Either adiabatic load (``_adiabatic_reduced_run``'s ``detuned``),
-    with c_r reconstructed from the eliminated-state relation."""
     if delta1 == 0:
         raise ValueError("adiabatic elimination requires a nonzero Delta1")
     traj = _adiabatic_reduced_run(g_c**2 / delta1, kappa, T, detuned=detuned, grid=grid)
@@ -616,6 +587,19 @@ def _adiabatic_load(
         g_c * traj.amplitudes["beta"] + om * traj.amplitudes["c_e"]
     ) / delta1
     return traj, float(traj.population("c_e")[-1])
+
+
+def adiabatic_offset_scan(
+    g_prime: float, kappa: float, T: float, offsets, *, detuned: bool
+) -> np.ndarray:
+    """Settled loading probability of the adiabatic scheme (``detuned`` as
+    in ``adiabatic_load``) with the whole control shifted by each timing
+    error in ``offsets``, one ``_adiabatic_reduced_run`` each."""
+    runs = (
+        _adiabatic_reduced_run(g_prime, kappa, T, detuned=detuned, control_offset=off)
+        for off in np.asarray(offsets, dtype=float).tolist()
+    )
+    return np.array([run.population("c_e")[-1] for run in runs])
 
 
 def dark_bright_decompose(
@@ -633,35 +617,3 @@ def dark_bright_decompose(
         b_amp=sin_t * g_amp + cos_t * e_amp,
         r_amp=complex(r_amp),
     )
-
-
-def timing_offset_scan(scheme: str, config: dict, offsets) -> np.ndarray:
-    """Loading probability versus timing error for either scheme.
-
-    For the non-adiabatic scheme the control stops at T_Load + offset,
-    where the loading is read from one ``two_level.stepped_trajectory``;
-    for the adiabatic scheme the whole control is shifted by the offset.
-    ``config`` carries kappa, T and the scheme's coupling (``g`` for
-    non-adiabatic, ``g_prime`` and optional ``variant`` for adiabatic).
-    """
-    if scheme not in ("nonadiabatic", "adiabatic"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    offsets = np.asarray(offsets, dtype=float)
-    kappa = float(config["kappa"])
-    T = float(config["T"])
-    if scheme == "nonadiabatic":
-        pulse = make_sech(T, T)
-        params = TwoLevelParams(g=float(config["g"]), kappa=kappa)
-        t_load = config.get("t_load")
-        if t_load is None:
-            t_load, _ = two_level.peak_loading(params, pulse, 5.0 * T)
-        return two_level.stepped_trajectory(params, pulse, t_load + offsets).population("c_e")
-    g_prime = float(config["g_prime"])
-    detuned = config.get("variant", "zed") == "tpr"
-    out = np.empty(offsets.shape)
-    for i, off in enumerate(offsets):
-        traj = _adiabatic_reduced_run(
-            g_prime, kappa, T, detuned=detuned, control_offset=float(off)
-        )
-        out[i] = float(traj.population("c_e")[-1])
-    return out

@@ -172,7 +172,7 @@ def _adiabatic(detuned: bool) -> Scenario:
         delta1 = 400.0
         g_c = float(np.sqrt(cfg["g_prime_over_k"] * delta1))
         grid = np.linspace(pulses.make_sech(T, T).support[0], 5.0 * T, points)
-        traj, _ = lambda_memory._adiabatic_load(g_c, delta1, 1.0, T, grid, detuned)
+        traj, _ = lambda_memory.adiabatic_load(g_c, delta1, 1.0, T, detuned=detuned, grid=grid)
         return _table(traj, T, _LAMBDA_COLUMNS)
 
     return Scenario(

@@ -29,6 +29,9 @@ __all__ = [
 _SECH_CUTOFF = 5.0
 # one-sided exponential cutoff in units of T; tail norm e^{-32} ~ 1.3e-14
 _EXP_CUTOFF = 16.0
+# the routes' longest windows span ~20 widths (an exponential's tail and a
+# horizon of 5 widths): a width whose 64-fold overflows leaves them no room
+MAX_WIDTH = 1.7976931348623157e308 / 64.0
 
 
 @dataclass(frozen=True)
@@ -189,3 +192,5 @@ def _check_width(T: float, kind: str) -> None:
     # for a subnormal T, and 1/sqrt(T), finite for every T > 0, for the rectangle
     if kind != "rectangular" and not math.isfinite(2.0 / T):
         raise ValueError(f"pulse width is too small: sqrt(2/T) overflows for T = {T!r}")
+    if T > MAX_WIDTH:
+        raise ValueError(f"pulse width is too large: its windows overflow for T = {T!r}")

@@ -143,10 +143,10 @@ def test_c03b_pulse_shape_band():
 
 
 def test_c04_adiabatic_tpr_point():
-    _, p90 = lm.adiabatic_load_tpr(20.0, 200.0, 1.0, 5.0)
+    _, p90 = lm.adiabatic_load(20.0, 200.0, 1.0, 5.0, detuned=True)
     probs = []
     for gp in (0.5, 1.0, 1.5, 2.0, 3.0):
-        _, pr = lm.adiabatic_load_tpr(20.0, 20.0**2 / gp, 1.0, 5.0)
+        _, pr = lm.adiabatic_load(20.0, 20.0**2 / gp, 1.0, 5.0, detuned=True)
         probs.append(pr)
     monotone = all(b >= a - 1e-9 for a, b in zip(probs, probs[1:]))
     ok = abs(p90 - 0.90) <= 0.05 and monotone
@@ -211,11 +211,11 @@ def test_c07_nonadiabatic_throughput():
 def test_c08a_timing_tolerance_nonadiabatic():
     kT = 1.0
     opt = optimize.optimize_coupling("two_level", {"kT": kT}, (0.5, 4.0))
-    probs = lm.timing_offset_scan(
-        "nonadiabatic",
-        {"kappa": 1.0, "T": kT, "g": opt.g_opt, "t_load": opt.T_load},
-        np.array([-kT / 2.0, 0.0, kT / 2.0]),
-    )
+    # the control stops at T_load + offset; the loading is frozen there
+    stops = opt.T_load + np.array([-kT / 2.0, 0.0, kT / 2.0])
+    memory = TwoLevelParams(g=opt.g_opt, kappa=1.0)
+    traj = two_level.stepped_trajectory(memory, pulses.make_sech(kT, kT), stops)
+    probs = traj.population("c_e")
     r_minus, r_plus = probs[0] / probs[1], probs[2] / probs[1]
     ok = 0.4 <= r_minus <= 0.6 and 0.4 <= r_plus <= 0.6
     assert report(
@@ -229,10 +229,8 @@ def test_c08a_timing_tolerance_nonadiabatic():
 def test_c08b_timing_tolerance_adiabatic():
     kT = 4.5
     opt = optimize.optimize_coupling("lambda_adiabatic_zed", {"kT": kT}, (0.4, 2.5))
-    probs = lm.timing_offset_scan(
-        "adiabatic",
-        {"kappa": 1.0, "T": kT, "g_prime": opt.g_opt, "variant": "zed"},
-        np.array([-kT / 2.0, 0.0, kT / 2.0]),
+    probs = lm.adiabatic_offset_scan(
+        opt.g_opt, 1.0, kT, np.array([-kT / 2.0, 0.0, kT / 2.0]), detuned=False
     )
     r_minus, r_plus = probs[0] / probs[1], probs[2] / probs[1]
     ok = 0.4 <= r_minus <= 0.6 and 0.4 <= r_plus <= 0.6

@@ -55,12 +55,10 @@ def test_tracer_sees_every_hooked_layer(tmp_path):
         ):
             p, _ = optimize.scenario_probability(scenario, 1.0, fixed)
             assert 0.0 < p <= 1.0
-        peak_searches = tracer.calls["two_level.peak_loading"]
-        # without t_load the scan finds the loading peak through two_level
-        lambda_memory.timing_offset_scan(
-            "nonadiabatic", {"kappa": 1.0, "T": 1.0, "g": 1.7}, [0.0]
-        )
-        assert tracer.calls["two_level.peak_loading"] > peak_searches
+        adiabatic_runs = tracer.calls["lambda_memory.adiabatic_run"]
+        # the timing scan reaches the adiabatic runs through the module
+        lambda_memory.adiabatic_offset_scan(1.0, 1.0, 4.5, [0.0, 1.0], detuned=False)
+        assert tracer.calls["lambda_memory.adiabatic_run"] == adiabatic_runs + 2
         rc = cli.main(
             [
                 "optimize",

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -343,8 +344,8 @@ def test_simulate_adiabatic_by_flags(tmp_path, variant):
     assert header == ["t_over_T", "pop_beta", "pop_cr", "pop_ce"]
     # the module's run on the same grid, with g' = g_c^2 / Delta1 = 1
     grid = np.linspace(pulses.make_sech(4.5, 4.5).support[0], 5.0 * 4.5, 80)
-    load = getattr(lambda_memory, f"adiabatic_load_{variant}")
-    traj, _ = load(20.0, 400.0, 1.0, 4.5, grid=grid)
+    detuned = variant == "tpr"
+    traj, _ = lambda_memory.adiabatic_load(20.0, 400.0, 1.0, 4.5, detuned=detuned, grid=grid)
     np.testing.assert_allclose(
         np.asarray(rows)[:, 3], traj.population("c_e"), rtol=0.0, atol=1e-12
     )
@@ -512,6 +513,16 @@ _LAMBDA_NONADIABATIC_SIMULATE = [
         (_LAMBDA_NONADIABATIC_SIMULATE + ["--delta1_over_k", "1e-310"], 2),
         (["optimize", "--scenario", "mitnu", "--kT", "1e-310", "--kT0", "2"], 2),
         (["optimize", "--scenario", "mitnu", "--kT", "2", "--kT0", "1e-310"], 3),
+        (
+            ["simulate", "--scenario", "lambda_adiabatic_tpr", "--kT", "1e10"]
+            + ["--g_prime_over_k", "1e300"],
+            3,
+        ),
+        (["optimize", "--scenario", "lambda_adiabatic_zed", "--kT", "1e300", "--g_max", "1e300"], 3),
+        (["optimize", "--scenario", "lambda_adiabatic_tpr", "--kT", "5", "--g_max", "1.7e308"], 3),
+        (["optimize", "--scenario", "lambda_adiabatic_zed", "--kT", "5", "--g_max", "1.7e308"], 3),
+        (["optimize", "--scenario", "lambda_adiabatic_tpr", "--kT", "5", "--g_max", "1e308"], 3),
+        (["optimize", "--scenario", "lambda_adiabatic_zed", "--kT", "5", "--g_max", "1e308"], 3),
     ],
     ids=[
         "two_level-delta",
@@ -542,13 +553,21 @@ _LAMBDA_NONADIABATIC_SIMULATE = [
         "lambda_nonadiabatic-subnormal-delta1",
         "mitnu-subnormal-kT",
         "mitnu-subnormal-kT0",
+        "tpr-steps-overflow",
+        "zed-optimize-steps-overflow",
+        "tpr-rate-overflow",
+        "zed-rate-overflow",
+        "tpr-rate-overflow-1e308",
+        "zed-rate-overflow-1e308",
     ],
 )
 def test_contract_for_extreme_inputs(tmp_path, capsys, argv, code):
     # overflowing rates, a pulse width or carrier shift whose amplitude or
     # phase overflows and a negative g' are configuration errors; a pair
-    # rule past its node budget is a numeric failure, raised before the rule
-    # is allocated; none of them may leak a traceback or a warning
+    # rule past its node budget, or an adiabatic run whose fastest rate or
+    # stable step count overflows, is a numeric failure, raised before the
+    # rule or the run is allocated; none of them may leak a traceback or a
+    # warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = run(argv + ["--out", str(tmp_path / "out.csv")])
@@ -594,32 +613,69 @@ _FUZZ_OPTIONAL = {
     "gamma_over_g": "0.1", "points": "20", "out": "out.csv",
     "g_min": "0.1", "g_max": "5", "tol": "0.1",
 }
-_FUZZ_VALUES = ("0", "-0.0", "1e-300", "1e-310", "1e300", "-1", "nan", "inf", "abc")
+_FUZZ_VALUES = (
+    "0", "-0.0", "1e-300", "1e-310", "1e300", "1.7e308", "-1", "nan", "inf", "abc",
+)
+# the pairwise fuzz sets two fields at once to these magnitudes; the fields
+# that are no magnitude (a pulse family, a grid size, a path) it leaves alone
+_PAIR_VALUES = ("1e10", "1e300")
+_NOT_MAGNITUDES = {"pulse", "points", "out"}
 
 
-def _fuzz_commands():
-    """Every fuzzed argv: for each scenario's simulate and optimize command
-    with all its fields set, each field set to each of _FUZZ_VALUES in
-    turn, and each optional field left out."""
+def _fuzz_bases():
+    """(command, scenario, the valid fields, the optional names) for each
+    scenario's simulate and optimize command with all its fields set."""
     for (command, scenario), required in _FUZZ_REQUIRED.items():
         fields = getattr(optimize.get_scenario(scenario), command)
         optional = [*fields.optional, *cli.COMMON_FIELDS[command]]
         base = {**required, **{key: _FUZZ_OPTIONAL[key] for key in optional}}
+        yield command, scenario, base, optional
+
+
+def _argv(command, scenario, values):
+    flags = [f"--{key}={raw}" for key, raw in values.items() if raw is not None]
+    return (command, f"--scenario={scenario}", *flags)
+
+
+def _fuzz_commands():
+    """Every fuzzed argv: each field set to each of _FUZZ_VALUES in turn,
+    and each optional field left out."""
+    for command, scenario, base, optional in _fuzz_bases():
         for name in base:
             for value in _FUZZ_VALUES + ((None,) if name in optional else ()):
-                values = {**base, name: value}
-                flags = [f"--{key}={raw}" for key, raw in values.items() if raw is not None]
-                yield (command, f"--scenario={scenario}", *flags)
+                yield _argv(command, scenario, {**base, name: value})
+
+
+def _pair_fuzz_commands():
+    """Every pair of magnitude fields set to every pair of _PAIR_VALUES."""
+    for command, scenario, base, _ in _fuzz_bases():
+        names = [name for name in base if name not in _NOT_MAGNITUDES]
+        for pair in itertools.combinations(names, 2):
+            for raw in itertools.product(_PAIR_VALUES, repeat=2):
+                yield _argv(command, scenario, {**base, **dict(zip(pair, raw))})
 
 
 # hypothesis never repeats a draw, so as many examples as commands run each
 # command once
 _FUZZ_COMMANDS = list(_fuzz_commands())
+_PAIR_FUZZ_COMMANDS = list(_pair_fuzz_commands())
 
 
 @settings(derandomize=True, max_examples=len(_FUZZ_COMMANDS), deadline=None, database=None)
 @given(st.sampled_from(_FUZZ_COMMANDS))
 def test_cli_fuzz_keeps_the_contract(argv):
+    _assert_contract(argv)
+
+
+@settings(derandomize=True, max_examples=len(_PAIR_FUZZ_COMMANDS), deadline=None, database=None)
+@given(st.sampled_from(_PAIR_FUZZ_COMMANDS))
+def test_cli_pairwise_fuzz_keeps_the_contract(argv):
+    # two extreme fields at once reach what one alone does not, such as an
+    # adiabatic run's step count over a long pulse at a large coupling
+    _assert_contract(argv)
+
+
+def _assert_contract(argv):
     # exit 0, 2 or 3 and nothing on stderr but the message, and no nan in
     # what a successful run writes; the run works in a scratch directory,
     # where a default or fuzzed --out lands

@@ -334,6 +334,12 @@ def test_spdc_params_validation():
         SpdcParams(T=1.0, T0=-1.0)
 
 
+def test_spdc_params_reject_a_window_past_the_range():
+    # the joint support, pump center + 5 T + T0 / 2, would overflow
+    with pytest.raises(ValueError, match="T0 is too large"):
+        SpdcParams(T=1.0, T0=1.7e308)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_spdc_params_reject_non_finite(bad):
     with pytest.raises(ValueError, match="T "):

@@ -135,17 +135,6 @@ def test_reduce_keeps_the_rates_where_the_square_is_finite():
         assert red.drive_decay_rate == 0.3 / delta1**2
 
 
-def test_reduce_requires_constant_control():
-    ramp = LambdaParams(g_c=5.0, kappa=1.0, delta1=50.0, delta2=50.0, omega=lambda t: 5.0)
-    with pytest.raises(ValueError, match="time dependent"):
-        lm.reduce(ramp)
-    phased = LambdaParams(
-        g_c=5.0, kappa=1.0, delta1=50.0, delta2=50.0, omega=5.0, phi_z_dot=lambda t: 0.0
-    )
-    with pytest.raises(ValueError, match="constant control phase"):
-        lm.reduce(phased)
-
-
 def test_stark_compensation_two_photon_resonance():
     p = make_params(g_c=3.0, omega=3.0, delta1=60.0)
     assert lm.stark_compensation(p) == pytest.approx(60.0)
@@ -258,11 +247,11 @@ def test_nonadiabatic_freeze_after_switch_off():
     def omega_step(t):
         return np.where(np.asarray(t) <= t_stop, om, 0.0)
 
-    p = LambdaParams(
-        g_c=5.0, kappa=1.0, delta1=50.0, delta2=50.0, omega=omega_step, gamma_r=0.0
-    )
+    p = LambdaParams(g_c=5.0, kappa=1.0, delta1=50.0, delta2=50.0, gamma_r=0.0)
     grid = np.linspace(t_stop, 12.0, 50)
-    traj = lm.full_ode(p, PULSE, grid, breakpoints=(t_stop,), rtol=1e-10, atol=1e-12)
+    traj = lm.full_ode(
+        p, PULSE, grid, breakpoints=(t_stop,), rtol=1e-10, atol=1e-12, omega=omega_step
+    )
     mags = np.abs(traj.amplitudes["c_e"])
     assert np.max(np.abs(mags - mags[0])) < 1e-9
 
@@ -294,27 +283,28 @@ def test_control_pulse_threshold_edge():
 
 def test_adiabatic_tpr_anchor():
     # ninety percent loading near g' = 2 kappa for kappa T = 5
-    _, p = lm.adiabatic_load_tpr(20.0, 200.0, 1.0, 5.0)
+    _, p = lm.adiabatic_load(20.0, 200.0, 1.0, 5.0, detuned=True)
     assert p == pytest.approx(0.90, abs=0.05)
 
 
 def test_adiabatic_tpr_uses_only_g_prime():
-    _, p1 = lm.adiabatic_load_tpr(20.0, 200.0, 1.0, 5.0)
-    _, p2 = lm.adiabatic_load_tpr(40.0, 800.0, 1.0, 5.0)
+    _, p1 = lm.adiabatic_load(20.0, 200.0, 1.0, 5.0, detuned=True)
+    _, p2 = lm.adiabatic_load(40.0, 800.0, 1.0, 5.0, detuned=True)
     assert p1 == pytest.approx(p2, abs=1e-7)
 
 
-@pytest.mark.parametrize("load", [lm.adiabatic_load_tpr, lm.adiabatic_load_zed])
+# ids: the load of each variant, tpr (detuned) and zed
+@pytest.mark.parametrize("detuned", [True, False], ids=["adiabatic_load_tpr", "adiabatic_load_zed"])
 @pytest.mark.parametrize("delta1", [0.0, -0.0])
-def test_adiabatic_load_requires_detuning(load, delta1):
+def test_adiabatic_load_requires_detuning(detuned, delta1):
     # g' = g_c^2 / Delta1 is undefined: a ValueError worded as reduce's,
     # not a ZeroDivisionError
     with pytest.raises(ValueError, match="adiabatic elimination requires a nonzero Delta1"):
-        load(1.0, delta1, 1.0, 5.0)
+        lm.adiabatic_load(1.0, delta1, 1.0, 5.0, detuned=detuned)
 
 
 def test_adiabatic_zed_vanishing_coupling():
-    _, p = lm.adiabatic_load_zed(0.1, 400.0, 1.0, 5.0)
+    _, p = lm.adiabatic_load(0.1, 400.0, 1.0, 5.0, detuned=False)
     assert p < 1e-3
 
 
@@ -328,18 +318,14 @@ def test_adiabatic_zed_matches_full_system():
     def omega(t):
         return lm.adiabatic_control_pulse(g_c, kappa, T, np.asarray(t) - t0)
 
-    base = LambdaParams(g_c=g_c, kappa=kappa, delta1=d1, delta2=d1, omega=omega)
-    p = LambdaParams(
-        g_c=g_c,
-        kappa=kappa,
-        delta1=d1,
-        delta2=d1,
-        omega=omega,
-        phi_z_dot=lm.zed_phase_rate(base, T, t0),
-    )
+    # the shaped control and its phase ramp enter only the oracle
+    p = LambdaParams(g_c=g_c, kappa=kappa, delta1=d1, delta2=d1)
     grid = np.linspace(pulse.support[0], t0 + 4 * T, 200)
-    traj = lm.full_ode(p, lm.compensated_pulse(pulse, p), grid)
-    _, p_red = lm.adiabatic_load_zed(g_c, d1, kappa, T)
+    traj = lm.full_ode(
+        p, lm.compensated_pulse(pulse, p), grid,
+        omega=omega, phi_z_dot=lm.zed_phase_rate(p, T, t0),
+    )
+    _, p_red = lm.adiabatic_load(g_c, d1, kappa, T, detuned=False)
     assert abs(traj.population("c_e")[-1] - p_red) < 0.01
 
 
@@ -371,7 +357,7 @@ def test_adiabaticity_diagnostic_deep_regime():
     kappa, T = 1.0, 10.0
     d1 = 400.0
     g_c = math.sqrt(2.0 * d1)
-    traj, _ = lm.adiabatic_load_tpr(g_c, d1, kappa, T)
+    traj, _ = lm.adiabatic_load(g_c, d1, kappa, T, detuned=True)
     om = lm.adiabatic_control_pulse(g_c, kappa, T, traj.times - T)
     worst = 0.0
     for i in range(len(traj.times)):
@@ -385,46 +371,49 @@ def test_adiabaticity_diagnostic_deep_regime():
     assert worst < 0.05
 
 
+def _stopped_loading(offsets, g=1.7):
+    """The non-adiabatic timing scan of fig8: the effective two-level
+    memory (kappa = 1, sech T = 1) with the control stopped at its loading
+    peak plus each offset, the frozen loading read from one stepped run."""
+    params, pulse = TwoLevelParams(g=g, kappa=1.0), pulses.make_sech(1.0, 1.0)
+    t_load, _ = two_level.peak_loading(params, pulse, 5.0)
+    stops = t_load + np.asarray(offsets, dtype=float)
+    return t_load, two_level.stepped_trajectory(params, pulse, stops).population("c_e")
+
+
 def test_timing_offset_zero_is_peak():
-    cfg = {"kappa": 1.0, "T": 1.0, "g": 1.7}
-    offs = np.array([-0.3, 0.0, 0.3])
-    probs = lm.timing_offset_scan("nonadiabatic", cfg, offs)
+    _, probs = _stopped_loading([-0.3, 0.0, 0.3])
     assert probs[1] >= probs[0] and probs[1] >= probs[2]
 
 
 def test_timing_offset_scan_matches_closed_form():
     # the stepped curve against the convolution oracle at each stop time,
     # offsets in any order
-    cfg = {"kappa": 1.0, "T": 1.0, "g": 1.7}
     offsets = np.array([0.4, -0.9, 0.0, -0.25, 1.0])
-    probs = lm.timing_offset_scan("nonadiabatic", cfg, offsets)
+    t_load, probs = _stopped_loading(offsets)
     params, pulse = TwoLevelParams(g=1.7, kappa=1.0), pulses.make_sech(1.0, 1.0)
-    t_load, _ = two_level.peak_loading(params, pulse, 5.0)
     for off, prob in zip(offsets, probs):
         _, ce = two_level.amplitude_closed_form(params, pulse, t_load + off)
         assert abs(prob - abs(ce) ** 2) <= 1e-10
 
 
 def test_timing_offset_early_stop_kills_loading():
-    cfg = {"kappa": 1.0, "T": 1.0, "g": 1.7}
-    probs = lm.timing_offset_scan("nonadiabatic", cfg, np.array([-8.0]))
+    _, probs = _stopped_loading([-8.0])
     assert probs[0] < 1e-6
 
 
 @pytest.mark.parametrize("variant", ["zed", "tpr"])
 def test_adiabatic_offset_array_is_bit_identical(variant):
     # an array of offsets gives the results of one-offset calls
-    cfg = {"kappa": 1.0, "T": 4.5, "g_prime": 1.0, "variant": variant}
+    detuned = variant == "tpr"
     offsets = np.linspace(-4.5, 4.5, 5)
-    probs = lm.timing_offset_scan("adiabatic", cfg, offsets)
+    probs = lm.adiabatic_offset_scan(1.0, 1.0, 4.5, offsets, detuned=detuned)
     assert probs.shape == offsets.shape
-    singles = [float(lm.timing_offset_scan("adiabatic", cfg, [off])[0]) for off in offsets]
+    singles = [
+        float(lm.adiabatic_offset_scan(1.0, 1.0, 4.5, [off], detuned=detuned)[0])
+        for off in offsets
+    ]
     assert probs.tolist() == singles
-
-
-def test_timing_offset_unknown_scheme():
-    with pytest.raises(ValueError):
-        lm.timing_offset_scan("sudden", {}, [0.0])
 
 
 def test_scaling_invariance_full_system():
@@ -613,6 +602,17 @@ def test_optimize_at_control_threshold_is_numeric_failure(tmp_path, capsys, vari
     assert not (tmp_path / "opt.csv").exists()
 
 
+@pytest.mark.parametrize("detuned", [False, True], ids=["zed", "tpr"])
+def test_adiabatic_rate_overflow_is_named(detuned):
+    # g' times the control's maximum (2 at kappa T = 5) overflows: the
+    # failure names that rate, not the control, which is finite, and warns
+    # of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(numerics.OdeFailure, match=r"fastest rate .* g' = 1.7e\+308"):
+            lm._adiabatic_reduced_run(1.7e308, 1.0, 5.0, detuned)
+
+
 def test_optimize_near_control_threshold_stops_at_the_step_budget(tmp_path, capsys):
     # at kappa T = 4.0001 the control's maximum is ~200, and the stability
     # bound asks for ~7e6 tpr steps at g' = 10 (several seconds per objective)
@@ -657,8 +657,9 @@ def _lambda_case(kind, rates, kT=1.0):
 
 def _t_load(mode, kind, p, drive, grid):
     T = drive.T
-    if mode == "default":
-        # the writer's own default: the effective two-level loading peak
+    if mode == "eliminated":
+        # the loading peak of the adiabatically eliminated (effective
+        # two-level) model, near the exact peak the writer defaults to
         eff = TwoLevelParams(g=abs(p.g_c * p.omega / p.delta1), kappa=1.0)
         return two_level.peak_loading(eff, pulses.make_named(kind, T, T), 5.0 * T)[0]
     if mode == "inside":
@@ -673,20 +674,24 @@ def _step_control_oracle(p, drive, grid, t_load):
     # writer), so the reference runs a decade tighter, split at the
     # switch-off and the pulse's edges
     om = p.omega
-    step = replace(p, omega=lambda t: om if t <= t_load else 0.0)
     breaks = (t_load, *drive.support, drive.t0)
-    return lm.full_ode(step, drive, grid, breakpoints=breaks, rtol=1e-12, atol=1e-14)
+    return lm.full_ode(
+        p, drive, grid, breakpoints=breaks, rtol=1e-12, atol=1e-14,
+        omega=lambda t: om if t <= t_load else 0.0,
+    )
 
 
 @pytest.mark.parametrize(
     "kind, mode, rates",
     [
         # every family, switch-off case, detuning and gamma_r at least
-        # once, at 0.06-0.25 s of DOP853 each
-        ("sech", "default", "20"),
+        # once, at 0.06-0.25 s of DOP853 each; "eliminated" switches off
+        # at the eliminated model's peak, off the exact one the writer's
+        # default search finds
+        ("sech", "eliminated", "20"),
         ("sech", "after", "400"),
         ("sech", "before", "50"),
-        ("rectangular", "default", "-20"),
+        ("rectangular", "eliminated", "-20"),
         ("rectangular", "inside", "20"),
         ("exp_rising", "before", "20"),
         ("exp_rising", "inside", "-20"),
@@ -724,9 +729,11 @@ def test_nonadiabatic_trajectory_switch_off_outside_the_grid():
 
 @pytest.mark.parametrize("rates", ["20", "-20", "50"])
 def test_nonadiabatic_trajectory_converged_in_the_step(rates, monkeypatch):
-    # at these detunings the pulse width, not 1 / |eigenvalue|, sets the step
+    # at these detunings the pulse width, not 1 / |eigenvalue|, sets the
+    # step; the switch-off is the eliminated model's loading peak, given
+    # so that both runs share it
     p, drive, grid = _lambda_case("sech", LAMBDA_RATES[rates], kT=2.0)
-    t_load = _t_load("default", "sech", p, drive, grid)
+    t_load = _t_load("eliminated", "sech", p, drive, grid)
     coarse = lm.nonadiabatic_trajectory(p, drive, grid, t_load)
     monkeypatch.setattr(two_level, "_STEPS_PER_WIDTH", 2 * two_level._STEPS_PER_WIDTH)
     fine = lm.nonadiabatic_trajectory(p, drive, grid, t_load)

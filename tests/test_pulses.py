@@ -99,6 +99,14 @@ def test_subnormal_width_rejected(kind):
         pulses.make_named(kind, 1e-310, 0.0)
 
 
+@pytest.mark.parametrize("kind", ["sech", "rectangular", "exp_decaying", "exp_rising"])
+def test_width_past_the_window_range_rejected(kind):
+    # the routes' windows of ~20 widths would overflow to inf and nan
+    with pytest.raises(ValueError, match="too large"):
+        pulses.make_named(kind, 1.7e308, 1.0)
+    pulses.make_named(kind, pulses.MAX_WIDTH, 1.0)
+
+
 def test_subnormal_width_rectangle_stays_finite():
     # its height 1/sqrt(T) is finite for every positive width
     p = pulses.make_named("rectangular", 1e-310, 0.0)
