@@ -321,6 +321,8 @@ def affine_march(maps, force, start=None) -> np.ndarray:
     substitution in BLAS ``ztbsv``, a single-threaded level-2 routine.  Map
     0 acts only on z[0], so it enters through f[0]; entry (a, b) of the
     map of step j >= 1 sits in band row k + a - b, column k (j - 1) + b.
+    The band is built as n blocks of k contiguous columns: a constant map
+    gives the same block for every step, written in one broadcast.
     """
     n, k = np.shape(force)
     z = np.empty((n + 1, k), dtype=complex)
@@ -334,13 +336,20 @@ def affine_march(maps, force, start=None) -> np.ndarray:
         # number by number, left to right: a vector product can round differently
         z[1] += [sum((first[a, b] * start[b] for b in range(1, k)), first[a, 0] * start[0])
                  for a in range(k)]
-    # entry (a, b) of the map of every step j >= 1
-    rest = maps[1:].transpose(1, 2, 0) if stacked else maps
-    # column j of the band holds A[j + d, j] in row d; the diagonal is one
-    band = np.zeros((2 * k, k * n), dtype=complex, order="F")
-    for a in range(k):
+    # blocks[j, b] is band column k j + b, the unknown z[j + 1][b]: entry
+    # (a, b) of the map of step j + 1 in row k + a - b (the diagonal, row 0,
+    # is one), and nothing below z[n]
+    blocks = np.zeros((n, k, 2 * k), dtype=complex)
+    if stacked:
+        for a in range(k):
+            for b in range(k):
+                blocks[: n - 1, b, k + a - b] = -maps[1:, a, b]
+    else:
+        block = np.zeros((k, 2 * k), dtype=complex)
         for b in range(k):
-            band[k + a - b, b : k * (n - 1) : k] = -rest[a, b]
+            block[b, k - b : 2 * k - b] = -maps[:, b]
+        blocks[: n - 1] = block
+    band = blocks.reshape(k * n, 2 * k).T  # Fortran order, as ztbsv reads it
     x = z[1:].reshape(-1)
     x[:] = blas.ztbsv(2 * k - 1, band, x, lower=1, diag=1, overwrite_x=1)
     return z

@@ -9,6 +9,7 @@ windows can be chosen mechanically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -108,13 +109,16 @@ def make_sech(T: float, t0: float) -> PulseShape:
     )
 
 
+# a pulse is immutable: equal arguments get the one object, so that the
+# calls of one coupling optimum hit two_level's scan grid memo, keyed on it
+@functools.lru_cache(maxsize=16, typed=True)
 def make_named(kind: str, T: float, t0: float) -> PulseShape:
     """Construct a unit-norm pulse of a named family with width T.
 
     Families: "sech"; "rectangular" (height 1/sqrt(T) on
     [t0 - T/2, t0 + T/2]); "exp_decaying" (sqrt(2/T) e^{-(t-t0)/T} for
     t >= t0); "exp_rising" (its time mirror, nonzero for t <= t0);
-    "zero".
+    "zero".  Equal arguments (of equal types) return the same object.
     """
     if kind == "sech":
         return make_sech(T, t0)

@@ -110,6 +110,18 @@ def _sinhc(z):
     return out
 
 
+def _exp_or_zero(exponent):
+    """e^exponent where the exponent is finite and 0 elsewhere.  The 0 is
+    exact where the real part is -inf: (+-xi/2 - mean) s at a lag s near
+    the float range with a damping Re(mean) > 0.  Where only the imaginary
+    part overflows (no damping, a large detuning) the phase is lost and 0
+    stands for a factor of modulus e^Re."""
+    finite = np.isfinite(exponent)
+    if finite.all():
+        return np.exp(exponent)
+    return np.exp(exponent, out=np.zeros(np.shape(exponent), dtype=complex), where=finite)
+
+
 # kernel evaluation switches from the exponential difference to the factored
 # sinhc form when |xi s / 2| drops below this, avoiding cancellation near the
 # confluent point and overflow far from it
@@ -159,16 +171,32 @@ class _Propagator:
         Factored near the confluent point; from |xi s / 2| =
         ``_FACTORED_THRESHOLD`` on, the two exponentials e^{(+-xi/2 - mean) s}
         directly, since cosh and sinh overflow long before their damped
-        products do (gamma >> kappa).
+        products do (gamma >> kappa).  A form is evaluated only when some
+        lag uses it: the stepping's lags are nearly always all factored, a
+        quadrature panel's kernel lags often all exponential.
         """
-        half = 0.5 * self.xi * s
-        near = np.abs(half) < _FACTORED_THRESHOLD
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = 0.5 * self.xi * s
+            near = np.abs(half) < _FACTORED_THRESHOLD
+            if near.all():
+                return self._factored(half, s)
+            if not near.any():
+                return self._exponential(half, s, self.xi)
+            factored = self._factored(np.where(near, half, 0.0), s)
+            exponential = self._exponential(half, s, np.where(near, 1.0, self.xi))
+            return tuple(np.where(near, f, e) for f, e in zip(factored, exponential))
+
+    def _factored(self, half, s):
+        """(ch, sh) from cosh and sinhc of ``half`` = xi s / 2."""
         damp = np.exp(-self.mean * s)
-        half_near = np.where(near, half, 0.0)
-        ch, sh = np.cosh(half_near) * damp, s * _sinhc(half_near) * damp
-        up, down = np.exp(half - self.mean * s), np.exp(-half - self.mean * s)
-        xi = np.where(near, 1.0, self.xi)
-        return np.where(near, ch, 0.5 * (up + down)), np.where(near, sh, (up - down) / xi)
+        return np.cosh(half) * damp, s * _sinhc(half) * damp
+
+    def _exponential(self, half, s, xi):
+        """(ch, sh) from e^{(+-xi/2 - mean) s}, ``half`` = xi s / 2, each
+        formed by ``_exp_or_zero``: a lag near the float range times a
+        large rate overflows the exponents."""
+        up, down = _exp_or_zero(half - self.mean * s), _exp_or_zero(-half - self.mean * s)
+        return 0.5 * (up + down), (up - down) / xi
 
     def matrix(self, s):
         """exp(A s), entry first: [[bb, be], [eb, ee]] with eb = be, each
@@ -334,18 +362,22 @@ def _peak(props, pulse: PulseShape, horizon: float):
     An exact scan on one ``_scan_grid``, at the smallest ``max_step`` of
     the batch, locates each global basin despite Rabi oscillations: the
     propagators share the grid and the pulse, and each one's march is one
-    banded solve.  Brent refinement, in lockstep over the propagators,
-    takes one partial step from the grid state below each trial time; a
-    refined peak time is known to about sqrt(eps) |t|.  Ties break toward
-    the earliest time.
+    banded solve.  The grid comes from ``_scan_grid``'s memo when the last
+    call scanned the same pulse to the same horizon, as every call of one
+    coupling optimum does.  Brent refinement, in lockstep over the
+    propagators, takes one partial step from the grid state below each
+    trial time, with the rows of one stacked propagator; a refined peak
+    time is known to about sqrt(eps) |t|.  Ties break toward the earliest
+    time.
     """
     grid, phi, width = _scan_grid(pulse, horizon, max_step=min(q.max_step for q in props))
     last = props[0].size - 1
     values = np.empty((len(props), len(grid)))
+    stacked = _stack(props)
     # per propagator, the first grid index the refinement reads and the
     # states there and at the next index: the best scanned point's cells
     kept = []
-    for row, states in enumerate(_marches(_stack(props), pulse, grid, phi)):
+    for row, states in enumerate(_marches(stacked, pulse, grid, phi)):
         values[row] = np.abs(states[:, last]) ** 2
         first = max(int(values[row].argmax()) - 1, 0)
         kept.append((first, states[first : first + 2].copy()))
@@ -353,8 +385,8 @@ def _peak(props, pulse: PulseShape, horizon: float):
     def objective(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
         i = np.minimum(np.searchsorted(grid, times, side="right") - 1, len(grid) - 2)
         state = np.array([kept[r][1][j - kept[r][0]] for r, j in zip(rows.tolist(), i.tolist())])
-        row_props = [props[r] for r in rows.tolist()]
-        return np.abs(_partial_steps(row_props, pulse, grid[i], state, times)[:, last]) ** 2
+        out = _partial_steps(_rows(stacked, rows), pulse, grid[i], state, times)
+        return np.abs(out[:, last]) ** 2
 
     return numerics.scan_refine(objective, grid, values, 1e-10 * max(width, 1.0))[:2]
 
@@ -377,6 +409,12 @@ def _stack(props):
     return type(props[0])(*(np.array(col)[:, None] for col in cols))
 
 
+def _rows(prop, rows):
+    """The rows ``rows`` (an index array) of the stacked propagator ``prop``,
+    as one stacked propagator: ``_stack`` of those rows' propagators."""
+    return type(prop)(*(value[rows] for value in vars(prop).values()))
+
+
 # The stepping helpers below take any propagator of ``size`` = k amplitudes,
 # the first one driven at rate ``kappa``, whose ``matrix(s)`` is exp(A s)
 # entry first (``matrix(s)[a][b]`` is entry (a, b) at every step length in
@@ -394,12 +432,22 @@ def _stepped(prop, pulse: PulseShape, times, start=None, state=None):
     late = np.flatnonzero(times > t_begin)
     if late.size:
         grid, phi, _ = _scan_grid(pulse, float(times.max()), t_begin, prop.max_step)
-        march = next(_marches(_stack([prop]), pulse, grid, phi, state))
+        one = _stack([prop])
+        march = next(_marches(one, pulse, grid, phi, state))
         for lo in range(0, late.size, _DRIVE_BLOCK):
             rows = late[lo : lo + _DRIVE_BLOCK]
             i = np.searchsorted(grid, times[rows], side="right") - 1
-            out[rows] = _partial_steps([prop] * rows.size, pulse, grid[i], march[i], times[rows])
+            block = _rows(one, np.zeros(rows.size, dtype=int))
+            out[rows] = _partial_steps(block, pulse, grid[i], march[i], times[rows])
     return out
+
+
+# the last ``_scan_grid`` result, under its (pulse, horizon, start,
+# max_step) and the grid constants: every objective call of one coupling
+# optimum scans the same pulse to the same horizon.  One entry, so that no
+# later request reuses an earlier one's grid and memory stays that of one
+# grid.
+_SCAN_MEMO: dict = {}
 
 
 def _scan_grid(pulse: PulseShape, horizon: float, start=None, max_step=math.inf):
@@ -408,8 +456,20 @@ def _scan_grid(pulse: PulseShape, horizon: float, start=None, max_step=math.inf)
     least 64 and none longer than ``max_step``, the pulse on every step's
     Gauss nodes, and the width.  ValueError unless ``horizon`` is finite
     and after the start; OdeFailure, before anything is allocated, when
-    the grid would take more than ``_STEP_BUDGET`` steps."""
+    the grid would take more than ``_STEP_BUDGET`` steps.
+
+    The last result is kept in ``_SCAN_MEMO`` and returned again for the
+    same pulse (equal fields, the same envelope function, as
+    ``make_named`` gives for equal arguments), horizon, start, ``max_step``,
+    ``_STEPS_PER_WIDTH`` and ``_STEP_BUDGET``; its grid and pulse arrays
+    are read-only.  The old entry is dropped before a new grid is built.
+    """
     t_begin = min(0.0, pulse.support[0]) if start is None else start
+    key = (pulse, horizon, t_begin, max_step, _STEPS_PER_WIDTH, _STEP_BUDGET)
+    hit = _SCAN_MEMO.get(key)
+    if hit is not None:
+        return hit
+    _SCAN_MEMO.clear()
     if not t_begin < horizon < math.inf:
         where = f"the scan start t = {t_begin:.6g}"
         raise ValueError(f"horizon must be finite and after {where}, got {horizon!r}")
@@ -425,19 +485,21 @@ def _scan_grid(pulse: PulseShape, horizon: float, start=None, max_step=math.inf)
     # the pulse in blocks of steps, so that its temporaries stay small
     for lo in range(0, n, _DRIVE_BLOCK):
         phi[lo : lo + _DRIVE_BLOCK] = pulse.amplitude(starts[lo : lo + _DRIVE_BLOCK] + offsets)
-    return grid, phi, width
+    grid.flags.writeable = phi.flags.writeable = False
+    _SCAN_MEMO[key] = grid, phi, width
+    return _SCAN_MEMO[key]
 
 
-def _partial_steps(props, pulse: PulseShape, start, state, times):
+def _partial_steps(prop, pulse: PulseShape, start, state, times):
     """States at ``times`` from the (rows, k) ``state`` at ``start``, each
-    row one exact step of its own propagator in ``props``; a step that
-    holds a pulse edge is split there, one row at a time."""
+    row one exact step of its own row of the stacked propagator ``prop``;
+    a step that holds a pulse edge is split there, one row at a time."""
     s = (times - start)[:, None]
-    m, w = _step(_stack(props), s)
+    m, w = _step(prop, s)
     out = _next_state(m, state, pulse.amplitude(start[:, None] + s * _STEP_NODES), w)
     cuts = np.array(sorted({*pulse.support, pulse.t0}))
     for k in np.flatnonzero(((cuts > start[:, None]) & (cuts < times[:, None])).any(axis=1)):
-        out[k] = _advance(props[k], pulse, state[k], start[k], times[k])
+        out[k] = _advance(_rows(prop, [k]), pulse, state[k], start[k], times[k])[0]
     return out
 
 

@@ -63,6 +63,32 @@ def test_cli_timings_alternate_sides_and_summarize(monkeypatch):
     assert fig3["change_better_pairs"] == 3
 
 
+def test_cli_timings_compare_what_each_side_writes(monkeypatch):
+    # every run writes a.csv, the same on both sides, and b.csv, which the
+    # change writes differently from the parent
+    def fake_time_cli(checkout, argv, scratch):
+        (scratch / "a.csv").write_text("1,2\n")
+        (scratch / "b.csv").write_text(f"{checkout}\n")
+        return 1.0
+
+    monkeypatch.setattr(bench_record, "time_cli", fake_time_cli)
+    monkeypatch.setattr(bench_record, "CLI_COMMANDS", {"figure_fig3": ["figure", "--preset", "fig3"]})
+    out = bench_record.cli_timings({"parent": "parent-dir", "change": "change-dir"}, 2, [])
+    assert out["figure_fig3"]["outputs"] == {"identical": False, "files": 2, "differ": ["b.csv"]}
+
+
+def test_compare_outputs_names_changed_missing_and_added_files():
+    parent = {"a.csv": "1", "b.csv": "2", "c.csv": "3"}
+    same = bench_record.compare_outputs({"parent": [parent, parent], "change": [parent, parent]})
+    assert same == {"identical": True, "files": 3, "differ": []}
+    change = {"a.csv": "1", "b.csv": "changed", "d.csv": "4"}
+    differ = bench_record.compare_outputs({"parent": [parent], "change": [change]})
+    assert differ == {"identical": False, "files": 3, "differ": ["b.csv", "c.csv", "d.csv"]}
+    # a parent that writes differently from one run to the next is no reference
+    flaky = bench_record.compare_outputs({"parent": [parent, change], "change": [parent]})
+    assert not flaky["identical"]
+
+
 def test_every_figure_preset_is_timed():
     from cavity_loader import cli
 

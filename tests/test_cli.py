@@ -458,6 +458,25 @@ def test_optimize_cold_start_leaves_scipy_integrate_unloaded(tmp_path):
 
 
 _TWO_LEVEL_SIMULATE = ["simulate", "--scenario", "two_level", "--kT", "2"]
+
+
+def _huge_width_commands():
+    """(argv, id) of each command where a pulse width near pulses.MAX_WIDTH
+    meets a rate of 1e10, so that the exact stepping's exponents overflow:
+    the two-level writer and both two-level optimizers, at each width."""
+    for kT in ("1e306", "2.8e306"):
+        for field in ("g_over_k", "gamma_over_k", "delta_over_k"):
+            rates = {"g_over_k": "1", "gamma_over_k": "0.1", "delta_over_k": "0.5", field: "1e10"}
+            argv = ["simulate", "--scenario", "two_level", "--kT", kT, "--pulse", "rectangular"]
+            yield argv + [f"--{k}={v}" for k, v in rates.items()], f"simulate-{field}-{kT}"
+        for scenario in ("two_level", "lambda_nonadiabatic"):
+            for field in ("gamma_over_g", "delta_over_k", "g_max"):
+                rates = {"gamma_over_g": "0.1", "delta_over_k": "0.5", "g_max": "5", field: "1e10"}
+                argv = ["optimize", "--scenario", scenario, "--kT", kT, "--pulse", "rectangular"]
+                yield argv + [f"--{k}={v}" for k, v in rates.items()], f"{scenario}-{field}-{kT}"
+
+
+_HUGE_WIDTH = list(_huge_width_commands())
 _LAMBDA_NONADIABATIC_SIMULATE = [
     "simulate", "--scenario", "lambda_nonadiabatic", "--kT", "2",
     "--gc_over_k", "1", "--omega_over_k", "1", "--delta1_over_k", "20",
@@ -523,6 +542,7 @@ _LAMBDA_NONADIABATIC_SIMULATE = [
         (["optimize", "--scenario", "lambda_adiabatic_zed", "--kT", "5", "--g_max", "1.7e308"], 3),
         (["optimize", "--scenario", "lambda_adiabatic_tpr", "--kT", "5", "--g_max", "1e308"], 3),
         (["optimize", "--scenario", "lambda_adiabatic_zed", "--kT", "5", "--g_max", "1e308"], 3),
+        *((argv, 0) for argv, _ in _HUGE_WIDTH),
     ],
     ids=[
         "two_level-delta",
@@ -559,6 +579,7 @@ _LAMBDA_NONADIABATIC_SIMULATE = [
         "zed-rate-overflow",
         "tpr-rate-overflow-1e308",
         "zed-rate-overflow-1e308",
+        *(f"huge-width-{name}" for _, name in _HUGE_WIDTH),
     ],
 )
 def test_contract_for_extreme_inputs(tmp_path, capsys, argv, code):
@@ -567,12 +588,15 @@ def test_contract_for_extreme_inputs(tmp_path, capsys, argv, code):
     # rule past its node budget, or an adiabatic run whose fastest rate or
     # stable step count overflows, is a numeric failure, raised before the
     # rule or the run is allocated; none of them may leak a traceback or a
-    # warning
+    # warning.  A pulse width near the float range with a rate of 1e10 runs
+    # to the end: the overflowing kernel exponentials are exact zeros, and no
+    # row is nan
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = run(argv + ["--out", str(tmp_path / "out.csv")])
     err = capsys.readouterr().err
     assert rc == code, err
+    assert rc != 0 or "nan" not in (tmp_path / "out.csv").read_text()
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
@@ -618,7 +642,10 @@ _FUZZ_VALUES = (
 )
 # the pairwise fuzz sets two fields at once to these magnitudes; the fields
 # that are no magnitude (a pulse family, a grid size, a path) it leaves alone
-_PAIR_VALUES = ("1e10", "1e300")
+# (2.8e306, a pulse width near pulses.MAX_WIDTH, reaches the exact
+# stepping's overflowing exponents; 1e306 reaches the same commands, and
+# adding it too would take the fuzz from ~3 s to ~4.7 s)
+_PAIR_VALUES = ("1e10", "1e300", "2.8e306")
 _NOT_MAGNITUDES = {"pulse", "points", "out"}
 
 

@@ -322,9 +322,12 @@ def test_affine_march_matches_plain_recursion_for_k_amplitudes(k):
                 z.append(stack[j] @ z[-1] + force[j])
             assert got.shape == (n + 1, k)
             assert np.abs(got - np.array(z)).max() <= 1e-12
-    # one map for every step is the stack of its copies, bit for bit
-    got = numerics.affine_march(maps[0], force, start)
-    assert np.array_equal(got, numerics.affine_march(np.repeat(maps[:1], n, axis=0), force, start))
+    # one map for every step (its band built as one broadcast block) is the
+    # stack of its copies, bit for bit, from rest and from a start state
+    for z0 in (None, start):
+        got = numerics.affine_march(maps[0], force, z0)
+        want = numerics.affine_march(np.repeat(maps[:1], n, axis=0), force, z0)
+        assert got.tobytes() == want.tobytes()
 
 
 def _scalar_scan_refine(f, grid, values, tol):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cavity_loader import optimize
+from cavity_loader import optimize, two_level
 from cavity_loader.optimize import SweepSpec
 
 
@@ -228,3 +228,16 @@ def test_degenerate_optimum_counts_the_scan(monkeypatch):
     assert opt.degenerate
     assert calls == {"single": 0, "array": 1}
     assert opt.n_evals == 40
+
+
+def test_objective_calls_of_one_optimum_share_one_scan_grid():
+    # the coarse scan and each Brent coupling of one optimum pass the same
+    # pulse (make_named gives equal arguments one object), and so read the
+    # one memo entry that the first call made
+    fixed = {"kT": 2.0, "pulse": "exp_rising", "gamma_over_g": 0.1}
+    two_level._SCAN_MEMO.clear()
+    optimize._two_level_probability(np.geomspace(0.1, 5.0, 4), fixed)
+    (entry,) = two_level._SCAN_MEMO.values()
+    optimize._two_level_probability(np.array([1.3]), dict(fixed))
+    (again,) = two_level._SCAN_MEMO.values()
+    assert again is entry

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cavity_loader import pulses, two_level
+from cavity_loader import numerics, pulses, two_level
 from cavity_loader.two_level import TwoLevelParams
 
 
@@ -290,6 +290,8 @@ def test_batched_peak_loading_memory():
         TwoLevelParams(g=g, kappa=1.0, gamma=0.375 * g) for g in np.geomspace(0.05, 10.0, 40)
     ]
     two_level.peak_loading(batch[:2], pulse, 5.0 * T)
+    # a cold scan: the warm-up's grid and pulse samples are not reused
+    two_level._SCAN_MEMO.clear()
     tracemalloc.start()
     try:
         two_level.peak_loading(batch, pulse, 5.0 * T)
@@ -300,6 +302,116 @@ def test_batched_peak_loading_memory():
 
 
 FAMILIES = ("sech", "rectangular", "exp_rising", "exp_decaying")
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_scan_grid_memo_keeps_every_bit(kind):
+    # the calls of one coupling optimum share _scan_grid's memo entry: the
+    # batch, each coupling on its own and each on a cleared memo agree bit
+    # for bit
+    pulse = pulses.make_named(kind, 2.0, 2.0)
+    two_level._SCAN_MEMO.clear()
+    times, probs = two_level.peak_loading(BATCH, pulse, 10.3713)
+    for params, t_load, p_max in zip(BATCH, times.tolist(), probs.tolist()):
+        warm = two_level.peak_loading(params, pulse, 10.3713)
+        two_level._SCAN_MEMO.clear()
+        assert warm == two_level.peak_loading(params, pulse, 10.3713) == (t_load, p_max)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        lambda named: (pulses.make_named("sech", 2.0, 2.5), 10.0),
+        lambda named: (FIG3_PULSE, 10.0),
+        lambda named: (named, 10.5),
+        lambda named: (named, 10.0, -1.0),
+        lambda named: (named, 10.0, None, 0.01),
+    ],
+    ids=["t0", "another-envelope-function", "horizon", "start", "max_step"],
+)
+def test_scan_grid_memo_holds_one_request(other):
+    # a hit needs the same pulse (fields and envelope function), horizon,
+    # start and step cap; a miss replaces the one entry
+    two_level._SCAN_MEMO.clear()
+    named = pulses.make_named("sech", 2.0, 2.0)
+    grid, phi, _ = two_level._scan_grid(named, 10.0)
+    # make_named gives equal arguments the one pulse, and so the one entry;
+    # make_sech (FIG3_PULSE) builds an equal pulse with another envelope
+    assert two_level._scan_grid(pulses.make_named("sech", 2.0, 2.0), 10.0)[1] is phi
+    missed = two_level._scan_grid(*other(named))
+    assert missed[1] is not phi
+    assert len(two_level._SCAN_MEMO) == 1 and next(iter(two_level._SCAN_MEMO.values()))[1] is missed[1]
+
+
+@pytest.mark.parametrize("name, factor", [("_STEPS_PER_WIDTH", 2), ("_STEP_BUDGET", 0)])
+def test_scan_grid_memo_misses_when_the_grid_constants_change(monkeypatch, name, factor):
+    # a convergence test that refines the grid measures the finer grid, and
+    # a smaller budget refuses a grid that the memo holds
+    two_level._SCAN_MEMO.clear()
+    grid, phi, _ = two_level._scan_grid(FIG3_PULSE, 10.0)
+    monkeypatch.setattr(two_level, name, factor * getattr(two_level, name))
+    if factor:
+        finer = two_level._scan_grid(FIG3_PULSE, 10.0)[0]
+        assert len(finer) - 1 == 2 * (len(grid) - 1)
+    else:
+        with pytest.raises(numerics.OdeFailure, match="over the budget 0"):
+            two_level._scan_grid(FIG3_PULSE, 10.0)
+
+
+def test_scan_grid_memo_is_read_only():
+    grid, phi, _ = two_level._scan_grid(FIG3_PULSE, 10.0)
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        phi[0, 0] = 1.0
+
+
+def _merged_parts(prop, s):
+    """``_Propagator.parts`` as one np.where merge of the factored and the
+    exponential form, both evaluated on every lag."""
+    half = 0.5 * prop.xi * s
+    near = np.abs(half) < two_level._FACTORED_THRESHOLD
+    damp = np.exp(-prop.mean * s)
+    half_near = np.where(near, half, 0.0)
+    ch, sh = np.cosh(half_near) * damp, s * two_level._sinhc(half_near) * damp
+    up, down = np.exp(half - prop.mean * s), np.exp(-half - prop.mean * s)
+    xi = np.where(near, 1.0, prop.xi)
+    return np.where(near, ch, 0.5 * (up + down)), np.where(near, sh, (up - down) / xi)
+
+
+@pytest.mark.parametrize(
+    "lags, factored",
+    [
+        (np.linspace(0.0, 1e-3, 9), {True}),
+        (np.linspace(5.0, 50.0, 9), {False}),
+        (np.geomspace(1e-4, 20.0, 9), {True, False}),
+    ],
+    ids=["factored", "exponential", "mixed"],
+)
+def test_kernel_parts_match_the_merged_formula(lags, factored):
+    # one form where every lag is on its side, the merge otherwise: the
+    # same bits either way, for each propagator and for their stack; the
+    # confluent point (xi = 0) is factored at every lag, so it stays out
+    props = [two_level._Propagator.of(p) for p in BATCH if p != TwoLevelParams(g=0.5, kappa=1.0)]
+    for prop in [*props, two_level._stack(props)]:
+        near = np.abs(0.5 * prop.xi * lags) < two_level._FACTORED_THRESHOLD
+        assert set(near.ravel().tolist()) == factored
+        for got, want in zip(prop.parts(lags), _merged_parts(prop, lags)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_kernel_is_zero_where_its_exponent_overflows():
+    # a lag near the float range times a rate of 1e10 overflows the
+    # exponent's products: the exponentials are exact zeros, with no
+    # warning, and a finite lag keeps its bits
+    prop = two_level._Propagator.of(TwoLevelParams(g=1e10, kappa=1.0, gamma=0.1, delta=0.5))
+    lags = np.array([1.0, 2.5e303, 7e303])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ch, sh = prop.parts(lags)
+    want_ch, want_sh = _merged_parts(prop, lags[:1])
+    assert ch[0] == want_ch[0] and sh[0] == want_sh[0]
+    assert not ch[1:].any() and not sh[1:].any()
 
 
 @pytest.mark.parametrize("points", [2, 11, 501])
@@ -353,6 +465,7 @@ def test_stepped_trajectory_memory():
     # beyond the (beta, c_e) columns themselves
     times = np.linspace(FIG3_PULSE.support[0], 10.0, 100_000)
     two_level.stepped_trajectory(LOSSY_DETUNED, FIG3_PULSE, times[:10])
+    two_level._SCAN_MEMO.clear()
     tracemalloc.start()
     try:
         two_level.stepped_trajectory(LOSSY_DETUNED, FIG3_PULSE, times)

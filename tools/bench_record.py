@@ -20,13 +20,16 @@ The record also holds fresh-process wall times of the package's CLI
 (``CLI_COMMANDS``: ``simulate`` for the two-level and the three-level
 Lambda trajectory writers and every ``figure`` preset on one worker),
 each command run ``CLI_PAIRS`` times per side in the same alternating
-order, with the same medians, quartiles and won pairs.
+order, with the same medians, quartiles and won pairs, and whether every
+run of both sides wrote the same files, by sha256, naming each file that
+differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import io
 import json
 import os
@@ -144,19 +147,49 @@ def time_cli(checkout: Path, argv: list, scratch: Path) -> float:
     return wall
 
 
+def output_digests(directory: Path) -> dict:
+    """sha256 of every file under ``directory``, by path relative to it."""
+    return {
+        str(path.relative_to(directory)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def compare_outputs(digests: dict) -> dict:
+    """Whether every run of both sides wrote the same files, byte for byte.
+    ``digests`` maps "parent" and "change" to the ``output_digests`` of each
+    run; a file differs when some run's digest of it is not the parent's
+    first run's, or when a run lacks it or adds it."""
+    reference = digests["parent"][0]
+    differ = {
+        name
+        for run in digests["parent"] + digests["change"]
+        for name in reference.keys() | run.keys()
+        if run.get(name) != reference.get(name)
+    }
+    return {"identical": not differ, "files": len(reference), "differ": sorted(differ)}
+
+
 def cli_timings(checkouts: dict, pairs: int, run_order: list) -> dict:
     """``compare`` of the fresh-process wall times of every ``CLI_COMMANDS``
-    entry, ``pairs`` runs per side, alternating as the workloads do."""
+    entry, ``pairs`` runs per side, alternating as the workloads do, and
+    ``compare_outputs`` of the files the runs wrote."""
     out = {}
     for name, argv in CLI_COMMANDS.items():
         sides = {"parent": [], "change": []}
+        digests = {"parent": [], "change": []}
         for pair in range(pairs):
             for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
                 print(f"bench_record: {name} pair {pair} {side}", file=sys.stderr, flush=True)
                 with tempfile.TemporaryDirectory(prefix="bench-cli-") as scratch:
                     sides[side].append(time_cli(checkouts[side], argv, Path(scratch)))
+                    digests[side].append(output_digests(Path(scratch)))
                 run_order.append([name, None, pair, side])
-        out[name] = {"argv": argv, "unit": "s", "better": "lower", **compare(sides, "lower")}
+        out[name] = {
+            "argv": argv, "unit": "s", "better": "lower", **compare(sides, "lower"),
+            "outputs": compare_outputs(digests),
+        }
     return out
 
 
