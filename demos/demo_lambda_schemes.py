@@ -21,12 +21,11 @@ from cavity_loader import (
     compensated_pulse,
     full_ode,
     make_sech,
-    nonadiabatic_load,
     nonadiabatic_trajectory,
     stark_compensation,
     stepped_trajectory,
 )
-from cavity_loader.lambda_memory import zed_phase_rate
+from cavity_loader.lambda_memory import nonadiabatic_amplitude, zed_phase_rate
 from cavity_loader.optimize import optimize_coupling, throughput_compare
 
 kappa = 1.0
@@ -45,7 +44,8 @@ base = LambdaParams(g_c=g_c, kappa=kappa, delta1=delta1, delta2=delta1, omega=om
 delta2 = stark_compensation(base)
 params = LambdaParams(g_c=g_c, kappa=kappa, delta1=delta1, delta2=delta2, omega=om)
 pulse = make_sech(1.0, 1.0)
-p_load = nonadiabatic_load(params, pulse, opt.T_load)
+# the target amplitude freezes at switch-off: its |.|^2 then is the loading
+p_load = abs(nonadiabatic_amplitude(params, pulse, opt.T_load)) ** 2
 print(f"  same number from the Lambda reduction: {p_load:.4f}")
 print(f"  (g_c = Omega = {g_c:.1f} kappa, Delta1 = {delta1:.0f} kappa, Stark-compensated Delta2 = {delta2:.2f} kappa)")
 

@@ -22,22 +22,18 @@ from .two_level import (
     TwoLevelParams,
     amplitude_closed_form,
     amplitude_ode,
-    dimensionless_load,
     peak_loading,
     spectral_amplitude,
     stepped_trajectory,
 )
 from .lambda_memory import (
-    DarkBright,
     LambdaParams,
     ReducedParams,
     adiabatic_control_pulse,
     adiabatic_load,
     adiabatic_offset_scan,
     compensated_pulse,
-    dark_bright_decompose,
     full_ode,
-    nonadiabatic_load,
     nonadiabatic_trajectory,
     reduce,
     stark_compensation,
@@ -76,21 +72,17 @@ __all__ = [
     "amplitude_ode",
     "spectral_amplitude",
     "peak_loading",
-    "dimensionless_load",
     "stepped_trajectory",
     "LambdaParams",
     "ReducedParams",
-    "DarkBright",
     "full_ode",
     "reduce",
     "stark_compensation",
     "compensated_pulse",
-    "nonadiabatic_load",
     "nonadiabatic_trajectory",
     "adiabatic_control_pulse",
     "adiabatic_load",
     "adiabatic_offset_scan",
-    "dark_bright_decompose",
     "PolarizationQubit",
     "BiphotonAmplitude",
     "SpdcParams",

@@ -16,6 +16,7 @@ CAVITY_LOADER_THREADS.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -36,15 +37,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    v = float(value)
-    if v != v:  # NaN
-        return "nan"
-    return repr(v)
-
-
 def write_csv(path, header: list[str], rows) -> None:
     """Write CSV atomically with '\\n' endings and round-trip floats."""
     path = Path(path)
@@ -54,7 +46,7 @@ def write_csv(path, header: list[str], rows) -> None:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(",".join(header) + "\n")
             for row in rows:
-                handle.write(",".join(_fmt(v) for v in row) + "\n")
+                handle.write(",".join(repr(float(v)) for v in row) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -357,10 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by the first ``main`` call: a parse
+    leaves it as it was, and a fresh interpreter need not pay for it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # usage errors and --help: argparse's status
         return exc.code
     try:

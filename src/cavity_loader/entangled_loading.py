@@ -180,16 +180,15 @@ def c_ee(
     """Joint excited-state amplitude of two identical memories at time t.
 
     ``method`` is "auto" (fast reduction when the amplitude has the
-    downconverter structure, otherwise the direct double quadrature),
-    "quad2" to force the direct route, or "reduced" to force the fast
-    one.
+    downconverter structure, otherwise the direct double quadrature) or
+    "quad2" to force the direct route.
     """
+    if method not in ("auto", "quad2"):
+        raise ValueError(f"unknown method {method!r}")
     prop = _Propagator.of(p)
-    if method == "quad2" or (method == "auto" and not b.separable_structure):
+    if method == "quad2" or not b.separable_structure:
         return _cee_quad2(prop, b, t, spec)
-    if method in ("auto", "reduced"):
-        return complex(_cee_reduced(prop, b, np.array([t]))[0])
-    raise ValueError(f"unknown method {method!r}")
+    return complex(_cee_reduced(prop, b, np.array([t]))[0])
 
 
 def _cee_quad2(

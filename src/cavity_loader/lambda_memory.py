@@ -60,19 +60,16 @@ from .two_level import Trajectory, _drive_max_step, _peak, _Propagator, _stepped
 __all__ = [
     "LambdaParams",
     "ReducedParams",
-    "DarkBright",
     "full_ode",
     "nonadiabatic_trajectory",
     "reduce",
     "stark_compensation",
     "compensated_pulse",
-    "nonadiabatic_load",
     "nonadiabatic_amplitude",
     "adiabatic_control_pulse",
     "adiabatic_load",
     "adiabatic_offset_scan",
     "zed_phase_rate",
-    "dark_bright_decompose",
 ]
 
 # adiabatic elimination is trusted when the detuning exceeds the couplings
@@ -121,15 +118,6 @@ class ReducedParams:
     delta_eff: float
     gamma_eff: float
     drive_decay_rate: float
-    valid_regime: bool
-
-
-@dataclass(frozen=True)
-class DarkBright:
-    theta: float
-    d_amp: complex
-    b_amp: complex
-    r_amp: complex
 
 
 def full_ode(
@@ -261,8 +249,7 @@ def reduce(p: LambdaParams) -> ReducedParams:
         raise ValueError("adiabatic elimination requires a nonzero Delta1")
     g_c, gamma_r, om, d1 = p.g_c, p.gamma_r, p.omega, p.delta1
     scale = max(g_c, om, gamma_r)
-    valid = abs(d1) >= VALIDITY_RATIO * scale
-    if not valid:
+    if abs(d1) < VALIDITY_RATIO * scale:
         warnings.warn(
             "adiabatic elimination outside its validity regime: "
             f"|Delta1| = {abs(d1):.3g} < {VALIDITY_RATIO} x max(g_c, Omega, gamma_r) = "
@@ -282,7 +269,6 @@ def reduce(p: LambdaParams) -> ReducedParams:
         # cancelled form that stays finite as Omega -> 0
         gamma_eff=_over_square(gamma_r, om**2 - g_c**2, d1),
         drive_decay_rate=_over_square(g_c**2, gamma_r, d1),
-        valid_regime=valid,
     )
 
 
@@ -329,7 +315,9 @@ def nonadiabatic_amplitude(p: LambdaParams, pulse: PulseShape, t: float) -> comp
 
     Uses the effective two-level closed form after eliminating |r>: complex
     coupling g_eff / Gamma_r, rates gamma_eff and delta_eff, and the drive
-    decay as extra damping; so |.|^2 is the loading probability.
+    decay as extra damping.  The target amplitude freezes when the control
+    switches off, so |.|^2 at the switch-off time is the loading
+    probability of the step-control scheme.
     """
     if p.omega <= 0:
         return 0.0 + 0.0j
@@ -338,20 +326,6 @@ def nonadiabatic_amplitude(p: LambdaParams, pulse: PulseShape, t: float) -> comp
     g_amp = complex(red.g_eff) / red.Gamma_r
     prop = _Propagator.from_rates(p.kappa, gamma_prime, g_amp, red.drive_decay_rate)
     return prop.amplitudes_at(pulse, t)[1]
-
-
-def nonadiabatic_load(
-    p: LambdaParams,
-    pulse: PulseShape,
-    t_load: float,
-) -> float:
-    """Loading probability |c_e(T_Load)|^2 for the step-control scheme.
-
-    The control is constant up to ``t_load`` and zero afterwards; the
-    target amplitude is frozen at switch-off, so the value at t_load is
-    the final loading probability.
-    """
-    return float(abs(nonadiabatic_amplitude(p, pulse, t_load)) ** 2)
 
 
 def adiabatic_control_pulse(g_c: float, kappa: float, T: float, t):
@@ -601,19 +575,3 @@ def adiabatic_offset_scan(
     )
     return np.array([run.population("c_e")[-1] for run in runs])
 
-
-def dark_bright_decompose(
-    g_amp: complex, e_amp: complex, omega: float, g_c: float, r_amp: complex = 0.0
-) -> DarkBright:
-    """Project (cavity, target) amplitudes onto the dark/bright basis."""
-    omega0 = math.hypot(omega, g_c)
-    if omega0 == 0.0:
-        raise ValueError("dark/bright basis undefined for Omega = g_c = 0")
-    cos_t = omega / omega0
-    sin_t = g_c / omega0
-    return DarkBright(
-        theta=math.atan2(g_c, omega),
-        d_amp=-cos_t * g_amp + sin_t * e_amp,
-        b_amp=sin_t * g_amp + cos_t * e_amp,
-        r_amp=complex(r_amp),
-    )

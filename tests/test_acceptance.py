@@ -320,7 +320,26 @@ def test_c11_biphoton_factorization_and_symmetry():
     )
 
 
-def test_c12_mitnu_operating_region():
+@pytest.fixture(scope="module")
+def fig10_run(tmp_path_factory):
+    """The fig10 preset run once through the CLI, with the spec and rows of
+    each sweep it ran: c12 asserts on its mitnu sweep, c14 on its files."""
+    sweeps = []
+    sweep = optimize.sweep
+
+    def recorded(spec, workers=None):
+        rows = sweep(spec, workers)
+        sweeps.append((spec, rows))
+        return rows
+
+    outdir = tmp_path_factory.mktemp("fig10")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "sweep", recorded)
+        rc = cli.main(["figure", "--preset", "fig10", "--outdir", str(outdir)])
+    return rc, outdir, sweeps
+
+
+def test_c12_mitnu_operating_region(fig10_run):
     grid = tuple(float(x) for x in np.linspace(2.0, 6.0, 5))
     spec = optimize.SweepSpec(
         scenario="mitnu",
@@ -328,7 +347,10 @@ def test_c12_mitnu_operating_region():
         optimize_g=True,
         g_range=(0.1, 5.0),
     )
-    rows = optimize.sweep(spec)
+    # this grid is fig10's: its preset run already swept it
+    sweeps = fig10_run[2]
+    assert [done for done, _ in sweeps] == [spec]
+    rows = sweeps[0][1]
     assert all(r["error"] == "" for r in rows)
     p_min = min(r["P_max"] for r in rows)
     g = {(r["kT"], r["kT0"]): r["g_opt"] for r in rows}
@@ -351,8 +373,11 @@ def test_c12_mitnu_operating_region():
 
 def test_c13_scaling_invariance():
     worst = 0.0
-    # two-level family
-    ref = two_level.dimensionless_load(2.0, 1.2, 0.25, 1.7)
+    # two-level family, against kappa = 1: kappa T = 2, g = 1.2, gamma = 0.25 g, t = 1.7 T
+    _, ce = two_level.amplitude_closed_form(
+        TwoLevelParams(g=1.2, kappa=1.0, gamma=0.25 * 1.2), pulses.make_named("sech", 2.0, 2.0), 1.7 * 2.0
+    )
+    ref = abs(ce) ** 2
     for c in (0.5, 8.0):
         kappa = c
         T = 2.0 / kappa
@@ -401,9 +426,13 @@ def test_c13_scaling_invariance():
 
 
 @pytest.mark.parametrize("preset", cli.FIGURE_PRESETS)
-def test_c14_figure_presets(preset, tmp_path):
-    outdir = tmp_path / preset
-    rc = cli.main(["figure", "--preset", preset, "--outdir", str(outdir)])
+def test_c14_figure_presets(preset, tmp_path, request):
+    if preset == "fig10":
+        # the run whose sweep c12 checks
+        rc, outdir, _ = request.getfixturevalue("fig10_run")
+    else:
+        outdir = tmp_path / preset
+        rc = cli.main(["figure", "--preset", preset, "--outdir", str(outdir)])
     csvs = sorted(outdir.glob("*.csv"))
     sidecar = outdir / f"{preset}_params.txt"
     schema_ok = bool(csvs) and sidecar.exists()

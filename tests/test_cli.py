@@ -412,6 +412,25 @@ def test_usage_error_returns_status(capsys):
     assert "expected one argument" in capsys.readouterr().err
 
 
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
+    # the first call builds the parser; a usage error between two runs
+    # leaves it as it was, so both runs write the same bytes
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
+    cli._parser.cache_clear()
+    argv = ["simulate", "--scenario", "two_level", "--kT", "2", "--g_over_k", "1", "--points", "5"]
+    try:
+        assert run([*argv, "--out", str(tmp_path / "a.csv")]) == 0
+        assert run(["simulate", "--scenario", "two_level", "--kT"]) == 2
+        assert run([*argv, "--out", str(tmp_path / "b.csv")]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert "expected one argument" in capsys.readouterr().err
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_optimize_cold_start_leaves_scipy_integrate_unloaded(tmp_path):
     # a fresh interpreter runs one optimum per scenario, then the two-level
     # and three-level trajectory writers; none of them may load

@@ -134,7 +134,7 @@ def test_cee_symmetrization_identity():
 
 def test_cee_fast_path_matches_quad2(biphoton):
     for t in (4.0, 7.0, 9.5):
-        fast = el.c_ee(PK, biphoton, t, method="reduced")
+        fast = el.c_ee(PK, biphoton, t)
         slow = el.c_ee(PK, biphoton, t, method="quad2")
         assert abs(fast - slow) < 1e-8
 
@@ -254,10 +254,10 @@ def test_peak_search_takes_a_complex_pump():
     t, p = el.peak_joint_loading(PK, b, b.support[1] + 2.0)
     assert abs(math.sqrt(p) - abs(el.c_ee(PK, b, t, method="quad2"))) < 1e-8
     for dt in (-0.1, 0.1):
-        assert abs(el.c_ee(PK, b, t + dt, method="reduced")) ** 2 < p
+        assert abs(el.c_ee(PK, b, t + dt)) ** 2 < p
     slow = el.c_ee(PK, b, 7.0, method="quad2")
     assert abs(slow) > 1e-3
-    assert abs(slow - el.c_ee(PK, b, 7.0, method="reduced")) < 1e-8
+    assert abs(slow - el.c_ee(PK, b, 7.0)) < 1e-8
 
 
 def test_narrow_window_trajectory_peak_memory():
@@ -277,11 +277,10 @@ def test_narrow_window_trajectory_peak_memory():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda b: el.c_ee(PK, b, 5.0, method="reduced"),
         lambda b: el.joint_trajectory(PK, b, np.linspace(0.0, 10.0, 5)),
         lambda b: el.peak_joint_loading(PK, b, 10.0),
     ],
-    ids=["c_ee", "joint_trajectory", "peak_joint_loading"],
+    ids=["joint_trajectory", "peak_joint_loading"],
 )
 def test_reduced_routes_need_downconverter_structure(call):
     sech = pulses.make_sech(2.0, 4.0)

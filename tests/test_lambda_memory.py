@@ -78,8 +78,7 @@ def test_reduce_effective_coupling_value():
 
 def test_reduce_warns_outside_validity():
     with pytest.warns(UserWarning, match="validity"):
-        red = lm.reduce(make_params(g_c=5.0, omega=5.0, delta1=20.0))
-    assert not red.valid_regime
+        lm.reduce(make_params(g_c=5.0, omega=5.0, delta1=20.0))
 
 
 @pytest.mark.parametrize("name", ["g_c", "kappa", "delta1", "delta2", "gamma_r", "omega"])
@@ -122,7 +121,7 @@ def test_reduce_where_the_detuning_squared_leaves_the_float_range(delta1):
     if abs(delta1) > 1.0:
         # the effective coupling is 2e-200: nothing loads, and nothing raises
         p = replace(p, delta2=lm.stark_compensation(p))
-        assert lm.nonadiabatic_load(p, PULSE, 3.0) == 0.0
+        assert abs(lm.nonadiabatic_amplitude(p, PULSE, 3.0)) ** 2 == 0.0
 
 
 @pytest.mark.filterwarnings("ignore:adiabatic elimination outside")
@@ -161,7 +160,7 @@ def test_compensated_pulse_requires_detuning(delta1):
 
 
 def test_nonadiabatic_zero_control():
-    assert lm.nonadiabatic_load(make_params(omega=0.0), PULSE, 3.0) == 0.0
+    assert abs(lm.nonadiabatic_amplitude(make_params(omega=0.0), PULSE, 3.0)) ** 2 == 0.0
 
 
 def test_nonadiabatic_reduces_to_two_level():
@@ -329,29 +328,6 @@ def test_adiabatic_zed_matches_full_system():
     assert abs(traj.population("c_e")[-1] - p_red) < 0.01
 
 
-def test_dark_bright_limits():
-    db = lm.dark_bright_decompose(1.0, 0.0, omega=50.0, g_c=0.1)
-    assert abs(db.d_amp) == pytest.approx(1.0, abs=1e-3)
-    db = lm.dark_bright_decompose(0.0, 1.0, omega=0.1, g_c=50.0)
-    assert abs(db.d_amp) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_dark_bright_norm_preserved():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        g_amp = complex(rng.normal(), rng.normal())
-        e_amp = complex(rng.normal(), rng.normal())
-        db = lm.dark_bright_decompose(g_amp, e_amp, omega=rng.uniform(0, 3), g_c=rng.uniform(0.1, 3))
-        lhs = abs(db.d_amp) ** 2 + abs(db.b_amp) ** 2
-        rhs = abs(g_amp) ** 2 + abs(e_amp) ** 2
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_dark_bright_undefined_without_fields():
-    with pytest.raises(ValueError):
-        lm.dark_bright_decompose(1.0, 0.0, omega=0.0, g_c=0.0)
-
-
 def test_adiabaticity_diagnostic_deep_regime():
     # kappa T = 10 at g'/kappa = 2: bright + upper population stays small
     kappa, T = 1.0, 10.0
@@ -359,15 +335,13 @@ def test_adiabaticity_diagnostic_deep_regime():
     g_c = math.sqrt(2.0 * d1)
     traj, _ = lm.adiabatic_load(g_c, d1, kappa, T, detuned=True)
     om = lm.adiabatic_control_pulse(g_c, kappa, T, traj.times - T)
+    # the bright amplitude sin(theta) beta + cos(theta) c_e, tan(theta) = g_c / Omega
     worst = 0.0
-    for i in range(len(traj.times)):
-        db = lm.dark_bright_decompose(
-            traj.amplitudes["beta"][i],
-            traj.amplitudes["c_e"][i],
-            omega=float(om[i]),
-            g_c=g_c,
-        )
-        worst = max(worst, abs(db.b_amp) ** 2 + abs(traj.amplitudes["c_r"][i]) ** 2)
+    amps = traj.amplitudes
+    for beta, c_e, c_r, omega in zip(amps["beta"], amps["c_e"], amps["c_r"], om.tolist()):
+        omega0 = math.hypot(omega, g_c)
+        bright = g_c / omega0 * beta + omega / omega0 * c_e
+        worst = max(worst, abs(bright) ** 2 + abs(c_r) ** 2)
     assert worst < 0.05
 
 

@@ -195,13 +195,15 @@ def test_closed_form_depends_only_on_the_dimensionless_ratios(
     kind, kT, g, gamma, t_over_T, log_s
 ):
     # every rate times s and every time over s: kappa = s, the pulse of
-    # width T / s centred at T / s, read at t / s, loads what
-    # dimensionless_load gives at kappa = 1 (where the detuning is zero)
+    # width T / s centred at T / s, read at t / s, loads what the same
+    # closed form gives at kappa = 1 (where the detuning is zero)
+    ref = TwoLevelParams(g=g, kappa=1.0, gamma=gamma * g, delta=0.0)
+    _, c_ref = two_level.amplitude_closed_form(ref, pulses.make_named(kind, kT, kT), t_over_T * kT)
     s = 10.0**log_s
     T = kT / s
     params = TwoLevelParams(g=g * s, kappa=s, gamma=gamma * g * s, delta=0.0)
     _, c_e = two_level.amplitude_closed_form(params, pulses.make_named(kind, T, T), t_over_T * T)
-    assert abs(abs(c_e) ** 2 - two_level.dimensionless_load(kT, g, gamma, t_over_T, kind)) <= 1e-9
+    assert abs(abs(c_e) ** 2 - abs(c_ref) ** 2) <= 1e-9
 
 
 # every rate from zero, a subnormal, the powers 1e-300, 1e-290, ..., 1e300
