@@ -307,7 +307,6 @@ FIGURES = {
     "fig9": _figure_fig9,
     "fig10": _figure_fig10,
 }
-FIGURE_PRESETS = tuple(FIGURES)
 
 
 def cmd_figure(args) -> int:

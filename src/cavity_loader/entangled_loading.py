@@ -288,15 +288,15 @@ _RULE_NODE_BUDGET = 25_000
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _reduced_rule(b: BiphotonAmplitude, t_max: float, h: float):
+def _reduced_rule(pump: PulseShape, window: float, t_max: float, h: float):
     """Composite Gauss nodes/weights in the lag w over [0, t_max - pump start],
-    in panels of width <= h split at the w = T0/2 kink; None when no lag
-    reaches the pump.  QuadratureFailure, before anything is built, past
-    ``_RULE_NODE_BUDGET`` nodes."""
-    w_max = t_max - b.pump.support[0]
+    in panels of width <= h split at the w = T0/2 kink (T0 the phase-matching
+    ``window``); None when no lag reaches the pump.  QuadratureFailure, before
+    anything is built, past ``_RULE_NODE_BUDGET`` nodes."""
+    w_max = t_max - pump.support[0]
     if w_max <= 0:
         return None
-    kink = b.t0_window / 2.0
+    kink = window / 2.0
     edges = np.array([0.0, kink, w_max] if kink < w_max else [0.0, w_max])
     # Python arithmetic: a count past the float range is inf, not a warning
     panels = np.maximum(np.ceil([d / h for d in np.diff(edges).tolist()]), 1.0)
@@ -328,7 +328,7 @@ def _reduced_weight(prop: _Propagator, b: BiphotonAmplitude, nodes, weights):
 _SCAN_BLOCK = 32
 
 
-def _pump_blocks(b: BiphotonAmplitude, nodes: np.ndarray, times: np.ndarray):
+def _pump_blocks(pump: PulseShape, nodes: np.ndarray, times: np.ndarray):
     """The pump at t_i - w_j, as blocks (rows, lags, values) of
     ``_SCAN_BLOCK`` times (rows slices ``times``, lags the sorted rule
     ``nodes``).
@@ -339,14 +339,14 @@ def _pump_blocks(b: BiphotonAmplitude, nodes: np.ndarray, times: np.ndarray):
     values are real when the pump's imaginary part is zero there, complex
     otherwise.  The times need not be sorted.
     """
-    lo, hi = b.pump.support
+    lo, hi = pump.support
     for i in range(0, times.size, _SCAN_BLOCK):
         t = times[i : i + _SCAN_BLOCK]
         j0 = max(int(np.searchsorted(nodes, t.min() - hi)) - 1, 0)
         j1 = min(int(np.searchsorted(nodes, t.max() - lo, side="right")) + 1, nodes.size)
-        pump = b.pump.amplitude(t[:, None] - nodes[j0:j1])
+        vals = pump.amplitude(t[:, None] - nodes[j0:j1])
         # a contiguous copy: the strided view of the real part slows the products
-        yield slice(i, i + t.size), slice(j0, j1), (pump if pump.imag.any() else pump.real.copy())
+        yield slice(i, i + t.size), slice(j0, j1), (vals if vals.imag.any() else vals.real.copy())
 
 
 def _cee_reduced(prop: _Propagator, b: BiphotonAmplitude, times: np.ndarray) -> np.ndarray:
@@ -361,11 +361,11 @@ def _cee_reduced(prop: _Propagator, b: BiphotonAmplitude, times: np.ndarray) -> 
     is evaluated in ``_pump_blocks``, so memory does not grow with the
     number of times.
     """
-    rule = _reduced_rule(b, float(times.max()), _panel_width(prop, b))
+    rule = _reduced_rule(b.pump, b.t0_window, float(times.max()), _panel_width(prop, b))
     if rule is None:
         return np.zeros(times.shape, dtype=complex)
     pref, weight = _reduced_weight(prop, b, *rule)
-    return pref * _block_scan(_pump_blocks(b, rule[0], times), weight[None], times.size)[0]
+    return pref * _block_scan(_pump_blocks(b.pump, rule[0], times), weight[None], times.size)[0]
 
 
 def joint_trajectory(
@@ -383,20 +383,22 @@ _SCAN_STATE_KEEP_BYTES = 16 * 2**20
 
 
 @functools.lru_cache(maxsize=1)
-def _scan_state(b: BiphotonAmplitude, horizon: float, h: float):
+def _scan_state(pump: PulseShape, window: float, horizon: float, h: float):
     """The coupling-independent part of a peak search: the 401-point time
     scan, the reduced rule and the ``_pump_blocks`` of the scan, or None
     when no lag reaches the pump.
 
-    One entry: the calls of one coupling optimum share amplitude, horizon
-    and panel width, so every call after the first is a hit.
+    One entry, keyed on values: the pump and the phase-matching window
+    are the only parts of a biphoton that the reduced route reads, and the
+    calls of one coupling optimum share them, the horizon and the panel
+    width, so every call after the first is a hit.
     """
-    rule = _reduced_rule(b, horizon, h)
+    rule = _reduced_rule(pump, window, horizon, h)
     if rule is None:
         return None
     grid = np.linspace(0.0, horizon, 401)
-    blocks = list(_pump_blocks(b, rule[0], grid))
-    for arr in (grid, *rule, *(pump for _, _, pump in blocks)):
+    blocks = list(_pump_blocks(pump, rule[0], grid))
+    for arr in (grid, *rule, *(vals for _, _, vals in blocks)):
         arr.flags.writeable = False
     return grid, rule, blocks
 
@@ -432,7 +434,7 @@ def peak_joint_loading(p, b: BiphotonAmplitude, horizon: float):
     single = isinstance(p, TwoLevelParams)
     props = [_Propagator.of(q) for q in ([p] if single else p)]
     h = min(_panel_width(prop, b) for prop in props)
-    state = _scan_state(b, float(horizon), h)
+    state = _scan_state(b.pump, b.t0_window, float(horizon), h)
     t_peaks, p_peaks = np.zeros(len(props)), np.zeros(len(props))
     # with no lag reaching the pump, c_ee vanishes on [0, horizon]
     if state is not None:
@@ -445,7 +447,7 @@ def peak_joint_loading(p, b: BiphotonAmplitude, horizon: float):
 
         def objective(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
             out = np.empty(times.size, dtype=complex)
-            for i, lags, pump in _pump_blocks(b, rule[0], times):
+            for i, lags, pump in _pump_blocks(b.pump, rule[0], times):
                 out[i] = np.einsum("tn,tn->t", pump, weights[rows[i], lags])
             return np.abs(prefs[rows] * out) ** 2
 

@@ -16,7 +16,6 @@ coupling per cell) on a small process pool.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -183,22 +182,16 @@ def _adiabatic(detuned: bool) -> Scenario:
     )
 
 
-# one entry: every objective call of one optimum (and so of one sweep cell)
-# passes the same amplitude, which keys peak_joint_loading's scan state
-@functools.lru_cache(maxsize=1)
-def _mitnu_biphoton(kT: float, kT0: float):
-    return entangled_loading.spdc_biphoton(entangled_loading.SpdcParams(T=kT, T0=kT0))
-
-
 def _mitnu_probability(g_over_k: np.ndarray, fixed: dict) -> tuple[np.ndarray, np.ndarray]:
-    b = _mitnu_biphoton(float(fixed["kT"]), float(fixed["kT0"]))
+    sp = entangled_loading.SpdcParams(T=float(fixed["kT"]), T0=float(fixed["kT0"]))
+    b = entangled_loading.spdc_biphoton(sp)
     params = [two_level.TwoLevelParams(g=g, kappa=1.0) for g in g_over_k.tolist()]
     t_pk, p_max = entangled_loading.peak_joint_loading(params, b, b.support[1] + 2.0)
     return p_max, t_pk
 
 
 def _mitnu_trajectory(cfg: dict, points: int):
-    b = _mitnu_biphoton(cfg["kT"], cfg["kT0"])
+    b = entangled_loading.spdc_biphoton(entangled_loading.SpdcParams(T=cfg["kT"], T0=cfg["kT0"]))
     params = two_level.TwoLevelParams(g=cfg["g_over_k"], kappa=1.0)
     grid = np.linspace(0.0, b.support[1] + 2.0, points)
     traj = entangled_loading.joint_trajectory(params, b, grid)

@@ -1,22 +1,22 @@
 """Baseband temporal pulse shapes for single-photon drives.
 
 Every simulation in this package is driven by a normalized complex
-envelope Phi_b(t) (the optical carrier is factored out).  A pulse knows
-its effective width T, its center/reference time t0 and a finite support
-window outside which it evaluates to exactly zero, so quadrature and ODE
-windows can be chosen mechanically.
+envelope Phi_b(t) (the optical carrier is factored out).  A pulse is the
+value of its parameters: its family, effective width T, center/reference
+time t0 and carrier offset.  Equal parameters give equal, hashable
+pulses, so the peak searches' memos key on them.  From the parameters a
+pulse derives its envelope and a finite support window outside which it
+evaluates to exactly zero, so quadrature and ODE windows can be chosen
+mechanically.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-
-from . import numerics
 
 __all__ = [
     "PulseShape",
@@ -39,23 +39,47 @@ MAX_WIDTH = 1.7976931348623157e308 / 64.0
 class PulseShape:
     """Normalized complex baseband envelope with finite support.
 
+    Families: "sech" (sqrt(2/T) sech(4(t - t0)/T), cut at |t - t0| = 5T
+    and renormalized over the window); "rectangular" (height 1/sqrt(T)
+    on [t0 - T/2, t0 + T/2]); "exp_decaying" (sqrt(2/T) e^{-(t-t0)/T}
+    for t >= t0, cut at 16T); "exp_rising" (its time mirror, nonzero for
+    t <= t0); "zero" (no photon; any T).  ValueError for another kind or,
+    unless the pulse is zero, a width that is not positive and finite or
+    whose envelope or windows overflow.
+
     Attributes
     ----------
     kind : str
-        Family tag ("sech", "rectangular", ... or a derived tag).
+        Family tag.
     T : float
         Effective width in time units (NaN for the zero pulse).
     t0 : float
         Center or reference time of the envelope.
+    carrier : float
+        Carrier offset: the envelope carries the phase e^{-i carrier t}.
     support : (float, float)
-        Window outside which ``amplitude`` returns exactly 0.
+        Window outside which ``amplitude`` returns exactly 0; derived, as
+        the envelope is, and not part of equality.
     """
 
     kind: str
     T: float
     t0: float
-    support: tuple[float, float]
-    _func: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    carrier: float = 0.0
+    support: tuple[float, float] = field(init=False, compare=False)
+    _func: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        support, func = _envelope(self.kind, self.T, self.t0)
+        if self.carrier:
+            base, carrier = func, self.carrier
+
+            def func(t):
+                # t is a float or a float array (``amplitude``)
+                return base(t) * np.exp(-1j * carrier * t)
+
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "_func", func)
 
     def amplitude(self, t):
         """Evaluate Phi_b(t); accepts scalars or arrays, zero off support."""
@@ -73,71 +97,24 @@ class PulseShape:
             out[inside] = self._func(t_arr[inside])
         return out
 
-    def norm_squared(self) -> float:
-        """Adaptive quadrature of |Phi_b|^2 over the support."""
-        lo, hi = self.support
-        if not hi > lo:
-            return 0.0
-        val = numerics.quad1(
-            lambda t: np.abs(self.amplitude(t)) ** 2,
-            (lo, hi),
-            breakpoints=(self.t0,),
-        )
-        return float(val.real)
 
-
-def make_sech(T: float, t0: float) -> PulseShape:
-    """Hyperbolic-secant envelope sqrt(2/T)*sech(4(t-t0)/T).
-
-    The tails are truncated at |t - t0| = 5T (discarded norm ~4e-18) and
-    the envelope is renormalized over the retained window.
-    """
-    _check_width(T, "sech")
-    # exact norm over the truncated window: tanh(4*cutoff)
-    renorm = 1.0 / math.sqrt(math.tanh(4.0 * _SECH_CUTOFF))
-    amp = math.sqrt(2.0 / T) * renorm
-
-    def func(t):
-        return amp / np.cosh(4.0 * (t - t0) / T) + 0.0j
-
-    return PulseShape(
-        kind="sech",
-        T=T,
-        t0=t0,
-        support=(t0 - _SECH_CUTOFF * T, t0 + _SECH_CUTOFF * T),
-        _func=func,
-    )
-
-
-# a pulse is immutable: equal arguments get the one object, so that the
-# calls of one coupling optimum hit two_level's scan grid memo, keyed on it
-@functools.lru_cache(maxsize=16, typed=True)
-def make_named(kind: str, T: float, t0: float) -> PulseShape:
-    """Construct a unit-norm pulse of a named family with width T.
-
-    Families: "sech"; "rectangular" (height 1/sqrt(T) on
-    [t0 - T/2, t0 + T/2]); "exp_decaying" (sqrt(2/T) e^{-(t-t0)/T} for
-    t >= t0); "exp_rising" (its time mirror, nonzero for t <= t0);
-    "zero".  Equal arguments (of equal types) return the same object.
-    """
-    if kind == "sech":
-        return make_sech(T, t0)
+def _envelope(kind: str, T: float, t0: float):
+    """(support, envelope function) of a family with width T and center t0."""
     if kind == "zero":
-        return make_zero(T, t0)
+        return (t0, t0), lambda t: np.zeros(np.shape(t), dtype=complex)
     _check_width(T, kind)
-    if kind == "rectangular":
-        height = 1.0 / math.sqrt(T)
+    if kind == "sech":
+        # exact norm over the truncated window: tanh(4*cutoff)
+        renorm = 1.0 / math.sqrt(math.tanh(4.0 * _SECH_CUTOFF))
+        amp = math.sqrt(2.0 / T) * renorm
 
         def func(t):
-            return np.full(np.shape(t), height, dtype=complex)
+            return amp / np.cosh(4.0 * (t - t0) / T) + 0.0j
 
-        return PulseShape(
-            kind="rectangular",
-            T=T,
-            t0=t0,
-            support=(t0 - T / 2.0, t0 + T / 2.0),
-            _func=func,
-        )
+        return (t0 - _SECH_CUTOFF * T, t0 + _SECH_CUTOFF * T), func
+    if kind == "rectangular":
+        height = 1.0 / math.sqrt(T)
+        return (t0 - T / 2.0, t0 + T / 2.0), lambda t: np.full(np.shape(t), height, dtype=complex)
     if kind in ("exp_decaying", "exp_rising"):
         sign = -1.0 if kind == "exp_decaying" else 1.0
         # norm over the truncated one-sided window: 1 - e^{-2*cutoff}
@@ -152,41 +129,41 @@ def make_named(kind: str, T: float, t0: float) -> PulseShape:
             if kind == "exp_decaying"
             else (t0 - _EXP_CUTOFF * T, t0)
         )
-        return PulseShape(kind=kind, T=T, t0=t0, support=support, _func=func)
+        return support, func
     raise ValueError(f"unknown pulse kind {kind!r}")
+
+
+def make_sech(T: float, t0: float) -> PulseShape:
+    """Hyperbolic-secant envelope sqrt(2/T)*sech(4(t-t0)/T).
+
+    The tails are truncated at |t - t0| = 5T (discarded norm ~4e-18) and
+    the envelope is renormalized over the retained window.
+    """
+    return PulseShape("sech", T, t0)
+
+
+def make_named(kind: str, T: float, t0: float) -> PulseShape:
+    """Construct a unit-norm pulse of a named family with width T (the
+    families are listed on ``PulseShape``)."""
+    return PulseShape(kind, T, t0)
 
 
 def make_zero(T: float = math.nan, t0: float = 0.0) -> PulseShape:
     """The identically-zero drive (no photon); width is undefined."""
-
-    def func(t):
-        return np.zeros(np.shape(t), dtype=complex)
-
-    return PulseShape(kind="zero", T=T, t0=t0, support=(t0, t0), _func=func)
+    return PulseShape("zero", T, t0)
 
 
 def frequency_shifted(pulse: PulseShape, delta_omega: float) -> PulseShape:
     """Shift the pulse's carrier by +delta_omega.
 
     The baseband envelope picks up a phase e^{-i delta_omega t}; norm,
-    support and width are unchanged.  ValueError when that phase is not
-    finite on the support.
+    support and width are unchanged.  ValueError when the phase of the
+    shifted carrier is not finite on the support.
     """
-    if not math.isfinite(delta_omega * max(map(abs, pulse.support))):
+    carrier = pulse.carrier + delta_omega
+    if not math.isfinite(carrier * max(map(abs, pulse.support))):
         raise ValueError(f"the carrier shift {delta_omega!r} overflows the phase on the support")
-    base = pulse._func
-
-    def func(t):
-        # t is a float or a float array (``PulseShape.amplitude``)
-        return base(t) * np.exp(-1j * delta_omega * t)
-
-    return PulseShape(
-        kind=pulse.kind + "+carrier",
-        T=pulse.T,
-        t0=pulse.t0,
-        support=pulse.support,
-        _func=func,
-    )
+    return replace(pulse, carrier=carrier)
 
 
 def _check_width(T: float, kind: str) -> None:

@@ -378,7 +378,7 @@ def _peak(props, pulse: PulseShape, horizon: float):
     the batch, locates each global basin despite Rabi oscillations: the
     propagators share the grid and the pulse, and each one's march is one
     banded solve.  The grid comes from ``_scan_grid``'s memo when the last
-    call scanned the same pulse to the same horizon, as every call of one
+    call scanned an equal pulse to the same horizon, as every call of one
     coupling optimum does.  Brent refinement, in lockstep over the
     propagators, takes one partial step from the grid state below each
     trial time, with the rows of one stacked propagator; a refined peak
@@ -459,7 +459,7 @@ def _stepped(prop, pulse: PulseShape, times, start=None, state=None):
 
 # the last ``_scan_grid`` result, under its (pulse, horizon, start,
 # max_step) and the grid constants: every objective call of one coupling
-# optimum scans the same pulse to the same horizon.  One entry, so that no
+# optimum scans an equal pulse to the same horizon.  One entry, so that no
 # later request reuses an earlier one's grid and memory stays that of one
 # grid.
 _SCAN_MEMO: dict = {}
@@ -473,11 +473,11 @@ def _scan_grid(pulse: PulseShape, horizon: float, start=None, max_step=math.inf)
     and after the start; OdeFailure, before anything is allocated, when
     the grid would take more than ``_STEP_BUDGET`` steps.
 
-    The last result is kept in ``_SCAN_MEMO`` and returned again for the
-    same pulse (equal fields, the same envelope function, as
-    ``make_named`` gives for equal arguments), horizon, start, ``max_step``,
-    ``_STEPS_PER_WIDTH`` and ``_STEP_BUDGET``; its grid and pulse arrays
-    are read-only.  The old entry is dropped before a new grid is built.
+    The last result is kept in ``_SCAN_MEMO`` and returned again for an
+    equal pulse (a pulse is the value of its parameters), horizon, start,
+    ``max_step``, ``_STEPS_PER_WIDTH`` and ``_STEP_BUDGET``; its grid and
+    pulse arrays are read-only.  The old entry is dropped before a new grid
+    is built.
     """
     t_begin = min(0.0, pulse.support[0]) if start is None else start
     key = (pulse, horizon, t_begin, max_step, _STEPS_PER_WIDTH, _STEP_BUDGET)

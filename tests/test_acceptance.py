@@ -425,7 +425,7 @@ def test_c13_scaling_invariance():
     )
 
 
-@pytest.mark.parametrize("preset", cli.FIGURE_PRESETS)
+@pytest.mark.parametrize("preset", tuple(cli.FIGURES))
 def test_c14_figure_presets(preset, tmp_path, request):
     if preset == "fig10":
         # the run whose sweep c12 checks

@@ -43,8 +43,6 @@ def _package():
 def test_tracer_sees_every_hooked_layer(tmp_path):
     pkg = _package()
     original = optimize.scenario_probability
-    # the biphoton is cached per (kT, kT0); start cold so it is built here
-    optimize._mitnu_biphoton.cache_clear()
     tracer = Tracer()
     tracer.install(pkg)
     try:
@@ -95,7 +93,6 @@ def test_tracer_sees_every_hooked_layer(tmp_path):
 def test_tracer_sees_the_optimizer_route():
     # the batched coarse scan and the Brent calls must both go through the
     # module attributes the tracer wraps
-    optimize._mitnu_biphoton.cache_clear()
     tracer = Tracer()
     tracer.install(_package())
     try:

@@ -93,6 +93,6 @@ def test_every_figure_preset_is_timed():
     from cavity_loader import cli
 
     timed = [argv[2] for name, argv in bench_record.CLI_COMMANDS.items() if argv[0] == "figure"]
-    assert timed == list(cli.FIGURE_PRESETS)
+    assert timed == list(cli.FIGURES)
     assert all(argv[-2:] == ["--workers", "1"] for argv in bench_record.CLI_COMMANDS.values()
                if argv[0] == "figure")

@@ -182,6 +182,19 @@ def test_cee_narrow_window_continuity():
     assert abs(vals[0] - vals[1]) / vals[1] < 0.02
 
 
+def test_scan_state_keys_on_the_pump_and_window_values():
+    # two biphotons built from equal parameters are two objects with equal
+    # pumps and windows, and share one entry; another window misses
+    el._scan_state.cache_clear()
+    first, again = (el.spdc_biphoton(SpdcParams(3, 4)) for _ in range(2))
+    assert first is not again
+    el.peak_joint_loading(PK, first, 30.0)
+    el.peak_joint_loading(PK, again, 30.0)
+    assert el._scan_state.cache_info()[:2] == (1, 1)  # hits, misses
+    el.peak_joint_loading(PK, el.spdc_biphoton(SpdcParams(3, 5)), 30.0)
+    assert el._scan_state.cache_info()[:2] == (1, 2)
+
+
 def test_narrow_window_scan_state_is_not_kept():
     # T0 = 0.05 needs 22 MB of real pump blocks; the design range keeps <= 3.1 MB
     b = el.spdc_biphoton(SpdcParams(T=2.0, T0=0.05))
@@ -216,7 +229,7 @@ def test_block_scan_matches_reduced(kT, kT0, delta):
     ]
     h = min(el._panel_width(prop, b) for prop in props)
     el._scan_state.cache_clear()
-    grid, rule, blocks = el._scan_state(b, horizon, h)
+    grid, rule, blocks = el._scan_state(b.pump, b.t0_window, horizon, h)
     el._scan_state.cache_clear()
     if kT == 1.0:
         # the pump starts at t = 3: the first block of rows reaches no lag

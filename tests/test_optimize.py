@@ -231,9 +231,9 @@ def test_degenerate_optimum_counts_the_scan(monkeypatch):
 
 
 def test_objective_calls_of_one_optimum_share_one_scan_grid():
-    # the coarse scan and each Brent coupling of one optimum pass the same
-    # pulse (make_named gives equal arguments one object), and so read the
-    # one memo entry that the first call made
+    # the coarse scan and each Brent coupling of one optimum pass equal
+    # pulses (a pulse is the value of its parameters), and so read the one
+    # memo entry that the first call made
     fixed = {"kT": 2.0, "pulse": "exp_rising", "gamma_over_g": 0.1}
     two_level._SCAN_MEMO.clear()
     optimize._two_level_probability(np.geomspace(0.1, 5.0, 4), fixed)

@@ -4,6 +4,7 @@ direct double quadrature (derandomized, so every run draws the same
 examples)."""
 
 import cmath
+import functools
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -66,14 +67,21 @@ def test_stepped_trajectory_matches_closed_form_at_a_drawn_time(run):
 LINEARITY_PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
 
+class _PulseSum:
+    """A pulse-like test object: the writers read only ``amplitude``,
+    ``support``, ``T`` and ``t0`` of a pulse."""
+
+    def __init__(self, terms, like):
+        self.terms, self.T, self.t0, self.support = terms, like.T, like.t0, like.support
+
+    def amplitude(self, t):
+        return sum(c * q.amplitude(t) for c, q in self.terms)
+
+
 def _combination(terms, like):
     """The pulse sum of c * pulse over the (c, pulse) ``terms``, with the
     width, centre and support of ``like``: one scan grid for every term."""
-
-    def func(t):
-        return sum(c * q.amplitude(t) for c, q in terms)
-
-    return pulses.PulseShape("combination", like.T, like.t0, like.support, func)
+    return _PulseSum(terms, like)
 
 
 def _states(params, pulse, times):
@@ -110,11 +118,13 @@ LAMBDA_PROPERTY = settings(derandomize=True, max_examples=20, deadline=None, dat
 
 @st.composite
 def lambda_runs(draw):
-    """(trajectory, t_load, end of the pulse): the exact three-level writer with kappa = 1 on
-    the CLI's output grid, from the scan start to 5 kT, for a drawn pulse
-    family and width kT, couplings g_c and Omega, a detuning |Delta1| at
-    least ten times both (either sign), gamma_r and a switch-off t_load/T
-    in [-1, 6], which may fall before the scan start or after the grid."""
+    """(params, pulse, times, t_load): the inputs of the exact three-level
+    writer with kappa = 1 on the CLI's output grid, from the scan start to
+    5 kT, for a drawn pulse family and width kT, couplings g_c and Omega, a
+    detuning |Delta1| at least ten times both (either sign), gamma_r and a
+    switch-off t_load/T in [-1, 6], which may fall before the scan start or
+    after the grid.  The writer runs in the test (``_writer_run``), not in
+    the draw, so that its cost does not count as data generation."""
     kT = draw(st.floats(0.5, 10.0))
     pulse = pulses.make_named(draw(st.sampled_from(FAMILIES)), kT, kT)
     g_c, omega = draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 5.0))
@@ -126,13 +136,29 @@ def lambda_runs(draw):
     p = replace(p, delta2=lambda_memory.stark_compensation(p))
     times = np.linspace(min(0.0, pulse.support[0]), 5.0 * kT, draw(st.integers(2, 200)))
     t_load = kT * draw(st.floats(-1.0, 6.0))
-    drive = lambda_memory.compensated_pulse(pulse, p)
-    traj = lambda_memory.nonadiabatic_trajectory(p, drive, times, t_load)
-    return traj, t_load, pulse.support[1]
+    return p, pulse, times, t_load
+
+
+def _writer_run(test):
+    """Run the three-level writer on a ``lambda_runs`` draw when the test
+    runs, and pass the test (trajectory, t_load, end of the pulse).  The
+    wrapper keeps the test's source and signature, from which hypothesis
+    seeds a derandomized run, so the drawn examples stay those of a test
+    that took the trajectory from the draw."""
+
+    @functools.wraps(test)
+    def run_test(run):
+        p, pulse, times, t_load = run
+        drive = lambda_memory.compensated_pulse(pulse, p)
+        traj = lambda_memory.nonadiabatic_trajectory(p, drive, times, t_load)
+        return test((traj, t_load, pulse.support[1]))
+
+    return run_test
 
 
 @LAMBDA_PROPERTY
 @given(lambda_runs())
+@_writer_run
 def test_nonadiabatic_trajectory_never_gains_probability(run):
     # at most the photon's unit probability, and none gained once it has
     # passed: the drive-free system only decays
@@ -144,6 +170,7 @@ def test_nonadiabatic_trajectory_never_gains_probability(run):
 
 @LAMBDA_PROPERTY
 @given(lambda_runs())
+@_writer_run
 def test_nonadiabatic_trajectory_freezes_the_target_after_switch_off(run):
     traj, t_load, _ = run
     frozen = np.abs(traj.amplitudes["c_e"][traj.times >= t_load])

@@ -3,17 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from cavity_loader import pulses
+from cavity_loader import numerics, pulses
 
 
 ALL_KINDS = ["sech", "rectangular", "exp_rising", "exp_decaying"]
+
+
+def _norm_squared(p):
+    """Adaptive quadrature of |Phi_b|^2 over the support."""
+    val = numerics.quad1(lambda t: np.abs(p.amplitude(t)) ** 2, p.support, breakpoints=(p.t0,))
+    return float(val.real)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("T,t0", [(1.0, 0.0), (2.0, 2.0), (0.3, -1.5), (17.0, 5.0)])
 def test_unit_norm(kind, T, t0):
     p = pulses.make_named(kind, T, t0)
-    assert p.norm_squared() == pytest.approx(1.0, abs=1e-9)
+    assert _norm_squared(p) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sech_peak_value():
@@ -120,6 +126,10 @@ def test_frequency_shift_rejects_a_phase_that_overflows():
         with pytest.raises(ValueError, match="carrier shift"):
             pulses.frequency_shifted(base, shift)
     assert np.isfinite(pulses.frequency_shifted(base, 1e307).amplitude(base.support[1]))
+    # two shifts add into one carrier, whose phase is checked
+    once = pulses.frequency_shifted(base, 2e307)
+    with pytest.raises(ValueError, match="carrier shift"):
+        pulses.frequency_shifted(once, 2e307)
 
 
 def test_unknown_kind_rejected():
@@ -127,12 +137,38 @@ def test_unknown_kind_rejected():
         pulses.make_named("gaussian", 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "kind, T", [("sech", 1e-310), ("exp_rising", 1e-310), ("gaussian", 1.0), ("gaussian", -1.0)]
+)
+def test_direct_construction_is_refused_as_make_named_refuses(kind, T):
+    # the constructor runs make_named's checks, in its order: the width
+    # before the kind
+    with pytest.raises(ValueError) as named:
+        pulses.make_named(kind, T, 0.0)
+    with pytest.raises(ValueError) as direct:
+        pulses.PulseShape(kind, T, 0.0)
+    assert str(direct.value) == str(named.value)
+
+
+def test_equal_parameters_give_equal_pulses():
+    # a pulse is its parameters: 2 and 2.0 are one width, the derived
+    # support and envelope take no part, and the carrier does
+    sech = pulses.make_sech(2, 2)
+    assert sech == pulses.make_named("sech", 2.0, 2.0)
+    assert hash(sech) == hash(pulses.make_named("sech", 2.0, 2.0))
+    assert sech != pulses.make_named("sech", 2.0, 2.5)
+    assert sech != pulses.make_named("rectangular", 2.0, 2.0)
+    assert pulses.frequency_shifted(sech, 0.5) == pulses.frequency_shifted(sech, 0.5)
+    assert pulses.frequency_shifted(sech, 0.5) != pulses.frequency_shifted(sech, 0.7)
+    assert pulses.frequency_shifted(sech, 0.5) != sech
+
+
 def test_frequency_shift_preserves_norm_and_support():
     base = pulses.make_sech(2.0, 1.0)
     shifted = pulses.frequency_shifted(base, 0.7)
     assert shifted.support == base.support
     assert shifted.T == base.T
-    assert shifted.norm_squared() == pytest.approx(1.0, abs=1e-9)
+    assert _norm_squared(shifted) == pytest.approx(1.0, abs=1e-9)
     t = 1.3
     assert shifted.amplitude(t) == pytest.approx(
         base.amplitude(t) * np.exp(-1j * 0.7 * t), abs=1e-12

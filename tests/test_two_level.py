@@ -339,25 +339,41 @@ def test_scan_grid_memo_keeps_every_bit(kind):
     "other",
     [
         lambda named: (pulses.make_named("sech", 2.0, 2.5), 10.0),
-        lambda named: (FIG3_PULSE, 10.0),
+        lambda named: (pulses.frequency_shifted(named, 0.5), 10.0),
         lambda named: (named, 10.5),
         lambda named: (named, 10.0, -1.0),
         lambda named: (named, 10.0, None, 0.01),
     ],
-    ids=["t0", "another-envelope-function", "horizon", "start", "max_step"],
+    ids=["t0", "carrier", "horizon", "start", "max_step"],
 )
 def test_scan_grid_memo_holds_one_request(other):
-    # a hit needs the same pulse (fields and envelope function), horizon,
-    # start and step cap; a miss replaces the one entry
+    # a hit needs an equal pulse (kind, width, center and carrier), the
+    # same horizon, start and step cap; a miss replaces the one entry
     two_level._SCAN_MEMO.clear()
     named = pulses.make_named("sech", 2.0, 2.0)
     grid, phi, _ = two_level._scan_grid(named, 10.0)
-    # make_named gives equal arguments the one pulse, and so the one entry;
-    # make_sech (FIG3_PULSE) builds an equal pulse with another envelope
+    # equal parameters give an equal pulse, and so the one entry
     assert two_level._scan_grid(pulses.make_named("sech", 2.0, 2.0), 10.0)[1] is phi
     missed = two_level._scan_grid(*other(named))
     assert missed[1] is not phi
     assert len(two_level._SCAN_MEMO) == 1 and next(iter(two_level._SCAN_MEMO.values()))[1] is missed[1]
+
+
+def test_scan_grid_memo_keys_on_pulse_values():
+    # make_sech and make_named build equal pulses from equal widths of
+    # either type, and share one entry; two carriers miss each other's
+    two_level._SCAN_MEMO.clear()
+    sech = pulses.make_sech(2, 2)
+    phi = two_level._scan_grid(sech, 10.0)[1]
+    assert two_level._scan_grid(pulses.make_named("sech", 2.0, 2.0), 10.0)[1] is phi
+    slow, fast = (pulses.frequency_shifted(sech, shift) for shift in (0.5, 0.7))
+    assert slow != fast
+    slow_phi = two_level._scan_grid(slow, 10.0)[1]
+    assert slow_phi is not phi
+    fast_phi = two_level._scan_grid(fast, 10.0)[1]
+    assert fast_phi is not slow_phi and not np.array_equal(fast_phi, slow_phi)
+    assert two_level._scan_grid(slow, 10.0)[1] is not fast_phi
+    assert len(two_level._SCAN_MEMO) == 1
 
 
 @pytest.mark.parametrize("name, factor", [("_STEPS_PER_WIDTH", 2), ("_STEP_BUDGET", 0)])
