@@ -33,12 +33,13 @@ for frac in (0.5, 1.0, 1.5, 2.0, 3.0):
     i = np.argmin(abs(grid - frac * T))
     print(f"  t = {frac:.1f} T   |c_e|^2 = {pop[i]:.4f}   |beta|^2 = {traj.population('beta')[i]:.4f}")
 
-t_load, p_max = peak_loading(params, pulse, 5 * T)
+(t_load,), (p_max,) = peak_loading([params], pulse, 5 * T)
 print(f"  peak loading {p_max:.4f} at T_Load = {t_load / T:.3f} T")
 
 print("\n== the coupling rate has an optimum ==")
-for g in (0.5, 1.0, 1.5, 2.5, 4.0):
-    _, pm = peak_loading(TwoLevelParams(g=g, kappa=kappa), pulse, 5 * T)
+couplings = (0.5, 1.0, 1.5, 2.5, 4.0)
+_, peaks = peak_loading([TwoLevelParams(g=g, kappa=kappa) for g in couplings], pulse, 5 * T)
+for g, pm in zip(couplings, peaks):
     bar = "#" * int(pm * 40)
     print(f"  g/kappa = {g:<4} peak = {pm:.4f} {bar}")
 

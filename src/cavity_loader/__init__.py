@@ -15,7 +15,6 @@ from .pulses import (
     frequency_shifted,
     make_named,
     make_sech,
-    make_zero,
 )
 from .two_level import (
     Trajectory,
@@ -60,7 +59,6 @@ __all__ = [
     "PulseShape",
     "make_sech",
     "make_named",
-    "make_zero",
     "frequency_shifted",
     "OdeSystem",
     "QuadratureSpec",

@@ -9,8 +9,9 @@ records in ``optimize.SCENARIOS``; a flag or config key the chosen
 scenario does not read is a configuration error.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 numeric failure.
-The worker count for sweep presets is capped by the environment variable
-CAVITY_LOADER_THREADS.
+A sweep preset starts at most one worker per cell and per CPU; without
+``--workers`` the environment variable CAVITY_LOADER_THREADS caps the
+count further.
 """
 
 from __future__ import annotations
@@ -67,14 +68,21 @@ def _read_config_file(path) -> dict:
     return values
 
 
+# a trajectory's memory grows linearly with its points: a million takes
+# up to ~150 MB and several seconds
+MAX_POINTS = 1_000_000
+
+
 def _points(raw: str) -> int:
-    """A grid size: an integer of at least 2."""
+    """A grid size: an integer from 2 to MAX_POINTS."""
     try:
         n = int(raw)
     except ValueError:
         n = 0
     if n < 2:
         raise ValueError(f"must be an integer >= 2, got {raw!r}")
+    if n > MAX_POINTS:
+        raise ValueError(f"must be at most {MAX_POINTS}, got {raw!r}")
     return n
 
 

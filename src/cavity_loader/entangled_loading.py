@@ -418,21 +418,21 @@ def _block_scan(blocks, weights: np.ndarray, n_times: int) -> np.ndarray:
     return out
 
 
-def peak_joint_loading(p, b: BiphotonAmplitude, horizon: float):
-    """Global maximum of |c_ee(t)|^2 over [0, horizon] (dense scan + refine).
+def peak_joint_loading(params, b: BiphotonAmplitude, horizon: float):
+    """Global maxima of |c_ee(t)|^2 over [0, horizon] (dense scan + refine)
+    for a sequence of TwoLevelParams: (t_peak, P_peak), two arrays of its
+    length.
 
-    ``p`` is one TwoLevelParams, giving (t_peak, P_peak) as floats, or a
-    sequence of them, giving both as arrays.  The batch shares one Gauss
-    rule, at the narrowest panel width its kernels ask for, and the
-    ``_pump_blocks`` of the scan grid; the scan of every coupling is one
-    product per block, and one Brent search refines every peak in
-    lockstep, each peak time to about sqrt(eps) |t|, through the blocks of
-    its trial times.  ValueError unless ``horizon`` is finite and positive.
+    The batch shares one Gauss rule, at the narrowest panel width its
+    kernels ask for, and the ``_pump_blocks`` of the scan grid; the scan
+    of every coupling is one product per block, and one Brent search
+    refines every peak in lockstep, each peak time to about sqrt(eps) |t|,
+    through the blocks of its trial times.  ValueError unless ``horizon``
+    is finite and positive.
     """
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and after t = 0, got {horizon!r}")
-    single = isinstance(p, TwoLevelParams)
-    props = [_Propagator.of(q) for q in ([p] if single else p)]
+    props = [_Propagator.of(p) for p in params]
     h = min(_panel_width(prop, b) for prop in props)
     state = _scan_state(b.pump, b.t0_window, float(horizon), h)
     t_peaks, p_peaks = np.zeros(len(props)), np.zeros(len(props))
@@ -454,6 +454,4 @@ def peak_joint_loading(p, b: BiphotonAmplitude, horizon: float):
         t_peaks, p_peaks, _ = numerics.scan_refine(
             objective, grid, np.abs(scans) ** 2, 1e-10 * max(horizon, 1.0)
         )
-    if single:
-        return float(t_peaks[0]), float(p_peaks[0])
     return t_peaks, p_peaks

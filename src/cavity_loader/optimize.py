@@ -299,23 +299,20 @@ class SweepSpec:
 
 
 def scenario_probability(scenario: str, g_over_k, fixed: dict):
-    """(loading probability, time of the relevant peak) at one or more couplings.
+    """(loading probability, time of the relevant peak) at each coupling.
 
-    ``g_over_k`` is a float, giving two floats, or a non-empty 1-D array,
-    giving two arrays of its length.  ``fixed`` carries the scenario's
-    optimize fields: kT for all scenarios, kT0 for the biphoton one, plus
-    optional gamma_over_g / delta_over_k / pulse for the two-level
-    family; any other key is an error.
+    ``g_over_k`` is a non-empty 1-D array, giving two arrays of its
+    length.  ``fixed`` carries the scenario's optimize fields: kT for all
+    scenarios, kT0 for the biphoton one, plus optional gamma_over_g /
+    delta_over_k / pulse for the two-level family; any other key is an
+    error.
     """
     chosen = get_scenario(scenario)
     check_fields(scenario, fixed, chosen.optimize.parsers())
     g = np.asarray(g_over_k, dtype=float)
-    if g.ndim > 1 or g.size == 0:
-        raise ValueError("couplings must be a float or a non-empty 1-D array")
-    probs, times = chosen.probability(g.reshape(-1), fixed)
-    if g.ndim == 0:
-        return float(probs[0]), float(times[0])
-    return probs, times
+    if g.ndim != 1 or g.size == 0:
+        raise ValueError(f"couplings must be a non-empty 1-D array, got shape {g.shape}")
+    return chosen.probability(g, fixed)
 
 
 def optimize_coupling(
@@ -342,9 +339,10 @@ def optimize_coupling(
     cache = dict(zip(grid, zip(probs.tolist(), times.tolist())))
 
     def objective(rows: np.ndarray, gs: np.ndarray) -> np.ndarray:
-        for g in gs.tolist():
-            if g not in cache:
-                cache[g] = scenario_probability(scenario, g, fixed)
+        new = [g for g in gs.tolist() if g not in cache]
+        if new:
+            probs, times = scenario_probability(scenario, np.array(new), fixed)
+            cache.update(zip(new, zip(probs.tolist(), times.tolist())))
         return np.array([cache[g][0] for g in gs.tolist()])
 
     if probs.max() - probs.min() < 1e-9:
@@ -375,7 +373,10 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get(WORKERS_ENV)
-    cap = int(env) if env else 4
+    try:
+        cap = int(env) if env else 4
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     return max(1, min(cap, os.cpu_count() or 1))
 
 
@@ -391,9 +392,9 @@ def _sweep_cell(args) -> dict:
                 g_opt=opt.g_opt, P_max=opt.P_max, T_load=opt.T_load, error=""
             )
         else:
-            g = float(cell_fixed.pop("g_over_k"))
+            g = np.array([float(cell_fixed.pop("g_over_k"))])
             p_max, t_load = scenario_probability(scenario, g, cell_fixed)
-            row.update(P_max=p_max, T_load=t_load, error="")
+            row.update(P_max=float(p_max[0]), T_load=float(t_load[0]), error="")
     except Exception as exc:  # per-cell failures are recorded, not fatal
         row.update(P_max=float("nan"), T_load=float("nan"), error=str(exc))
         if optimize_g:
@@ -402,15 +403,20 @@ def _sweep_cell(args) -> dict:
 
 
 def sweep(spec: SweepSpec, workers: int | None = None) -> list[dict]:
-    """Evaluate a sweep, row-major over the axes, deterministically ordered."""
+    """Evaluate a sweep, row-major over the axes, deterministically ordered.
+
+    The cells run on a process pool of ``resolve_workers(workers)``
+    processes, but at most one per cell and one per CPU: the pool starts
+    every worker it is allowed.
+    """
     names = [name for name, _ in spec.axes]
     grids = [np.asarray(grid, dtype=float).tolist() for _, grid in spec.axes]
     payloads = [
         (spec.scenario, tuple(zip(names, values)), spec.fixed, spec.optimize_g, spec.g_range)
         for values in itertools.product(*grids)
     ]
-    n_workers = resolve_workers(workers)
-    if n_workers == 1 or len(payloads) == 1:
+    n_workers = min(resolve_workers(workers), len(payloads), os.cpu_count() or 1)
+    if n_workers == 1:
         return [_sweep_cell(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(_sweep_cell, payloads))

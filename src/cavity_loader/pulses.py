@@ -22,7 +22,6 @@ __all__ = [
     "PulseShape",
     "make_sech",
     "make_named",
-    "make_zero",
     "frequency_shifted",
 ]
 
@@ -146,11 +145,6 @@ def make_named(kind: str, T: float, t0: float) -> PulseShape:
     """Construct a unit-norm pulse of a named family with width T (the
     families are listed on ``PulseShape``)."""
     return PulseShape(kind, T, t0)
-
-
-def make_zero(T: float = math.nan, t0: float = 0.0) -> PulseShape:
-    """The identically-zero drive (no photon); width is undefined."""
-    return PulseShape("zero", T, t0)
 
 
 def frequency_shifted(pulse: PulseShape, delta_omega: float) -> PulseShape:

@@ -355,18 +355,12 @@ def spectral_amplitude(
     return -1j * math.sqrt(p.kappa / math.pi) * integral
 
 
-def peak_loading(p, pulse: PulseShape, horizon: float):
-    """Global maximum of |c_e(t)|^2 over [0, horizon].
-
-    ``p`` is one TwoLevelParams, giving (t_peak, P_peak) as floats, or a
-    sequence of them, giving both as arrays: ``_peak`` over their
-    propagators.
+def peak_loading(params, pulse: PulseShape, horizon: float):
+    """Global maxima of |c_e(t)|^2 over [0, horizon] for a sequence of
+    TwoLevelParams: (t_peak, P_peak), two arrays of its length, by
+    ``_peak`` over their propagators.
     """
-    single = isinstance(p, TwoLevelParams)
-    t_peak, p_peak = _peak([_Propagator.of(q) for q in ([p] if single else p)], pulse, horizon)
-    if single:
-        return float(t_peak[0]), float(p_peak[0])
-    return t_peak, p_peak
+    return _peak([_Propagator.of(p) for p in params], pulse, horizon)
 
 
 def _peak(props, pulse: PulseShape, horizon: float):

@@ -116,8 +116,8 @@ def _pulse_peaks():
     p = TwoLevelParams(g=1.0, kappa=1.0)
     for kind in PULSE_ORDER:
         pulse = pulses.make_named(kind, 2.0, 2.0)
-        _, pm = two_level.peak_loading(p, pulse, 10.0)
-        peaks[kind] = pm
+        _, pm = two_level.peak_loading([p], pulse, 10.0)
+        peaks[kind] = float(pm[0])
     return peaks
 
 

@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
@@ -51,7 +53,7 @@ def test_tracer_sees_every_hooked_layer(tmp_path):
             ("lambda_adiabatic_zed", {"kT": 4.5}),
             ("mitnu", {"kT": 2.0, "kT0": 2.0}),
         ):
-            p, _ = optimize.scenario_probability(scenario, 1.0, fixed)
+            (p,), _ = optimize.scenario_probability(scenario, np.array([1.0]), fixed)
             assert 0.0 < p <= 1.0
         adiabatic_runs = tracer.calls["lambda_memory.adiabatic_run"]
         # the timing scan reaches the adiabatic runs through the module

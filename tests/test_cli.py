@@ -565,6 +565,7 @@ _LAMBDA_NONADIABATIC_SIMULATE = [
         (["optimize", "--scenario", "lambda_adiabatic_tpr", "--kT", "5", "--g_max", "1e308"], 3),
         (["optimize", "--scenario", "lambda_adiabatic_zed", "--kT", "5", "--g_max", "1e308"], 3),
         *((argv, 0) for argv, _ in _HUGE_WIDTH),
+        (_TWO_LEVEL_SIMULATE + ["--g_over_k", "1", "--points", "1000001"], 2),
     ],
     ids=[
         "two_level-delta",
@@ -602,6 +603,7 @@ _LAMBDA_NONADIABATIC_SIMULATE = [
         "tpr-rate-overflow-1e308",
         "zed-rate-overflow-1e308",
         *(f"huge-width-{name}" for _, name in _HUGE_WIDTH),
+        "two_level-points-over-bound",
     ],
 )
 def test_contract_for_extreme_inputs(tmp_path, capsys, argv, code):
@@ -612,7 +614,8 @@ def test_contract_for_extreme_inputs(tmp_path, capsys, argv, code):
     # rule or the run is allocated; none of them may leak a traceback or a
     # warning.  A pulse width near the float range with a rate of 1e10 runs
     # to the end: the overflowing kernel exponentials are exact zeros, and no
-    # row is nan
+    # row is nan.  A grid past cli.MAX_POINTS is refused before it is
+    # allocated
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = run(argv + ["--out", str(tmp_path / "out.csv")])

@@ -153,8 +153,10 @@ def test_batched_peak_matches_single_calls(biphoton):
     times, probs = el.peak_joint_loading(params, biphoton, horizon)
     assert isinstance(times, np.ndarray) and isinstance(probs, np.ndarray)
     for q, t, p in zip(params, times, probs):
-        t1, p1 = el.peak_joint_loading(q, biphoton, horizon)
-        assert type(t1) is float and type(p1) is float
+        t_one, p_one = el.peak_joint_loading([q], biphoton, horizon)
+        assert isinstance(t_one, np.ndarray) and t_one.shape == (1,)
+        assert isinstance(p_one, np.ndarray) and p_one.shape == (1,)
+        t1, p1 = t_one[0], p_one[0]
         assert abs(p - p1) <= 1e-14
         assert abs(t - t1) <= 1e-6 * SP.T
 
@@ -177,7 +179,7 @@ def test_cee_narrow_window_continuity():
     vals = []
     for t0w in (0.05, 0.025):
         b = el.spdc_biphoton(SpdcParams(T=2.0, T0=t0w))
-        _, p = el.peak_joint_loading(PK, b, horizon=b.support[1] + 2.0)
+        _, (p,) = el.peak_joint_loading([PK], b, horizon=b.support[1] + 2.0)
         vals.append(p / t0w)
     assert abs(vals[0] - vals[1]) / vals[1] < 0.02
 
@@ -188,10 +190,10 @@ def test_scan_state_keys_on_the_pump_and_window_values():
     el._scan_state.cache_clear()
     first, again = (el.spdc_biphoton(SpdcParams(3, 4)) for _ in range(2))
     assert first is not again
-    el.peak_joint_loading(PK, first, 30.0)
-    el.peak_joint_loading(PK, again, 30.0)
+    el.peak_joint_loading([PK], first, 30.0)
+    el.peak_joint_loading([PK], again, 30.0)
     assert el._scan_state.cache_info()[:2] == (1, 1)  # hits, misses
-    el.peak_joint_loading(PK, el.spdc_biphoton(SpdcParams(3, 5)), 30.0)
+    el.peak_joint_loading([PK], el.spdc_biphoton(SpdcParams(3, 5)), 30.0)
     assert el._scan_state.cache_info()[:2] == (1, 2)
 
 
@@ -202,14 +204,14 @@ def test_narrow_window_scan_state_is_not_kept():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        el.peak_joint_loading(PK, b, b.support[1] + 2.0)
+        el.peak_joint_loading([PK], b, b.support[1] + 2.0)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert held <= 2**20
     # a design-range state stays for the next call of the same optimum
     wide = el.spdc_biphoton(SpdcParams(T=6.0, T0=6.0))
-    el.peak_joint_loading(PK, wide, wide.support[1] + 2.0)
+    el.peak_joint_loading([PK], wide, wide.support[1] + 2.0)
     assert el._scan_state.cache_info().currsize == 1
 
 
@@ -264,7 +266,7 @@ def test_peak_search_takes_a_complex_pump():
         pump=pump,
         t0_window=SP.T0,
     )
-    t, p = el.peak_joint_loading(PK, b, b.support[1] + 2.0)
+    (t,), (p,) = el.peak_joint_loading([PK], b, b.support[1] + 2.0)
     assert abs(math.sqrt(p) - abs(el.c_ee(PK, b, t, method="quad2"))) < 1e-8
     for dt in (-0.1, 0.1):
         assert abs(el.c_ee(PK, b, t + dt)) ** 2 < p
@@ -291,7 +293,7 @@ def test_narrow_window_trajectory_peak_memory():
     "call",
     [
         lambda b: el.joint_trajectory(PK, b, np.linspace(0.0, 10.0, 5)),
-        lambda b: el.peak_joint_loading(PK, b, 10.0),
+        lambda b: el.peak_joint_loading([PK], b, 10.0),
     ],
     ids=["joint_trajectory", "peak_joint_loading"],
 )
@@ -303,8 +305,8 @@ def test_reduced_routes_need_downconverter_structure(call):
 
 # make_sech(2, 2) starts at t = -8, so the two-level scan starts there
 _PEAK_SEARCHES = {
-    "two_level": lambda h: two_level.peak_loading(PK, pulses.make_sech(2.0, 2.0), h),
-    "pair": lambda h: el.peak_joint_loading(PK, el.spdc_biphoton(SP), h),
+    "two_level": lambda h: two_level.peak_loading([PK], pulses.make_sech(2.0, 2.0), h),
+    "pair": lambda h: el.peak_joint_loading([PK], el.spdc_biphoton(SP), h),
 }
 
 

@@ -54,7 +54,7 @@ def test_full_ode_no_couplings_bare_cavity():
 
 
 def test_full_ode_zero_pulse():
-    traj = lm.full_ode(make_params(), pulses.make_zero(2.0, 2.0), np.linspace(0, 8, 20))
+    traj = lm.full_ode(make_params(), pulses.make_named("zero", 2.0, 2.0), np.linspace(0, 8, 20))
     for series in traj.amplitudes.values():
         assert np.all(series == 0.0)
 
@@ -350,7 +350,7 @@ def _stopped_loading(offsets, g=1.7):
     memory (kappa = 1, sech T = 1) with the control stopped at its loading
     peak plus each offset, the frozen loading read from one stepped run."""
     params, pulse = TwoLevelParams(g=g, kappa=1.0), pulses.make_sech(1.0, 1.0)
-    t_load, _ = two_level.peak_loading(params, pulse, 5.0)
+    (t_load,), _ = two_level.peak_loading([params], pulse, 5.0)
     stops = t_load + np.asarray(offsets, dtype=float)
     return t_load, two_level.stepped_trajectory(params, pulse, stops).population("c_e")
 
@@ -635,7 +635,7 @@ def _t_load(mode, kind, p, drive, grid):
         # the loading peak of the adiabatically eliminated (effective
         # two-level) model, near the exact peak the writer defaults to
         eff = TwoLevelParams(g=abs(p.g_c * p.omega / p.delta1), kappa=1.0)
-        return two_level.peak_loading(eff, pulses.make_named(kind, T, T), 5.0 * T)[0]
+        return two_level.peak_loading([eff], pulses.make_named(kind, T, T), 5.0 * T)[0][0]
     if mode == "inside":
         # the exponentials end or start at their center
         return drive.t0 + (-0.3 if kind == "exp_rising" else 0.3) * T

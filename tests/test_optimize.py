@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cavity_loader import optimize, two_level
+from cavity_loader import cli, optimize, two_level
 from cavity_loader.optimize import SweepSpec
 
 
@@ -17,7 +17,7 @@ def test_optimize_refinement_no_regression():
     fixed = {"kT": 1.0}
     grid = np.geomspace(0.3, 4.0, 40)
     coarse = max(
-        optimize.scenario_probability("two_level", float(g), fixed)[0] for g in grid
+        optimize.scenario_probability("two_level", np.array([g]), fixed)[0][0] for g in grid
     )
     opt = optimize.optimize_coupling("two_level", fixed, (0.3, 4.0))
     assert opt.P_max >= coarse - 1e-12
@@ -46,7 +46,7 @@ def test_optimize_validates_range():
 
 def test_scenario_rejects_unknown():
     with pytest.raises(ValueError):
-        optimize.scenario_probability("three_level", 1.0, {"kT": 2.0})
+        optimize.scenario_probability("three_level", np.array([1.0]), {"kT": 2.0})
 
 
 def test_sweep_reproducible_and_ordered():
@@ -95,6 +95,48 @@ def test_sweep_parallel_matches_serial():
         fixed={"g_over_k": 1.0},
     )
     assert optimize.sweep(spec, workers=2) == optimize.sweep(spec, workers=1)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker counts ``optimize.sweep`` asks a process pool for; the
+    stand-in pool maps in this process and starts none."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(optimize, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def test_sweep_starts_at_most_one_worker_per_cell(pool_sizes, tmp_path):
+    # a pool forks every worker it may start, so an explicit count beyond
+    # the cells (or the CPUs) would start processes that get no work
+    spec = SweepSpec(
+        scenario="two_level", axes=(("kT", (1.0, 2.0, 3.0)),), fixed={"g_over_k": 1.0}
+    )
+    assert optimize.sweep(spec, workers=10**6) == optimize.sweep(spec, workers=1)
+    assert all(n <= 3 for n in pool_sizes), pool_sizes
+    argv = ["figure", "--preset", "fig10", "--workers", "1000000", "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert all(n <= 25 for n in pool_sizes), pool_sizes
+
+
+def test_workers_env_must_be_an_integer(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv(optimize.WORKERS_ENV, "two")
+    assert cli.main(["figure", "--preset", "fig10", "--outdir", str(tmp_path)]) == 2
+    assert optimize.WORKERS_ENV in capsys.readouterr().err
 
 
 def test_sweep_spec_validation():
@@ -151,26 +193,23 @@ def test_throughput_zero_reference():
 MITNU_FIXED = {"kT": 3.0, "kT0": 4.0}
 
 
-def test_scenario_probability_float_in_float_out():
+def test_scenario_probability_rejects_bad_coupling_arrays():
+    # couplings come in a non-empty 1-D array, and two arrays of its length
+    # come back
+    for bad in (0.7, np.float64(0.7), np.array(0.7), np.ones((2, 2)), np.array([])):
+        with pytest.raises(ValueError, match="couplings"):
+            optimize.scenario_probability("two_level", bad, {"kT": 2.0})
     for scenario, fixed in (("two_level", {"kT": 2.0}), ("mitnu", MITNU_FIXED)):
-        p, t = optimize.scenario_probability(scenario, 0.7, fixed)
-        assert type(p) is float and type(t) is float
         probs, times = optimize.scenario_probability(scenario, np.array([0.7]), fixed)
         assert isinstance(probs, np.ndarray) and probs.shape == (1,)
         assert isinstance(times, np.ndarray) and times.shape == (1,)
-
-
-def test_scenario_probability_rejects_bad_coupling_arrays():
-    for bad in (np.ones((2, 2)), np.array([])):
-        with pytest.raises(ValueError, match="couplings"):
-            optimize.scenario_probability("two_level", bad, {"kT": 2.0})
 
 
 def test_mitnu_array_call_matches_float_calls():
     grid = np.geomspace(0.1, 5.0, 40)
     probs, times = optimize.scenario_probability("mitnu", grid, MITNU_FIXED)
     for g, p, t in zip(grid, probs, times):
-        p1, t1 = optimize.scenario_probability("mitnu", float(g), MITNU_FIXED)
+        (p1,), (t1,) = optimize.scenario_probability("mitnu", np.array([g]), MITNU_FIXED)
         assert abs(p - p1) <= 1e-14
         assert abs(t - t1) <= 1e-6 * MITNU_FIXED["kT"]
 
@@ -189,18 +228,19 @@ def test_mitnu_array_call_matches_float_calls():
 )
 def test_array_call_is_bit_identical(scenario, fixed, grid):
     probs, times = optimize.scenario_probability(scenario, grid, fixed)
-    singles = [optimize.scenario_probability(scenario, float(g), fixed) for g in grid]
-    assert probs.tolist() == [p for p, _ in singles]
-    assert times.tolist() == [t for _, t in singles]
+    singles = [optimize.scenario_probability(scenario, np.array([g]), fixed) for g in grid]
+    assert probs.tolist() == [p[0] for p, _ in singles]
+    assert times.tolist() == [t[0] for _, t in singles]
 
 
 def _count_single_calls(monkeypatch):
-    """Count objective calls at one coupling; the coarse scan is one array call."""
+    """Count objective calls at one coupling; the coarse scan is one call
+    of all its couplings."""
     calls = {"single": 0, "array": 0}
     original = optimize.scenario_probability
 
     def counting(scenario, g, fixed):
-        calls["array" if np.ndim(g) else "single"] += 1
+        calls["array" if np.size(g) > 1 else "single"] += 1
         return original(scenario, g, fixed)
 
     monkeypatch.setattr(optimize, "scenario_probability", counting)

@@ -86,7 +86,7 @@ def test_time_scaling_law(kind):
 
 
 def test_zero_pulse_is_zero():
-    p = pulses.make_zero(1.0, 0.0)
+    p = pulses.make_named("zero", 1.0, 0.0)
     assert np.all(p.amplitude(np.linspace(-5, 5, 11)) == 0.0)
 
 

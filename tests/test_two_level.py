@@ -41,7 +41,8 @@ def test_overflowing_rates_are_rejected(rates):
 
 
 def test_closed_form_zero_pulse():
-    beta, ce = two_level.amplitude_closed_form(FIG3_PARAMS, pulses.make_zero(), 3.0)
+    zero = pulses.make_named("zero", math.nan, 0.0)
+    beta, ce = two_level.amplitude_closed_form(FIG3_PARAMS, zero, 3.0)
     assert beta == 0.0 and ce == 0.0
 
 
@@ -189,12 +190,12 @@ def test_spectral_amplitude_exact_response_matches_closed_form(params, t):
 
 
 def test_peak_loading_zero_pulse():
-    t_load, p_max = two_level.peak_loading(FIG3_PARAMS, pulses.make_zero(1.0, 0.0), 5.0)
-    assert p_max == 0.0
+    _, p_max = two_level.peak_loading([FIG3_PARAMS], pulses.make_named("zero", 1.0, 0.0), 5.0)
+    assert p_max[0] == 0.0
 
 
 def test_peak_loading_regression_fig3():
-    t_load, p_max = two_level.peak_loading(FIG3_PARAMS, FIG3_PULSE, 10.0)
+    (t_load,), (p_max,) = two_level.peak_loading([FIG3_PARAMS], FIG3_PULSE, 10.0)
     assert p_max == pytest.approx(FIG3_P_MAX, abs=1e-6)
     assert t_load == pytest.approx(FIG3_T_LOAD, abs=1e-4)
 
@@ -215,7 +216,7 @@ LOSSY_DETUNED = TwoLevelParams(g=1.0, kappa=1.0, gamma=0.2, delta=0.3)
 )
 def test_peak_loading_matches_closed_form(kind, params, horizon):
     pulse = pulses.make_named(kind, 2.0, 2.0)
-    t_load, p_max = two_level.peak_loading(params, pulse, horizon)
+    (t_load,), (p_max,) = two_level.peak_loading([params], pulse, horizon)
     _, ce = two_level.amplitude_closed_form(params, pulse, t_load)
     assert abs(p_max - abs(ce) ** 2) <= 1e-10
 
@@ -231,7 +232,7 @@ def test_peak_loading_refines_in_few_calls(kind, monkeypatch):
         return scan_refine(lambda r, x: calls.append(len(r)) or f(r, x), grid, values, tol)
 
     monkeypatch.setattr(two_level.numerics, "scan_refine", counting)
-    two_level.peak_loading(FIG3_PARAMS, pulses.make_named(kind, 2.0, 2.0), 10.0)
+    two_level.peak_loading([FIG3_PARAMS], pulses.make_named(kind, 2.0, 2.0), 10.0)
     assert 0 < len(calls) <= 12
 
 
@@ -244,7 +245,7 @@ def test_peak_loading_finite_for_heavy_loss(kind, gamma_over_g):
     pulse = pulses.make_named(kind, 2.0, 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        t_load, p_max = two_level.peak_loading(params, pulse, 10.0)
+        (t_load,), (p_max,) = two_level.peak_loading([params], pulse, 10.0)
         _, ce = two_level.amplitude_closed_form(params, pulse, t_load)
     assert math.isfinite(t_load) and math.isfinite(p_max)
     assert abs(p_max - abs(ce) ** 2) <= 1e-10
@@ -274,8 +275,10 @@ def test_batched_peak_loading_matches_single_calls():
     assert isinstance(times, np.ndarray) and times.shape == (len(BATCH),)
     assert isinstance(probs, np.ndarray) and probs.shape == (len(BATCH),)
     for params, t_load, p_max in zip(BATCH, times, probs):
-        t1, p1 = two_level.peak_loading(params, pulse, 10.3713)
-        assert type(t1) is float and type(p1) is float
+        t_one, p_one = two_level.peak_loading((params,), pulse, 10.3713)
+        assert isinstance(t_one, np.ndarray) and t_one.shape == (1,)
+        assert isinstance(p_one, np.ndarray) and p_one.shape == (1,)
+        t1, p1 = t_one[0], p_one[0]
         t_row, p_row = two_level.peak_loading([params], pulse, 10.3713)
         assert (t_row[0], p_row[0]) == (t1, p1)
         assert abs(p_max - p1) <= 1e-14
@@ -330,9 +333,10 @@ def test_scan_grid_memo_keeps_every_bit(kind):
     two_level._SCAN_MEMO.clear()
     times, probs = two_level.peak_loading(BATCH, pulse, 10.3713)
     for params, t_load, p_max in zip(BATCH, times.tolist(), probs.tolist()):
-        warm = two_level.peak_loading(params, pulse, 10.3713)
+        warm = [a.tolist() for a in two_level.peak_loading([params], pulse, 10.3713)]
         two_level._SCAN_MEMO.clear()
-        assert warm == two_level.peak_loading(params, pulse, 10.3713) == (t_load, p_max)
+        cold = [a.tolist() for a in two_level.peak_loading([params], pulse, 10.3713)]
+        assert warm == cold == [[t_load], [p_max]]
 
 
 @pytest.mark.parametrize(
@@ -476,7 +480,7 @@ def test_stepped_trajectory_is_the_scan_on_its_grid(kind):
         traj = two_level.stepped_trajectory(params, pulse, grid)
         assert np.array_equal(traj.amplitudes["beta"], scan[:, 0])
         assert np.array_equal(traj.amplitudes["c_e"], scan[:, 1])
-        _, p_max = two_level.peak_loading(params, pulse, horizon)
+        (_,), (p_max,) = two_level.peak_loading([params], pulse, horizon)
         dense = two_level.stepped_trajectory(params, pulse, np.linspace(grid[0], horizon, 20001))
         assert dense.population("c_e").max() <= p_max + 1e-12
 
