@@ -23,7 +23,6 @@ no pair route for Lambda memories.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -359,8 +358,10 @@ def _cee_reduced(prop: _Propagator, b: BiphotonAmplitude, times: np.ndarray) -> 
     split at the w = T0/2 kink, built once up to the latest time; at
     earlier times the nodes past t - (pump start) see pump = 0.  The pump
     is evaluated in ``_pump_blocks``, so memory does not grow with the
-    number of times.
+    number of times.  ValueError, naming it, on a time that is not finite.
     """
+    if not np.isfinite(times).all():
+        raise ValueError(f"times must be finite, got t = {times[~np.isfinite(times)][0]}")
     rule = _reduced_rule(b.pump, b.t0_window, float(times.max()), _panel_width(prop, b))
     if rule is None:
         return np.zeros(times.shape, dtype=complex)
@@ -376,22 +377,12 @@ def joint_trajectory(
     return Trajectory(times=grid, amplitudes={"c_ee": _cee_reduced(_Propagator.of(p), b, grid)})
 
 
-# a scan state larger than this is dropped after the call that built it: the
-# mitnu design range needs at most ~3 MB (kT = kT0 = 6), while a narrow
-# phase-matching window asks for hundreds of rule nodes per unit time
-_SCAN_STATE_KEEP_BYTES = 16 * 2**20
-
-
-@functools.lru_cache(maxsize=1)
 def _scan_state(pump: PulseShape, window: float, horizon: float, h: float):
     """The coupling-independent part of a peak search: the 401-point time
     scan, the reduced rule and the ``_pump_blocks`` of the scan, or None
-    when no lag reaches the pump.
-
-    One entry, keyed on values: the pump and the phase-matching window
-    are the only parts of a biphoton that the reduced route reads, and the
-    calls of one coupling optimum share them, the horizon and the panel
-    width, so every call after the first is a hit.
+    when no lag reaches the pump.  The pump and the phase-matching window
+    are the only parts of a biphoton that the reduced route reads.  Its
+    arrays are read-only: ``numerics.shared`` hands them to a whole block.
     """
     rule = _reduced_rule(pump, window, horizon, h)
     if rule is None:
@@ -427,20 +418,20 @@ def peak_joint_loading(params, b: BiphotonAmplitude, horizon: float):
     kernels ask for, and the ``_pump_blocks`` of the scan grid; the scan
     of every coupling is one product per block, and one Brent search
     refines every peak in lockstep, each peak time to about sqrt(eps) |t|,
-    through the blocks of its trial times.  ValueError unless ``horizon``
-    is finite and positive.
+    through the blocks of its trial times.  ValueError, before anything is
+    built, on an empty ``params`` or unless ``horizon`` is finite and positive.
     """
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and after t = 0, got {horizon!r}")
     props = [_Propagator.of(p) for p in params]
+    if not props:
+        raise ValueError("couplings must be a non-empty sequence")
     h = min(_panel_width(prop, b) for prop in props)
-    state = _scan_state(b.pump, b.t0_window, float(horizon), h)
+    state = numerics.shared(_scan_state, b.pump, b.t0_window, float(horizon), h)
     t_peaks, p_peaks = np.zeros(len(props)), np.zeros(len(props))
     # with no lag reaching the pump, c_ee vanishes on [0, horizon]
     if state is not None:
         grid, rule, blocks = state
-        if sum(pump.nbytes for _, _, pump in blocks) > _SCAN_STATE_KEEP_BYTES:
-            _scan_state.cache_clear()
         prefs, weights = zip(*(_reduced_weight(prop, b, *rule) for prop in props))
         prefs, weights = np.array(prefs), np.array(weights)
         scans = prefs[:, None] * _block_scan(blocks, weights, grid.size)

@@ -410,14 +410,17 @@ def _adiabatic_reduced_run(
     batch.  The oracles are an adaptive DOP853 run of the same equations
     (in the tests) and ``full_ode`` without the elimination.
     """
+    if not math.isfinite(control_offset):
+        raise ValueError(f"control offset must be finite, got {control_offset!r}")
     pulse = make_sech(T, T)
     if grid is None:
         # until four widths past the pulse center (or the shifted control)
         grid = np.linspace(pulse.support[0], T + 4.0 * T + max(control_offset, 0.0), 1201)
     else:
         grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("output grid must be strictly increasing, with two points or more")
+    finite = np.isfinite(grid).all()
+    if grid.ndim != 1 or grid.size < 2 or not finite or np.any(np.diff(grid) <= 0):
+        raise ValueError("output grid must be finite and strictly increasing, two points or more")
     dt = np.diff(grid)
     g_prime = np.asarray(g_prime, dtype=float)
 

@@ -19,11 +19,13 @@ the exact steps of (beta, c_e) (two-level) and of (beta, c_r, c_e) (the
 three-level Lambda writer), and the RK4 steps of the adiabatic Lambda
 runs, each a recursion of k interleaved amplitudes.  ``scan_refine`` is
 the one peak finder: the loading peak over time and the optimum over
-the coupling both use it.
+the coupling both use it.  ``shared`` builds once per ``sharing`` block.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import heapq
 import math
 from dataclasses import dataclass
@@ -41,6 +43,8 @@ __all__ = [
     "quad1",
     "affine_march",
     "scan_refine",
+    "sharing",
+    "shared",
 ]
 
 DEFAULT_RTOL = 1e-8
@@ -463,3 +467,30 @@ class _BrentMax:
         if abs(self.d) >= tol1:
             return x + self.d
         return x + tol1 if self.d >= 0.0 else x - tol1
+
+
+# the store of the innermost open ``sharing`` block, None outside every block
+_STORE: contextvars.ContextVar[dict | None] = contextvars.ContextVar("store", default=None)
+
+
+@contextlib.contextmanager
+def sharing():
+    """A block with a store of its own, in which ``shared`` keeps what it
+    builds; leaving it, by an exception too, restores the enclosing store."""
+    token = _STORE.set({})
+    try:
+        yield
+    finally:
+        _STORE.reset(token)
+
+
+def shared(build, *args):
+    """build(*args), built once per ``sharing`` block and kept there under
+    (build, *args), so the arguments are hashable values that hold all
+    that ``build`` reads; outside a block, built on every call."""
+    store, key = _STORE.get(), (build, *args)
+    if store is None:
+        return build(*args)
+    if key not in store:
+        store[key] = build(*args)
+    return store[key]

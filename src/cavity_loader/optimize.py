@@ -327,6 +327,8 @@ def optimize_coupling(
     call, followed by Brent refinement of the best grid cell at single
     couplings (parabolic steps, golden-section fallback; see
     ``numerics.scan_refine``); ties break toward the smaller coupling.
+    The calls of one optimum build their coupling-independent state once,
+    in one ``numerics.sharing`` block, and none of it outlives the optimum.
     """
     lo, hi = float(g_range[0]), float(g_range[1])
     if not (0 < lo < hi < np.inf):
@@ -334,35 +336,31 @@ def optimize_coupling(
     if not 0 < tol < np.inf:
         raise ValueError("tolerance must be positive and finite")
     grid = np.geomspace(lo, hi, 40)
-    probs, times = scenario_probability(scenario, grid, fixed)
-    grid = grid.tolist()
-    cache = dict(zip(grid, zip(probs.tolist(), times.tolist())))
+    with numerics.sharing():
+        probs, times = scenario_probability(scenario, grid, fixed)
+        grid = grid.tolist()
+        cache = dict(zip(grid, zip(probs.tolist(), times.tolist())))
 
-    def objective(rows: np.ndarray, gs: np.ndarray) -> np.ndarray:
-        new = [g for g in gs.tolist() if g not in cache]
-        if new:
-            probs, times = scenario_probability(scenario, np.array(new), fixed)
-            cache.update(zip(new, zip(probs.tolist(), times.tolist())))
-        return np.array([cache[g][0] for g in gs.tolist()])
+        def objective(rows: np.ndarray, gs: np.ndarray) -> np.ndarray:
+            new = [g for g in gs.tolist() if g not in cache]
+            if new:
+                probs, times = scenario_probability(scenario, np.array(new), fixed)
+                cache.update(zip(new, zip(probs.tolist(), times.tolist())))
+            return np.array([cache[g][0] for g in gs.tolist()])
 
-    if probs.max() - probs.min() < 1e-9:
-        return OptimumPoint(
-            g_opt=grid[0],
-            P_max=float(probs[0]),
-            T_load=cache[grid[0]][1],
-            bracket=hi - lo,
-            degenerate=True,
-            at_boundary=True,
-            n_evals=len(cache),
-        )
-    g_opt, p_max, bracket = (
-        float(v[0]) for v in numerics.scan_refine(objective, grid, probs[None, :], tol)
-    )
+        degenerate = bool(probs.max() - probs.min() < 1e-9)
+        if degenerate:
+            g_opt, p_max, bracket = grid[0], float(probs[0]), hi - lo
+        else:
+            g_opt, p_max, bracket = (
+                float(v[0]) for v in numerics.scan_refine(objective, grid, probs[None, :], tol)
+            )
     return OptimumPoint(
         g_opt=g_opt,
         P_max=p_max,
         T_load=cache[g_opt][1],
         bracket=bracket,
+        degenerate=degenerate,
         at_boundary=g_opt in (grid[0], grid[-1]),
         n_evals=len(cache),
     )

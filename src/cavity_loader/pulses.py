@@ -4,10 +4,9 @@ Every simulation in this package is driven by a normalized complex
 envelope Phi_b(t) (the optical carrier is factored out).  A pulse is the
 value of its parameters: its family, effective width T, center/reference
 time t0 and carrier offset.  Equal parameters give equal, hashable
-pulses, so the peak searches' memos key on them.  From the parameters a
-pulse derives its envelope and a finite support window outside which it
-evaluates to exactly zero, so quadrature and ODE windows can be chosen
-mechanically.
+pulses.  From the parameters a pulse derives its envelope and a finite
+support window outside which it evaluates to exactly zero, so quadrature
+and ODE windows can be chosen mechanically.
 """
 
 from __future__ import annotations

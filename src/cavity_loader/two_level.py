@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import numerics
-from .numerics import OdeSystem
+from .numerics import OdeSystem, shared
 from .pulses import PulseShape
 
 __all__ = [
@@ -369,17 +369,18 @@ def _peak(props, pulse: PulseShape, horizon: float):
     ``props`` of one class (any stepping propagator, below).
 
     An exact scan on one ``_scan_grid``, at the smallest ``max_step`` of
-    the batch, locates each global basin despite Rabi oscillations: the
-    propagators share the grid and the pulse, and each one's march is one
-    banded solve.  The grid comes from ``_scan_grid``'s memo when the last
-    call scanned an equal pulse to the same horizon, as every call of one
-    coupling optimum does.  Brent refinement, in lockstep over the
-    propagators, takes one partial step from the grid state below each
-    trial time, with the rows of one stacked propagator; a refined peak
-    time is known to about sqrt(eps) |t|.  Ties break toward the earliest
-    time.
+    the batch and ``shared`` within a ``numerics.sharing`` block, locates
+    each global basin despite Rabi oscillations: the propagators share the
+    grid and the pulse, and each one's march is one banded solve.  Brent
+    refinement, in lockstep over the propagators, takes one partial step
+    from the grid state below each trial time, with the rows of one
+    stacked propagator; a refined peak time is known to about sqrt(eps)
+    |t|.  Ties break toward the earliest time.  ValueError, before
+    anything is built, when ``props`` is empty.
     """
-    grid, phi, width = _scan_grid(pulse, horizon, max_step=min(q.max_step for q in props))
+    if not props:
+        raise ValueError("couplings must be a non-empty sequence")
+    grid, phi, width = shared(_scan_grid, pulse, horizon, None, min(q.max_step for q in props))
     last = props[0].size - 1
     values = np.empty((len(props), len(grid)))
     stacked = _stack(props)
@@ -440,7 +441,7 @@ def _stepped(prop, pulse: PulseShape, times, start=None, state=None):
     out = np.full((times.size, prop.size), 0.0 if state is None else state, dtype=complex)
     late = np.flatnonzero(times > t_begin)
     if late.size:
-        grid, phi, _ = _scan_grid(pulse, float(times.max()), t_begin, prop.max_step)
+        grid, phi, _ = shared(_scan_grid, pulse, float(times.max()), t_begin, prop.max_step)
         one = _stack([prop])
         march = next(_marches(one, pulse, grid, phi, state))
         for lo in range(0, late.size, _DRIVE_BLOCK):
@@ -451,34 +452,16 @@ def _stepped(prop, pulse: PulseShape, times, start=None, state=None):
     return out
 
 
-# the last ``_scan_grid`` result, under its (pulse, horizon, start,
-# max_step) and the grid constants: every objective call of one coupling
-# optimum scans an equal pulse to the same horizon.  One entry, so that no
-# later request reuses an earlier one's grid and memory stays that of one
-# grid.
-_SCAN_MEMO: dict = {}
-
-
 def _scan_grid(pulse: PulseShape, horizon: float, start=None, max_step=math.inf):
     """The scan's uniform grid from ``start`` (min(0, pulse start) when
     None) to ``horizon``, ``_STEPS_PER_WIDTH`` steps per pulse width, at
     least 64 and none longer than ``max_step``, the pulse on every step's
     Gauss nodes, and the width.  ValueError unless ``horizon`` is finite
     and after the start; OdeFailure, before anything is allocated, when
-    the grid would take more than ``_STEP_BUDGET`` steps.
-
-    The last result is kept in ``_SCAN_MEMO`` and returned again for an
-    equal pulse (a pulse is the value of its parameters), horizon, start,
-    ``max_step``, ``_STEPS_PER_WIDTH`` and ``_STEP_BUDGET``; its grid and
-    pulse arrays are read-only.  The old entry is dropped before a new grid
-    is built.
+    the grid would take more than ``_STEP_BUDGET`` steps.  The arrays are
+    read-only: ``shared`` hands them to every call of a block.
     """
     t_begin = min(0.0, pulse.support[0]) if start is None else start
-    key = (pulse, horizon, t_begin, max_step, _STEPS_PER_WIDTH, _STEP_BUDGET)
-    hit = _SCAN_MEMO.get(key)
-    if hit is not None:
-        return hit
-    _SCAN_MEMO.clear()
     if not t_begin < horizon < math.inf:
         where = f"the scan start t = {t_begin:.6g}"
         raise ValueError(f"horizon must be finite and after {where}, got {horizon!r}")
@@ -495,8 +478,7 @@ def _scan_grid(pulse: PulseShape, horizon: float, start=None, max_step=math.inf)
     for lo in range(0, n, _DRIVE_BLOCK):
         phi[lo : lo + _DRIVE_BLOCK] = pulse.amplitude(starts[lo : lo + _DRIVE_BLOCK] + offsets)
     grid.flags.writeable = phi.flags.writeable = False
-    _SCAN_MEMO[key] = grid, phi, width
-    return _SCAN_MEMO[key]
+    return grid, phi, width
 
 
 def _partial_steps(prop, pulse: PulseShape, start, state, times):

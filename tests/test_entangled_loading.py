@@ -184,23 +184,36 @@ def test_cee_narrow_window_continuity():
     assert abs(vals[0] - vals[1]) / vals[1] < 0.02
 
 
-def test_scan_state_keys_on_the_pump_and_window_values():
+def _count_scan_state_builds(monkeypatch):
+    """The arguments of every ``_scan_state`` build, one entry each."""
+    builds, builder = [], el._scan_state
+    monkeypatch.setattr(el, "_scan_state", lambda *args: builds.append(args) or builder(*args))
+    return builds
+
+
+def test_scan_state_keys_on_the_pump_and_window_values(monkeypatch):
     # two biphotons built from equal parameters are two objects with equal
-    # pumps and windows, and share one entry; another window misses
-    el._scan_state.cache_clear()
+    # pumps and windows, and share one entry of a block; another window
+    # misses, and the first still hits
+    builds = _count_scan_state_builds(monkeypatch)
     first, again = (el.spdc_biphoton(SpdcParams(3, 4)) for _ in range(2))
     assert first is not again
+    with numerics.sharing():
+        el.peak_joint_loading([PK], first, 30.0)
+        el.peak_joint_loading([PK], again, 30.0)
+        assert len(builds) == 1
+        el.peak_joint_loading([PK], el.spdc_biphoton(SpdcParams(3, 5)), 30.0)
+        assert len(builds) == 2
+        el.peak_joint_loading([PK], first, 30.0)
+        assert len(builds) == 2
+    # outside a block every call builds
     el.peak_joint_loading([PK], first, 30.0)
-    el.peak_joint_loading([PK], again, 30.0)
-    assert el._scan_state.cache_info()[:2] == (1, 1)  # hits, misses
-    el.peak_joint_loading([PK], el.spdc_biphoton(SpdcParams(3, 5)), 30.0)
-    assert el._scan_state.cache_info()[:2] == (1, 2)
+    assert len(builds) == 3
 
 
-def test_narrow_window_scan_state_is_not_kept():
+def test_narrow_window_scan_state_is_not_kept(monkeypatch):
     # T0 = 0.05 needs 22 MB of real pump blocks; the design range keeps <= 3.1 MB
     b = el.spdc_biphoton(SpdcParams(T=2.0, T0=0.05))
-    el._scan_state.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -210,9 +223,12 @@ def test_narrow_window_scan_state_is_not_kept():
         tracemalloc.stop()
     assert held <= 2**20
     # a design-range state stays for the next call of the same optimum
+    builds = _count_scan_state_builds(monkeypatch)
     wide = el.spdc_biphoton(SpdcParams(T=6.0, T0=6.0))
-    el.peak_joint_loading([PK], wide, wide.support[1] + 2.0)
-    assert el._scan_state.cache_info().currsize == 1
+    with numerics.sharing():
+        el.peak_joint_loading([PK], wide, wide.support[1] + 2.0)
+        el.peak_joint_loading([PK], wide, wide.support[1] + 2.0)
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize(
@@ -230,9 +246,7 @@ def test_block_scan_matches_reduced(kT, kT0, delta):
         for g in np.geomspace(0.1, 5.0, 40)
     ]
     h = min(el._panel_width(prop, b) for prop in props)
-    el._scan_state.cache_clear()
     grid, rule, blocks = el._scan_state(b.pump, b.t0_window, horizon, h)
-    el._scan_state.cache_clear()
     if kT == 1.0:
         # the pump starts at t = 3: the first block of rows reaches no lag
         assert grid[31] < b.pump.support[0] and not blocks[0][2].any()
@@ -320,10 +334,25 @@ def test_peak_searches_reject_a_bad_horizon(search, horizon):
         _PEAK_SEARCHES[search](horizon)
 
 
+@pytest.mark.parametrize("search", ["two_level", "pair"])
+def test_peak_searches_refuse_no_couplings(search, monkeypatch):
+    # refused by name, before a scan grid or scan state is built
+    def unreachable(*args):
+        raise AssertionError("a scan was built for no couplings")
+
+    monkeypatch.setattr(two_level, "_scan_grid", unreachable)
+    monkeypatch.setattr(el, "_scan_state", unreachable)
+    searches = {
+        "two_level": lambda: two_level.peak_loading([], pulses.make_sech(2.0, 2.0), 10.0),
+        "pair": lambda: el.peak_joint_loading([], el.spdc_biphoton(SP), 20.0),
+    }
+    with pytest.raises(ValueError, match="couplings must be a non-empty sequence"):
+        searches[search]()
+
+
 def test_narrow_window_search_peak_memory():
     b = el.spdc_biphoton(SpdcParams(T=2.0, T0=0.05))
     params = [TwoLevelParams(g=g, kappa=1.0) for g in np.geomspace(0.1, 5.0, 40)]
-    el._scan_state.cache_clear()
     tracemalloc.start()
     try:
         el.peak_joint_loading(params, b, b.support[1] + 2.0)

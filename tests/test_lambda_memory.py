@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cavity_loader import lambda_memory as lm
-from cavity_loader import cli, numerics, pulses, two_level
+from cavity_loader import cli, entangled_loading, numerics, pulses, two_level
 from cavity_loader.lambda_memory import LambdaParams
 from cavity_loader.two_level import TwoLevelParams
 
@@ -721,3 +721,38 @@ def test_nonadiabatic_trajectory_step_budget():
     p, drive, grid = _lambda_case("sech", (1e300, 1.0, 1.0, 0.0))
     with pytest.raises(numerics.OdeFailure, match="budget"):
         lm.nonadiabatic_trajectory(p, drive, grid, 1.0)
+
+
+_SPDC = entangled_loading.spdc_biphoton(entangled_loading.SpdcParams(T=2.0, T0=2.0))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: entangled_loading.c_ee(TwoLevelParams(1.0, 1.0), _SPDC, math.nan), "times"),
+        (lambda: entangled_loading.c_ee(TwoLevelParams(1.0, 1.0), _SPDC, math.inf), "times"),
+        (
+            lambda: entangled_loading.joint_trajectory(
+                TwoLevelParams(1.0, 1.0), _SPDC, [0.0, 5.0, math.nan]
+            ),
+            "times",
+        ),
+        (
+            lambda: lm.adiabatic_load(
+                20.0, 400.0, 1.0, 4.5, detuned=False, grid=[0.0, 5.0, math.nan]
+            ),
+            "output grid",
+        ),
+        (
+            lambda: lm.adiabatic_offset_scan(1.0, 1.0, 4.5, [math.inf], detuned=False),
+            "control offset",
+        ),
+    ],
+    ids=["c_ee-nan", "c_ee-inf", "joint_trajectory", "adiabatic_grid", "adiabatic_offset"],
+)
+def test_non_finite_times_are_refused_by_name(call, name):
+    # where the time enters, and before any numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            call()

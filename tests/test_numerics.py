@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -450,3 +451,46 @@ def test_scan_refine_agrees_with_scipy_bounded(tol):
         assert abs(x[i] - ref.x) <= tol + resolution
         assert width[i] <= tol + resolution
         assert fx[i] >= -ref.fun - 1e-12
+
+
+class _Built:
+    """A fresh object per build, which a weak reference can watch."""
+
+
+def test_sharing_block_keeps_its_builds_and_nothing_after():
+    builds = []
+
+    def build(*args):
+        builds.append(args)
+        return _Built()
+
+    # outside a block every call builds
+    assert numerics.shared(build, 1) is not numerics.shared(build, 1)
+    assert len(builds) == 2
+    with numerics.sharing():
+        one = numerics.shared(build, 1)
+        assert numerics.shared(build, 1) is one
+        assert numerics.shared(build, 2) is not one
+        assert len(builds) == 4
+        # a nested block starts empty, and the outer store is back after it
+        with numerics.sharing():
+            inner = numerics.shared(build, 1)
+            assert inner is not one and numerics.shared(build, 1) is inner
+        assert numerics.shared(build, 1) is one
+        # an exception leaves the nested block all the same
+        with pytest.raises(KeyError):
+            with numerics.sharing():
+                numerics.shared(build, 3)
+                raise KeyError(3)
+        assert numerics.shared(build, 1) is one
+        assert len(builds) == 6
+        held = [weakref.ref(x) for x in (one, inner)]
+    del one, inner
+    assert all(ref() is None for ref in held)
+    # and an exception leaves the outermost block: nothing is held after it
+    with pytest.raises(KeyError):
+        with numerics.sharing():
+            held = weakref.ref(numerics.shared(build, 4))
+            raise KeyError(4)
+    assert held() is None
+    assert numerics.shared(build, 1) is not numerics.shared(build, 1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cavity_loader import cli, optimize, two_level
+from cavity_loader import cli, entangled_loading, optimize, two_level
 from cavity_loader.optimize import SweepSpec
 
 
@@ -270,14 +270,23 @@ def test_degenerate_optimum_counts_the_scan(monkeypatch):
     assert opt.n_evals == 40
 
 
-def test_objective_calls_of_one_optimum_share_one_scan_grid():
+def test_objective_calls_of_one_optimum_share_one_scan_grid(monkeypatch):
     # the coarse scan and each Brent coupling of one optimum pass equal
-    # pulses (a pulse is the value of its parameters), and so read the one
-    # memo entry that the first call made
-    fixed = {"kT": 2.0, "pulse": "exp_rising", "gamma_over_g": 0.1}
-    two_level._SCAN_MEMO.clear()
-    optimize._two_level_probability(np.geomspace(0.1, 5.0, 4), fixed)
-    (entry,) = two_level._SCAN_MEMO.values()
-    optimize._two_level_probability(np.array([1.3]), dict(fixed))
-    (again,) = two_level._SCAN_MEMO.values()
-    assert again is entry
+    # pulses (a pulse is the value of its parameters), and so share the one
+    # scan state that the first call built in the optimum's block; outside
+    # a block each call builds its own
+    two_level_fixed = {"kT": 2.0, "pulse": "exp_rising", "gamma_over_g": 0.1}
+    cases = [
+        ("two_level", two_level_fixed, two_level, "_scan_grid"),
+        ("lambda_nonadiabatic", {"kT": 2.0}, two_level, "_scan_grid"),
+        ("mitnu", {"kT": 4.0, "kT0": 4.0}, entangled_loading, "_scan_state"),
+    ]
+    for scenario, fixed, module, name in cases:
+        builder, builds = getattr(module, name), []
+        monkeypatch.setattr(module, name, lambda *args: builds.append(args) or builder(*args))
+        opt = optimize.optimize_coupling(scenario, fixed)
+        assert opt.n_evals > 40 and len(builds) == 1
+        optimize.scenario_probability(scenario, np.geomspace(0.1, 5.0, 4), fixed)
+        optimize.scenario_probability(scenario, np.array([1.3]), dict(fixed))
+        assert len(builds) == 3
+        monkeypatch.undo()

@@ -2,6 +2,7 @@ import cmath
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -310,8 +311,7 @@ def test_batched_peak_loading_memory():
         TwoLevelParams(g=g, kappa=1.0, gamma=0.375 * g) for g in np.geomspace(0.05, 10.0, 40)
     ]
     two_level.peak_loading(batch[:2], pulse, 5.0 * T)
-    # a cold scan: the warm-up's grid and pulse samples are not reused
-    two_level._SCAN_MEMO.clear()
+    # a cold scan: outside a block the warm-up keeps no grid or pulse samples
     tracemalloc.start()
     try:
         two_level.peak_loading(batch, pulse, 5.0 * T)
@@ -324,19 +324,24 @@ def test_batched_peak_loading_memory():
 FAMILIES = ("sech", "rectangular", "exp_rising", "exp_decaying")
 
 
+def _shared_grid(pulse, horizon, start=None, max_step=math.inf):
+    """``_scan_grid`` through the store, under the key that ``_peak`` uses."""
+    return numerics.shared(two_level._scan_grid, pulse, horizon, start, max_step)
+
+
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_scan_grid_memo_keeps_every_bit(kind):
-    # the calls of one coupling optimum share _scan_grid's memo entry: the
-    # batch, each coupling on its own and each on a cleared memo agree bit
-    # for bit
+    # the calls of one coupling optimum share their block's scan grid: the
+    # batch, each coupling on its own in that block and each in a fresh
+    # nested block agree bit for bit
     pulse = pulses.make_named(kind, 2.0, 2.0)
-    two_level._SCAN_MEMO.clear()
-    times, probs = two_level.peak_loading(BATCH, pulse, 10.3713)
-    for params, t_load, p_max in zip(BATCH, times.tolist(), probs.tolist()):
-        warm = [a.tolist() for a in two_level.peak_loading([params], pulse, 10.3713)]
-        two_level._SCAN_MEMO.clear()
-        cold = [a.tolist() for a in two_level.peak_loading([params], pulse, 10.3713)]
-        assert warm == cold == [[t_load], [p_max]]
+    with numerics.sharing():
+        times, probs = two_level.peak_loading(BATCH, pulse, 10.3713)
+        for params, t_load, p_max in zip(BATCH, times.tolist(), probs.tolist()):
+            warm = [a.tolist() for a in two_level.peak_loading([params], pulse, 10.3713)]
+            with numerics.sharing():
+                cold = [a.tolist() for a in two_level.peak_loading([params], pulse, 10.3713)]
+            assert warm == cold == [[t_load], [p_max]]
 
 
 @pytest.mark.parametrize(
@@ -352,47 +357,55 @@ def test_scan_grid_memo_keeps_every_bit(kind):
 )
 def test_scan_grid_memo_holds_one_request(other):
     # a hit needs an equal pulse (kind, width, center and carrier), the
-    # same horizon, start and step cap; a miss replaces the one entry
-    two_level._SCAN_MEMO.clear()
+    # same horizon, start and step cap; a miss builds anew, the earlier
+    # key still hits, and the block holds nothing once it is left
     named = pulses.make_named("sech", 2.0, 2.0)
-    grid, phi, _ = two_level._scan_grid(named, 10.0)
-    # equal parameters give an equal pulse, and so the one entry
-    assert two_level._scan_grid(pulses.make_named("sech", 2.0, 2.0), 10.0)[1] is phi
-    missed = two_level._scan_grid(*other(named))
-    assert missed[1] is not phi
-    assert len(two_level._SCAN_MEMO) == 1 and next(iter(two_level._SCAN_MEMO.values()))[1] is missed[1]
+    with numerics.sharing():
+        grid, phi, _ = _shared_grid(named, 10.0)
+        # equal parameters give an equal pulse, and so the same entry
+        assert _shared_grid(pulses.make_named("sech", 2.0, 2.0), 10.0)[1] is phi
+        missed = _shared_grid(*other(named))
+        assert missed[1] is not phi
+        assert _shared_grid(named, 10.0)[1] is phi
+        assert _shared_grid(*other(named))[1] is missed[1]
+        held = [weakref.ref(a) for a in (grid, phi, *missed[:2])]
+    del grid, phi, missed
+    assert all(ref() is None for ref in held)
 
 
 def test_scan_grid_memo_keys_on_pulse_values():
     # make_sech and make_named build equal pulses from equal widths of
     # either type, and share one entry; two carriers miss each other's
-    two_level._SCAN_MEMO.clear()
     sech = pulses.make_sech(2, 2)
-    phi = two_level._scan_grid(sech, 10.0)[1]
-    assert two_level._scan_grid(pulses.make_named("sech", 2.0, 2.0), 10.0)[1] is phi
-    slow, fast = (pulses.frequency_shifted(sech, shift) for shift in (0.5, 0.7))
-    assert slow != fast
-    slow_phi = two_level._scan_grid(slow, 10.0)[1]
-    assert slow_phi is not phi
-    fast_phi = two_level._scan_grid(fast, 10.0)[1]
-    assert fast_phi is not slow_phi and not np.array_equal(fast_phi, slow_phi)
-    assert two_level._scan_grid(slow, 10.0)[1] is not fast_phi
-    assert len(two_level._SCAN_MEMO) == 1
+    with numerics.sharing():
+        phi = _shared_grid(sech, 10.0)[1]
+        assert _shared_grid(pulses.make_named("sech", 2.0, 2.0), 10.0)[1] is phi
+        slow, fast = (pulses.frequency_shifted(sech, shift) for shift in (0.5, 0.7))
+        assert slow != fast
+        slow_phi = _shared_grid(slow, 10.0)[1]
+        assert slow_phi is not phi
+        fast_phi = _shared_grid(fast, 10.0)[1]
+        assert fast_phi is not slow_phi and not np.array_equal(fast_phi, slow_phi)
+        assert _shared_grid(slow, 10.0)[1] is slow_phi
+        assert _shared_grid(sech, 10.0)[1] is phi
+        held = [weakref.ref(a) for a in (phi, slow_phi, fast_phi)]
+    del phi, slow_phi, fast_phi
+    assert all(ref() is None for ref in held)
 
 
 @pytest.mark.parametrize("name, factor", [("_STEPS_PER_WIDTH", 2), ("_STEP_BUDGET", 0)])
 def test_scan_grid_memo_misses_when_the_grid_constants_change(monkeypatch, name, factor):
-    # a convergence test that refines the grid measures the finer grid, and
-    # a smaller budget refuses a grid that the memo holds
-    two_level._SCAN_MEMO.clear()
-    grid, phi, _ = two_level._scan_grid(FIG3_PULSE, 10.0)
+    # outside a block every call builds its grid: a convergence test that
+    # refines the grid measures the finer grid, and a smaller budget refuses
+    # a grid that an earlier call built
+    grid, phi, _ = _shared_grid(FIG3_PULSE, 10.0)
     monkeypatch.setattr(two_level, name, factor * getattr(two_level, name))
     if factor:
-        finer = two_level._scan_grid(FIG3_PULSE, 10.0)[0]
+        finer = _shared_grid(FIG3_PULSE, 10.0)[0]
         assert len(finer) - 1 == 2 * (len(grid) - 1)
     else:
         with pytest.raises(numerics.OdeFailure, match="over the budget 0"):
-            two_level._scan_grid(FIG3_PULSE, 10.0)
+            _shared_grid(FIG3_PULSE, 10.0)
 
 
 def test_scan_grid_memo_is_read_only():
@@ -502,7 +515,6 @@ def test_stepped_trajectory_memory():
     # beyond the (beta, c_e) columns themselves
     times = np.linspace(FIG3_PULSE.support[0], 10.0, 100_000)
     two_level.stepped_trajectory(LOSSY_DETUNED, FIG3_PULSE, times[:10])
-    two_level._SCAN_MEMO.clear()
     tracemalloc.start()
     try:
         two_level.stepped_trajectory(LOSSY_DETUNED, FIG3_PULSE, times)
